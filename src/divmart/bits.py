@@ -127,31 +127,37 @@ class Point:
         return self.period_bits.bit((i - p) % len(self.period_bits))
 
     def prefix(self, l: int) -> BitString:
-        v = 0
-        for i in range(l):
-            v = (v << 1) | self.bit_at(i)
-        return BitString.raw(l, v)
+        # Preamble shifted into place, then q whole periods (a geometric
+        # series in 2^P: per * (2^(P*q) - 1) / (2^P - 1)), then the top r
+        # bits of the period.
+        pre, per = self.prefix_bits, self.period_bits
+        if l <= pre.n:
+            return BitString.raw(l, pre.v >> (pre.n - l))
+        k = l - pre.n
+        q, r = divmod(k, per.n)
+        repeated = per.v * (((1 << (per.n * q)) - 1) // ((1 << per.n) - 1))
+        tail = per.v >> (per.n - r)
+        return BitString.raw(l, (pre.v << k) | (repeated << r) | tail)
 
     def starts_with(self, t: BitString) -> bool:
         return self.prefix(len(t)) == t
 
-    def same_sequence(self, other: "Point") -> bool:
+    def _agreement_bound(self, other: "Point") -> int:
         # Two eventually periodic sequences agree everywhere iff they agree
         # up to the longer preamble plus one common period.
-        bound = max(len(self.prefix_bits), len(other.prefix_bits)) + lcm(
+        return max(len(self.prefix_bits), len(other.prefix_bits)) + lcm(
             len(self.period_bits), len(other.period_bits)
         )
-        return all(self.bit_at(i) == other.bit_at(i) for i in range(bound))
+
+    def same_sequence(self, other: "Point") -> bool:
+        bound = self._agreement_bound(other)
+        return self.prefix(bound).v == other.prefix(bound).v
 
     def first_difference(self, other: "Point") -> Optional[int]:
         """Least index where the sequences differ, or None if equal."""
-        bound = max(len(self.prefix_bits), len(other.prefix_bits)) + lcm(
-            len(self.period_bits), len(other.period_bits)
-        )
-        for i in range(bound):
-            if self.bit_at(i) != other.bit_at(i):
-                return i
-        return None
+        bound = self._agreement_bound(other)
+        diff = self.prefix(bound).v ^ other.prefix(bound).v
+        return None if diff == 0 else bound - diff.bit_length()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Point):

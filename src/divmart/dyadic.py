@@ -18,6 +18,55 @@ from typing import Union
 
 _IntLike = Union[int, "Dyadic"]
 
+# Decimal conversions go through blocks of at most this many digits, which
+# keeps every int <-> str step under the interpreter's digit limit
+# (sys.get_int_max_str_digits, at least 640) without raising it globally.
+_BLOCK_DIGITS = 512
+_BLOCK = 10**_BLOCK_DIGITS
+
+
+def _int_to_decimal(x: int) -> str:
+    """str(x) for integers of any size, by divide and conquer on powers of ten."""
+    if x < 0:
+        return "-" + _int_to_decimal(-x)
+    if x < _BLOCK:
+        return str(x)
+    pows = [_BLOCK]  # pows[i] = 10^(_BLOCK_DIGITS * 2^i)
+    while pows[-1] <= x:
+        pows.append(pows[-1] * pows[-1])
+
+    def digits(y: int, i: int) -> str:  # y < pows[i]
+        if i == 0:
+            return str(y)
+        hi, lo = divmod(y, pows[i - 1])
+        low = digits(lo, i - 1)
+        if hi == 0:
+            return low
+        return digits(hi, i - 1) + low.rjust(_BLOCK_DIGITS << (i - 1), "0")
+
+    return digits(x, len(pows) - 1)
+
+
+def _decimal_to_int(text: str) -> int:
+    """int(text) for decimal strings of any length.  Strings longer than one
+    block must be an optional '-' followed by ASCII digits."""
+    if len(text) <= _BLOCK_DIGITS:
+        return int(text)
+    sign, body = (-1, text[1:]) if text.startswith("-") else (1, text)
+    if not (body.isascii() and body.isdigit()):
+        raise ValueError(f"invalid decimal integer of {len(text)} characters")
+    pows: dict[int, int] = {}
+
+    def value(d: str) -> int:
+        if len(d) <= _BLOCK_DIGITS:
+            return int(d)
+        w = len(d) // 2
+        if w not in pows:
+            pows[w] = 10**w
+        return value(d[:-w]) * pows[w] + value(d[-w:])
+
+    return sign * value(body)
+
 
 class Dyadic:
     __slots__ = ("num", "exp")
@@ -32,10 +81,10 @@ class Dyadic:
             exp = 0
         if num == 0:
             exp = 0
-        else:
-            while num % 2 == 0 and exp > 0:
-                num //= 2
-                exp -= 1
+        elif exp and not num & 1:
+            shift = min((num & -num).bit_length() - 1, exp)
+            num >>= shift
+            exp -= shift
         self.num = num
         self.exp = exp
 
@@ -136,31 +185,32 @@ class Dyadic:
     def decimal(self) -> str:
         """Exact decimal expansion (dyadics always terminate in base 10)."""
         if self.exp == 0:
-            return str(self.num)
+            return _int_to_decimal(self.num)
         sign = "-" if self.num < 0 else ""
         scaled = abs(self.num) * 5 ** self.exp  # num/2^e = num*5^e / 10^e
-        digits = str(scaled).rjust(self.exp + 1, "0")
+        digits = _int_to_decimal(scaled).rjust(self.exp + 1, "0")
         ipart, fpart = digits[: -self.exp], digits[-self.exp :]
         return f"{sign}{ipart}.{fpart}"
 
     def __repr__(self) -> str:
         if self.exp == 0:
-            return f"Dyadic({self.num})"
-        return f"Dyadic({self.num}, {self.exp})"
+            return f"Dyadic({_int_to_decimal(self.num)})"
+        return f"Dyadic({_int_to_decimal(self.num)}, {self.exp})"
 
     def __str__(self) -> str:
         if self.exp == 0:
-            return str(self.num)
-        return f"{self.num}/2^{self.exp}"
+            return _int_to_decimal(self.num)
+        return f"{_int_to_decimal(self.num)}/2^{self.exp}"
 
     # -- serialization -------------------------------------------------
 
     def to_json(self) -> dict:
-        return {"num": str(self.num), "exp": self.exp}
+        return {"num": _int_to_decimal(self.num), "exp": self.exp}
 
     @staticmethod
     def from_json(obj: dict) -> "Dyadic":
-        num = int(obj["num"])
+        raw = obj["num"]
+        num = _decimal_to_int(raw) if isinstance(raw, str) else int(raw)
         exp = obj["exp"]
         if not isinstance(exp, int) or exp < 0:
             raise ValueError(f"bad dyadic exponent: {exp!r}")

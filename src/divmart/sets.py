@@ -107,14 +107,17 @@ class GDeltaSet:
         raise NotImplementedError
 
 
-def _odd_positions_in(lo: int, hi: int) -> int:
-    """Count odd integers in [lo, hi)."""
-    if hi <= lo:
-        return 0
-    first = lo if lo % 2 == 1 else lo + 1
-    if first >= hi:
-        return 0
-    return (hi - 1 - first) // 2 + 1
+def _even_mask(length: int) -> int:
+    """Mask 0b…0101 of the even positions 0, 2, 4, … of a big-endian bit
+    string of the given length (position i sits at shift length-1-i)."""
+    k = (length + 1) // 2
+    return ((1 << 2 * k) // 3) << (1 - length % 2)
+
+
+def _first_even_one(length: int, v: int) -> Optional[int]:
+    """Least even position holding a 1 in the length-bit string v, or None."""
+    hits = v & _even_mask(length)
+    return None if hits == 0 else length - hits.bit_length()
 
 
 class EvenZeros(GDeltaSet):
@@ -134,15 +137,9 @@ class EvenZeros(GDeltaSet):
     def _stage_cylinder(n: int, w: int) -> BitString:
         """The w-th antichain cylinder of stage(n): odd positions carry the
         bits of w (most significant first), even positions are zero."""
-        length = 2 * n - 1
-        v = 0
-        bit_src = n - 2  # odd positions 1,3,...,2n-3 take bits of w
-        for pos in range(length):
-            v <<= 1
-            if pos % 2 == 1:
-                v |= (w >> bit_src) & 1
-                bit_src -= 1
-        return BitString.raw(length, v)
+        # Reading the binary digits of w in base 4 moves bit j to bit 2j;
+        # the shift puts them on the odd positions 1, 3, …, 2n-3.
+        return BitString.raw(2 * n - 1, int(format(w, "b"), 4) << 1)
 
     def stage(self, n: int) -> ClopenSet:
         if n == 0:
@@ -171,21 +168,19 @@ class EvenZeros(GDeltaSet):
 
     def measure_stage_in(self, n: int, t: BitString) -> Dyadic:
         bound = min(len(t), 2 * n)
-        for i in range(0, bound, 2):
-            if t.bit(i):
-                return Dyadic.zero()
+        if (t.v >> (len(t) - bound)) & _even_mask(bound):
+            return Dyadic.zero()
         if len(t) >= 2 * n:
             return Dyadic.pow2(-len(t))
-        free = _odd_positions_in(len(t), 2 * n)
-        return Dyadic.pow2(free - 2 * n)
+        # Of the first 2n positions, the n - len(t)//2 odd ones after t are
+        # free and all others are fixed: 2^-(2n - (n - len(t)//2)).
+        return Dyadic.pow2(-n - len(t) // 2)
 
     def stage_cylinder_containing(self, n: int, beta: Point) -> Optional[BitString]:
         if n == 0:
             return EMPTY
-        for i in range(0, 2 * n, 2):
-            if beta.bit_at(i):
-                return None
-        return beta.prefix(2 * n - 1)
+        c = beta.prefix(2 * n - 1)
+        return None if c.v & _even_mask(c.n) else c
 
     def stage_max_len(self, n: int) -> int:
         return max(2 * n - 1, 0)
@@ -195,19 +190,17 @@ class EvenZeros(GDeltaSet):
 
     def exit_stage(self, beta: Point) -> Optional[int]:
         bound = len(beta.prefix_bits) + 2 * len(beta.period_bits)
-        for i in range(0, bound, 2):
-            if beta.bit_at(i):
-                return i // 2 + 1
-        return None
+        i = _first_even_one(bound, beta.prefix(bound).v)
+        return None if i is None else i // 2 + 1
 
     def stage_refutation_depth(self, n: int, beta: Point) -> int:
-        for i in range(0, 2 * n, 2):
-            if beta.bit_at(i):
-                return i + 1
-        raise ValueError(f"point is inside stage {n}")
+        i = _first_even_one(2 * n, beta.prefix(2 * n).v)
+        if i is None:
+            raise ValueError(f"point is inside stage {n}")
+        return i + 1
 
     def meets_target(self, t: BitString) -> bool:
-        return all(t.bit(i) == 0 for i in range(0, len(t), 2))
+        return t.v & _even_mask(t.n) == 0
 
     def to_spec_dict(self) -> dict:
         return {"kind": "even-zeros"}
@@ -451,15 +444,18 @@ def component_from_spec(doc: dict) -> GDeltaSet:
     if kind == "even-zeros":
         return EvenZeros()
     if kind == "singleton":
-        if "point" not in doc:
-            raise ParseError("singleton component needs a 'point'")
+        if not isinstance(doc.get("point"), str):
+            raise ParseError("singleton component needs a 'point' string")
         return Singleton(Point.parse(doc["point"]))
     if kind == "explicit":
         stages = doc.get("stages")
         if not isinstance(stages, list) or not all(
-            isinstance(st, list) for st in stages
+            isinstance(st, list) and all(isinstance(c, str) for c in st)
+            for st in stages
         ):
-            raise ParseError("explicit component needs 'stages': list of lists")
+            raise ParseError(
+                "explicit component needs 'stages': list of lists of bit strings"
+            )
         rate_text = doc.get("rate", "2^-n")
         return ExplicitGDelta(
             [ClopenSet.from_strings(st) for st in stages],

@@ -260,11 +260,17 @@ class StageCertificate:
         return cert.gstar
 
     def partial_mean_at(self, w: BitString) -> Dyadic:
-        """⨍_{N_w} S_n dλ computed through the chain, exact."""
+        """⨍_{N_w} S_n dλ computed through the chain in one walk, exact."""
         total = Dyadic.zero()
-        for j in range(self.index + 1):
-            r = self.chain_region(j).measure_in(w).mul_pow2(len(w))
-            total = total + r if j % 2 == 0 else total - r
+        cert = self
+        for j in range(self.index, -1, -1):
+            if cert is None:
+                raise ValueError(f"certificate chain broken below index {j + 1}")
+            if cert.index != j:
+                raise ValueError(f"no certificate at index {j}")
+            r = cert.gstar.measure_in(w).mul_pow2(len(w))
+            total = total - r if j % 2 else total + r
+            cert = cert.prev
         return total
 
     def __repr__(self) -> str:
@@ -323,19 +329,39 @@ def build_stage(prev: StageCertificate, target: GDeltaSet) -> StageCertificate:
 def _find_stage_index(
     target: GDeltaSet, w: BitString, threshold: Dyadic, start: int
 ) -> int:
-    """Minimal m ≥ start with λ(stage(m) ∩ N_w) < threshold·λ(N_w)."""
+    """Minimal m ≥ start with λ(stage(m) ∩ N_w) < threshold·λ(N_w).
+
+    Stages are nested, so the measure is nonincreasing in m and the budget,
+    once met, stays met.  Gallop over the offsets 0, 2, 6, 14, … from start
+    to bracket the first index meeting it, then bisect the bracket (Bentley
+    & Yao 1976): O(log(m - start)) measure queries instead of m - start + 1.
+    The search ends at the last index of _STAGE_SEARCH_SPAN, or at the
+    frozen stage when the stages stop changing there."""
     bound = threshold.mul_pow2(-len(w))
+    last = start + _STAGE_SEARCH_SPAN - 1
     frozen_from = getattr(target, "frozen_from", None)
-    for m in range(start, start + _STAGE_SEARCH_SPAN):
-        cur = target.measure_stage_in(m, w)
-        if cur < bound:
-            return m
-        if frozen_from is not None and m >= frozen_from:
-            break  # stages stopped shrinking; the budget is unreachable
-    raise HorizonExhausted(
-        f"stage budget λ(stage(m) ∩ N_{str(w) or 'ε'}) < {threshold}·2^-{len(w)}",
-        f"no reachable stage index from {start} meets it",
-    )
+    if frozen_from is not None:
+        last = min(last, max(start, frozen_from))
+
+    def meets(m: int) -> bool:
+        return target.measure_stage_in(m, w) < bound
+
+    lo, hi, step = start - 1, start, 1  # lo misses the budget (or is below start)
+    while not meets(hi):
+        if hi == last:
+            raise HorizonExhausted(
+                f"stage budget λ(stage(m) ∩ N_{str(w) or 'ε'}) < {threshold}·2^-{len(w)}",
+                f"no reachable stage index from {start} meets it",
+            )
+        step *= 2
+        lo, hi = hi, min(hi + step, last)
+    while hi - lo > 1:  # lo misses the budget, hi meets it
+        mid = (lo + hi) // 2
+        if meets(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def _check_mean_proximity(cert: StageCertificate, witnesses: Sequence[BitString]) -> None:

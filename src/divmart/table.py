@@ -112,7 +112,7 @@ def dumps_document(doc: dict) -> str:
 def loads_document(text: str) -> dict:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or an integer over the digit limit
         raise ParseError(f"invalid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise ParseError("top-level JSON value must be an object")

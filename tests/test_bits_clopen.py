@@ -5,6 +5,8 @@ length-L strings it meets/covers, so every algebraic op is checked against
 plain Python set operations on string extensions.
 """
 
+from math import lcm
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -81,6 +83,62 @@ def test_point_semantic_equality():
     c = Point.parse("0(01)")
     assert not a.same_sequence(c)
     assert a.first_difference(c) == 1
+
+
+# Bit-by-bit references for the closed forms in Point.
+
+
+def prefix_reference(p: Point, l: int) -> BitString:
+    v = 0
+    for i in range(l):
+        v = (v << 1) | p.bit_at(i)
+    return BitString.raw(l, v)
+
+
+def first_difference_reference(a: Point, b: Point):
+    bound = max(len(a.prefix_bits), len(b.prefix_bits)) + lcm(
+        len(a.period_bits), len(b.period_bits)
+    )
+    for i in range(bound):
+        if a.bit_at(i) != b.bit_at(i):
+            return i
+    return None
+
+
+points = st.builds(
+    lambda pre, per: Point.parse(f"{pre}({per})"),
+    st.text(alphabet="01", max_size=12),
+    st.text(alphabet="01", min_size=1, max_size=12),
+)
+
+
+@given(points, st.integers(min_value=0, max_value=200))
+def test_point_prefix_matches_bit_at(p, l):
+    assert p.prefix(l) == prefix_reference(p, l)
+    assert p.starts_with(prefix_reference(p, l))
+
+
+@given(points, points)
+def test_point_comparison_matches_bit_at(a, b):
+    d = first_difference_reference(a, b)
+    assert a.first_difference(b) == d
+    assert b.first_difference(a) == d
+    assert a.same_sequence(b) == (d is None)
+    assert a.same_sequence(a) and a.first_difference(a) is None
+
+
+@given(points, st.integers(min_value=1, max_value=40))
+def test_point_comparison_with_a_long_common_prefix(p, k):
+    # The same sequence with k more bits unrolled into the preamble, then
+    # the same with the last preamble bit flipped.
+    n, per = len(p.prefix_bits) + k, len(p.period_bits)
+    rotated = BitString.raw(per, prefix_reference(p, n + per).v & ((1 << per) - 1))
+    unrolled = Point(prefix_reference(p, n), rotated)
+    assert p.same_sequence(unrolled) and p.first_difference(unrolled) is None
+    flipped = Point(BitString.raw(n, unrolled.prefix_bits.v ^ 1), rotated)
+    assert p.first_difference(flipped) == n - 1
+    assert first_difference_reference(p, flipped) == n - 1
+    assert not p.same_sequence(flipped)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 on-disk document formats."""
 
 import json
+from decimal import Decimal, Inexact, localcontext
 
 import pytest
 from click.testing import CliRunner
@@ -184,6 +185,24 @@ def test_measure_per_component(runner, tmp_path):
     ]
 
 
+def test_measure_far_past_the_digit_limit(runner, tmp_path):
+    # λ(G*_200) = 2^-20700: its decimal has 20,700 fractional digits, far
+    # beyond the interpreter's 4,300-digit int/str conversion limit.
+    spec = write_spec(tmp_path, UNION)
+    res = runner.invoke(main, ["measure", "--spec", spec, "--depth", "200"])
+    assert res.exit_code == 0, res.output
+    lines = res.output.strip().split("\n")
+    assert len(lines) == 2
+    for line in lines:
+        head, decimal = line[:-1].rsplit(" (", 1)
+        assert head.endswith("lambda(G*_200) = 1/2^20700")
+        with localcontext() as ctx:
+            ctx.prec = 20710
+            ctx.traps[Inexact] = True
+            assert Decimal(decimal) == 1 / Decimal(2) ** 20700
+        assert len(decimal) == 20702
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -251,6 +270,34 @@ def test_malformed_json_exits_two(runner, tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{nope")
     res = runner.invoke(main, ["synthesize", "--spec", str(p)])
+    assert res.exit_code == 2 and "parse error" in res.stderr
+
+
+@pytest.mark.parametrize(
+    "component",
+    [
+        {"kind": "singleton", "point": 5},
+        {"kind": "singleton", "point": ["(0)"]},
+        {"kind": "explicit", "stages": [[5]]},
+        {"kind": "explicit", "stages": [["0"], [None]]},
+    ],
+)
+@pytest.mark.parametrize("command", ["synthesize", "oscillate", "measure"])
+def test_wrong_json_types_in_specs_exit_two(runner, tmp_path, component, command):
+    spec = write_spec(tmp_path, {"kind": "sigma3", "components": [component]})
+    args = [command, "--spec", spec]
+    if command == "oscillate":
+        args += ["--point", "(0)"]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert "parse error" in res.stderr and "Traceback" not in res.stderr
+
+
+def test_oversized_json_integer_exits_two(runner, tmp_path):
+    p = tmp_path / "huge.json"
+    p.write_text('{"kind": "sigma3", "components": [{"kind": "singleton", "point": '
+                 + "1" * 5000 + "}]}")
+    res = runner.invoke(main, ["measure", "--spec", str(p)])
     assert res.exit_code == 2 and "parse error" in res.stderr
 
 

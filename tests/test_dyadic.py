@@ -1,9 +1,10 @@
 """Exact dyadic arithmetic, checked against fractions.Fraction as oracle."""
 
+from decimal import Decimal, Inexact, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divmart.dyadic import Dyadic
@@ -118,3 +119,72 @@ def test_canonical_invariant(a):
 @given(dyadics)
 def test_decimal_is_exact(a):
     assert Fraction(a.decimal()) == frac(a)
+
+
+def canonical_reference(num: int, exp: int) -> tuple:
+    if exp < 0:
+        num, exp = num << -exp, 0
+    if num == 0:
+        return 0, 0
+    while num % 2 == 0 and exp > 0:
+        num //= 2
+        exp -= 1
+    return num, exp
+
+
+@given(
+    st.integers(min_value=-(2**80), max_value=2**80),
+    st.integers(min_value=0, max_value=120),
+    st.integers(min_value=-8, max_value=200),
+)
+def test_canonical_form_matches_halving(odd, zeros, exp):
+    num = odd << zeros
+    d = Dyadic(num, exp)
+    assert (d.num, d.exp) == canonical_reference(num, exp)
+
+
+def decimal_value(d: Dyadic) -> Decimal:
+    """d as an exact Decimal (the C decimal module has no digit limit)."""
+    with localcontext() as ctx:
+        ctx.prec = d.num.bit_length() + d.exp + 10
+        ctx.traps[Inexact] = True
+        return Decimal(d.num) / Decimal(2) ** d.exp
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        Dyadic(1, 20700),
+        Dyadic(-(3**9000), 7),
+        Dyadic(3**20000),
+        Dyadic((1 << 15001) + 1, 15010),
+    ],
+)
+def test_decimal_beyond_the_digit_limit(d):
+    text = d.decimal()
+    assert Decimal(text) == decimal_value(d)
+    assert Decimal(str(d).split("/")[0]) == Decimal(d.num)
+    assert repr(d).startswith("Dyadic(")
+    if d.exp:
+        assert len(text.split(".")[1]) == d.exp
+
+
+@given(
+    st.integers(min_value=0, max_value=2**60),
+    st.integers(min_value=0, max_value=20000),
+    st.integers(min_value=0, max_value=20050),
+)
+@settings(max_examples=30, deadline=None)
+def test_json_round_trip_beyond_the_digit_limit(low, shift, exp):
+    d = Dyadic((low << shift) | 1 if low else -(1 << shift) - 1, exp)
+    doc = d.to_json()
+    assert Decimal(doc["num"]) == Decimal(d.num)
+    back = Dyadic.from_json(doc)
+    assert (back.num, back.exp) == (d.num, d.exp)
+
+
+def test_long_malformed_numerators_are_rejected():
+    long = "1" * 3000
+    for bad in [long * 2 + "x", "-" * 5000, long + " " + long, "+" + long * 2]:
+        with pytest.raises(ValueError):
+            Dyadic.from_json({"num": bad, "exp": 0})

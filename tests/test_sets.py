@@ -12,6 +12,7 @@ from divmart.errors import HorizonExhausted, ParseError
 from divmart.sets import (
     EvenZeros,
     ExplicitGDelta,
+    GDeltaSet,
     Membership,
     SigmaThreeSet,
     Singleton,
@@ -132,6 +133,76 @@ def test_stage_cap_is_honest():
 
 
 # ---------------------------------------------------------------------------
+# even-zeros: every closed form against the materialized stages, n <= 10
+
+STAGES = {n: K.stage(n) for n in range(11)}
+
+short_bitstrings = st.builds(
+    lambda l, v: BitString.raw(l, v & ((1 << l) - 1)),
+    st.integers(min_value=0, max_value=22),
+    st.integers(min_value=0),
+)
+# Preamble plus two periods stays within 20 bits, so a point that leaves the
+# target leaves it by stage 10.
+short_points = st.builds(
+    lambda pre, per: Point.parse(f"{pre}({per})"),
+    st.text(alphabet="01", max_size=8),
+    st.text(alphabet="01", min_size=1, max_size=6),
+)
+stage_indices = st.integers(min_value=0, max_value=10)
+
+
+def stage_cylinder_reference(n: int, w: int) -> BitString:
+    v = 0
+    bit_src = n - 2
+    for pos in range(2 * n - 1):
+        v <<= 1
+        if pos % 2 == 1:
+            v |= (w >> bit_src) & 1
+            bit_src -= 1
+    return BitString.raw(2 * n - 1, v)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_stage_cylinders_match_bitwise_interleave(n):
+    sample = K.stage_sample(n, 1 << (n - 1))
+    assert sample == [stage_cylinder_reference(n, w) for w in range(1 << (n - 1))]
+    assert tuple(sample) == STAGES[n].cylinders
+
+
+@given(stage_indices, short_bitstrings)
+def test_measure_stage_in_matches_materialized(n, t):
+    assert K.measure_stage_in(n, t) == STAGES[n].measure_in(t)
+
+
+@given(short_bitstrings.filter(lambda t: len(t) <= 19))
+def test_meets_target_matches_materialized(t):
+    # below length 20, N_t meets the target iff it meets stage(10)
+    assert K.meets_target(t) == STAGES[10].meets(t)
+
+
+@given(stage_indices, short_points)
+def test_stage_cylinder_containing_matches_materialized(n, beta):
+    assert K.stage_cylinder_containing(n, beta) == STAGES[n].cylinder_containing(beta)
+
+
+@given(stage_indices, short_points)
+def test_refutation_depth_matches_materialized(n, beta):
+    if STAGES[n].contains_point(beta):
+        with pytest.raises(ValueError):
+            K.stage_refutation_depth(n, beta)
+    else:
+        expected = GDeltaSet.stage_refutation_depth(K, n, beta)
+        assert K.stage_refutation_depth(n, beta) == expected
+
+
+@given(short_points)
+def test_exit_stage_matches_materialized(beta):
+    exits = [n for n in range(1, 11) if not STAGES[n].contains_point(beta)]
+    assert K.exit_stage(beta) == (exits[0] if exits else None)
+
+
+# ---------------------------------------------------------------------------
 # singleton
 
 
@@ -234,6 +305,13 @@ def test_spec_errors():
         component_from_spec({"kind": "mystery"})
     with pytest.raises(ParseError):
         component_from_spec({"kind": "singleton"})
+    # values of the wrong JSON type are parse errors, not TypeErrors
+    with pytest.raises(ParseError):
+        component_from_spec({"kind": "singleton", "point": 5})
+    with pytest.raises(ParseError):
+        component_from_spec({"kind": "explicit", "stages": [[5]]})
+    with pytest.raises(ParseError):
+        component_from_spec({"kind": "explicit", "stages": [["0"], [None]]})
 
 
 def test_sigma3_membership():

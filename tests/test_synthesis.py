@@ -7,8 +7,11 @@ an independent oracle for the divergence-measure bound and the witness
 geometry, so any change to the budget arithmetic shows up here exactly.
 """
 
+from itertools import accumulate
+from unittest.mock import patch
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from divmart.analysis import first_identity_violation
 from divmart.bits import BitString, Point, EMPTY
@@ -16,11 +19,13 @@ from divmart.clopen import ClopenSet
 from divmart.dyadic import Dyadic
 from divmart.errors import HorizonExhausted
 from divmart.fine import StepFunction
-from divmart.sets import EvenZeros, ExplicitGDelta, Singleton, parse_rate
+from divmart import synthesis
+from divmart.sets import EvenZeros, ExplicitGDelta, GDeltaSet, Singleton, parse_rate
 from divmart.synthesis import (
     SCALE,
     ConstantPart,
     EmbeddedMartingale,
+    StageCertificate,
     StageRegion,
     ClopenRegion,
     embed_continuous,
@@ -98,6 +103,115 @@ def test_certificate_chain_access(even):
     with pytest.raises(ValueError):
         cert.chain_region(7)
     assert cert.signed_combination == (1, -1, 1, -1)
+
+
+def partial_mean_reference(cert, w):
+    total = Dyadic.zero()
+    for j in range(cert.index + 1):
+        r = cert.chain_region(j).measure_in(w).mul_pow2(len(w))
+        total = total + r if j % 2 == 0 else total - r
+    return total
+
+
+@given(st.integers(min_value=0, max_value=5), st.integers(min_value=0, max_value=40),
+       st.integers(min_value=0))
+@settings(max_examples=60, deadline=None)
+def test_partial_mean_matches_the_chain_sum(n, l, v):
+    cert = gdelta_martingale(EvenZeros()).stage(n)
+    w = BitString.raw(l, v & ((1 << l) - 1))
+    assert cert.partial_mean_at(w) == partial_mean_reference(cert, w)
+    witness = cert.witnesses.sample(1)[0]
+    assert cert.partial_mean_at(witness) == partial_mean_reference(cert, witness)
+
+
+def test_partial_mean_rejects_a_broken_chain(even):
+    cert = even.stage(2)
+    orphan = StageCertificate(2, cert.gstar, cert.witnesses, cert.stage_index, None)
+    with pytest.raises(ValueError):
+        orphan.partial_mean_at(EMPTY)
+    gap = StageCertificate(3, cert.gstar, cert.witnesses, None, even.stage(1))
+    with pytest.raises(ValueError):
+        gap.partial_mean_at(EMPTY)
+
+
+# ---------------------------------------------------------------------------
+# the stage search against a linear scan
+
+
+class StepTarget(GDeltaSet):
+    """Nested stages whose measure in every cylinder is 2^-exps[m], the
+    last exponent repeating; optionally frozen from the last listed stage."""
+
+    def __init__(self, exps, frozen):
+        self.exps = exps
+        self.probes = 0
+        if frozen:
+            self.frozen_from = len(exps) - 1
+
+    def measure_stage_in(self, m, t):
+        self.probes += 1
+        return Dyadic.pow2(-self.exps[min(m, len(self.exps) - 1)])
+
+
+def find_stage_index_reference(target, w, threshold, start):
+    bound = threshold.mul_pow2(-len(w))
+    frozen_from = getattr(target, "frozen_from", None)
+    for m in range(start, start + synthesis._STAGE_SEARCH_SPAN):
+        if target.measure_stage_in(m, w) < bound:
+            return m
+        if frozen_from is not None and m >= frozen_from:
+            break
+    raise HorizonExhausted(
+        f"stage budget λ(stage(m) ∩ N_{str(w) or 'ε'}) < {threshold}·2^-{len(w)}",
+        f"no reachable stage index from {start} meets it",
+    )
+
+
+def _outcome(target, w, threshold, start, search):
+    try:
+        return search(target, w, threshold, start)
+    except HorizonExhausted as e:
+        return str(e)
+
+
+@given(
+    st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=60),
+    st.booleans(),
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=0, max_value=70),
+    st.integers(min_value=1, max_value=80),
+)
+@example([1] * 10, False, 30, 0, 0, 50)  # the span runs out
+@example([1] * 10, True, 30, 0, 3, 50)  # the stages freeze first
+@example([1] * 10, True, 30, 0, 20, 50)  # frozen before the search starts
+@settings(max_examples=300, deadline=None)
+def test_stage_search_matches_linear_scan(steps, frozen, t, l, start, span):
+    exps = list(accumulate(steps))
+    threshold = Dyadic.pow2(-t)
+    w = BitString.zeros(l)
+    with patch.object(synthesis, "_STAGE_SEARCH_SPAN", span):
+        want = _outcome(StepTarget(exps, frozen), w, threshold, start,
+                        find_stage_index_reference)
+        target = StepTarget(exps, frozen)
+        got = _outcome(target, w, threshold, start, synthesis._find_stage_index)
+    assert got == want
+    if isinstance(got, int):
+        assert target.probes <= 2 * (got - start + 2).bit_length()
+    else:
+        assert target.probes <= (span + 2).bit_length() + 1
+
+
+def test_stage_search_on_the_real_chains(even, single):
+    for g in (even, single):
+        for n in range(1, 8):
+            prev = g.stage(n - 1)
+            w = prev.witnesses.sample(1)[0]
+            threshold = Dyadic.pow2(-(n - 1) - synthesis._BUDGET_EXP_OFFSET)
+            start = max(n, prev.stage_index + 1)
+            want = find_stage_index_reference(g.target, w, threshold, start)
+            assert synthesis._find_stage_index(g.target, w, threshold, start) == want
+            assert want == g.stage(n).stage_index
 
 
 def test_stage_conditions_audit_clean(even, single):

@@ -65,6 +65,22 @@ def test_document_round_trip():
     assert spec == {"kind": "sigma3"} and k == 4
 
 
+def test_document_round_trip_beyond_the_digit_limit():
+    # Numerators past CPython's 4,300-digit int/str limit (about 14,000 bits).
+    a = Dyadic((1 << 15001) + 1, 15010)
+    b = Dyadic(1, 1)
+    t = MartingaleTable(1, [(a + b).half(), a, b])
+    assert t.values[0].num.bit_length() > 15000
+    text = dumps_document(t.to_document())
+    back, _, _ = MartingaleTable.from_document(loads_document(text))
+    assert back.values == t.values
+
+
+def test_oversized_json_integer_is_a_parse_error():
+    with pytest.raises(ParseError):
+        loads_document('{"depth": ' + "1" * 5000 + "}")
+
+
 def test_canonical_serialization_is_stable():
     doc_a = {"b": 1, "a": [2, 3]}
     doc_b = {"a": [2, 3], "b": 1}
