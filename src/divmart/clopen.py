@@ -8,7 +8,7 @@ ordering doubles as the deterministic enumeration order used everywhere
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from . import kernel
 from .bits import BitString, Point
@@ -126,32 +126,3 @@ class ClopenSet:
         if self.is_full:
             return "ClopenSet.full()"
         return f"ClopenSet.from_strings({[str(c) for c in self.cylinders]!r})"
-
-
-# -- spec-level operation names -------------------------------------------
-
-
-def normalize_antichain(strings: Sequence[str]) -> ClopenSet:
-    """Canonicalize a raw cylinder list (drops covered cylinders, merges
-    sibling pairs, sorts breadth-first)."""
-    return ClopenSet.from_strings(strings)
-
-
-def clopen_measure(c: ClopenSet) -> Dyadic:
-    return c.measure
-
-
-def clopen_union(a: ClopenSet, b: ClopenSet) -> ClopenSet:
-    return a.union(b)
-
-
-def clopen_intersect(a: ClopenSet, b: ClopenSet) -> ClopenSet:
-    return a.intersect(b)
-
-
-def clopen_complement(a: ClopenSet) -> ClopenSet:
-    return a.complement()
-
-
-def contains(c: ClopenSet, beta: Point) -> bool:
-    return c.contains_point(beta)

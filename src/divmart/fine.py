@@ -205,11 +205,10 @@ class ClosedPieceSet:
         keeps splitting at every depth (e.g. fill slivers hugging a
         measure-zero boundary) fails fast instead of marching forever."""
         if self.core is not None:
-            raise ValueError("infinite decomposition; use decomposition_stream")
+            raise ValueError(
+                "infinite decomposition: the set has a core, so its complement is not clopen"
+            )
         return list(_decompose(self, None, work_cap=cap))
-
-    def decomposition_stream(self) -> Iterator[BitString]:
-        return _decompose(self, self.core)
 
 
 def _decompose(

@@ -409,17 +409,30 @@ class SynthesizedMartingale:
         """λ(G*_j ∩ N_s) / λ(N_s), exact."""
         return self.stage(j).gstar.measure_in(s).mul_pow2(len(s))
 
-    def partial_mean(self, k: int, s: BitString) -> Dyadic:
-        """⨍_{N_s} S_k dλ = Σ_{j≤k} (-1)^j · relative_measure(j, s)."""
+    def _mean_and_settled(self, k: int, s: BitString) -> tuple[Dyadic, bool]:
+        """⨍_{N_s} S_k dλ = Σ_{j≤k} (-1)^j · relative_measure(j, s), and
+        whether every relative measure is 0 or 1.  Measure is monotone, so
+        r_j(s) = 0 gives r_j(t) = 0 and r_j(s) = 1 gives r_j(t) = 1 for every
+        t extending s: the mean is then the same at every node below s."""
         total = Dyadic.zero()
+        settled = True
         for j in range(k + 1):
             r = self.relative_measure(j, s)
+            settled = settled and r.exp == 0
             total = total + r if j % 2 == 0 else total - r
-        return total
+        return total, settled
+
+    def partial_mean(self, k: int, s: BitString) -> Dyadic:
+        """⨍_{N_s} S_k dλ = Σ_{j≤k} (-1)^j · relative_measure(j, s)."""
+        return self._mean_and_settled(k, s)[0]
+
+    def table_entry(self, k: int, s: BitString) -> tuple[Dyadic, bool]:
+        """(M_k(s), settled): M_k is constant below s when settled."""
+        return self._mean_and_settled(k + 1, s)
 
     def table_value(self, k: int, s: BitString) -> Dyadic:
         """M_k(s) = ⨍_{N_s} S_{k+1} dλ, the exact truncated table."""
-        return self.partial_mean(k + 1, s)
+        return self.table_entry(k, s)[0]
 
     def eval(self, s: BitString, precision: Dyadic) -> tuple[Dyadic, Dyadic]:
         """Certified interval for f(s), width ≤ precision (exact when the
@@ -433,8 +446,11 @@ class SynthesizedMartingale:
             k += 2
 
     def truncated_table(self, k: int, depth: int) -> MartingaleTable:
-        self.stage(k + 1)  # materialize the chain once
-        return MartingaleTable.from_function(depth, lambda s: self.table_value(k, s))
+        """The table of M_k to the given depth, built by one descent that
+        stops at settled nodes: where every region G*_j, j ≤ k+1, covers N_s
+        or misses it, M_k is constant on the whole subtree below s (see
+        MartingaleTable.from_entries)."""
+        return MartingaleTable.from_entries(depth, lambda s: self.table_entry(k, s))
 
     # -- witness-level checks -------------------------------------------
 
@@ -497,6 +513,9 @@ class ConstantPart:
     def eval(self, s: BitString, precision: Dyadic) -> tuple[Dyadic, Dyadic]:
         return self.c, self.c
 
+    def table_entry(self, k: int, s: BitString) -> tuple[Dyadic, bool]:
+        return self.c, True
+
     def table_value(self, k: int, s: BitString) -> Dyadic:
         return self.c
 
@@ -537,14 +556,24 @@ class CombinedMartingale:
             hi = hi + (phi * SCALE).mul_pow2(-2 * n)
         return lo, hi
 
-    def table_value(self, k: int, s: BitString) -> Dyadic:
+    def table_entry(self, k: int, s: BitString) -> tuple[Dyadic, bool]:
+        """(M_k(s), settled): the scaled sum of the parts' values, settled
+        when every part is."""
         total = self._tail_value()
+        settled = True
         for n, part in enumerate(self.parts):
-            total = total + (part.table_value(k, s) * SCALE).mul_pow2(-2 * n)
-        return total
+            value, part_settled = part.table_entry(k, s)
+            settled = settled and part_settled
+            total = total + (value * SCALE).mul_pow2(-2 * n)
+        return total, settled
+
+    def table_value(self, k: int, s: BitString) -> Dyadic:
+        return self.table_entry(k, s)[0]
 
     def truncated_table(self, k: int, depth: int) -> MartingaleTable:
-        return MartingaleTable.from_function(depth, lambda s: self.table_value(k, s))
+        """The table of M_k, descending only below nodes where some part is
+        not yet settled (see SynthesizedMartingale.truncated_table)."""
+        return MartingaleTable.from_entries(depth, lambda s: self.table_entry(k, s))
 
 
 def union_combine(
@@ -581,14 +610,18 @@ class EmbeddedMartingale:
         v = self.value(s)
         return v, v
 
+    def table_entry(self, k: int, s: BitString) -> tuple[Dyadic, bool]:
+        """(φ(h)(s), settled): h is constant on N_s once len(s) ≥ its depth."""
+        return self.value(s), len(s) >= self.depth
+
     def table_value(self, k: int, s: BitString) -> Dyadic:
         return self.value(s)
 
     def truncated_table(self, k: int, depth: int) -> MartingaleTable:
-        return MartingaleTable.from_function(depth, self.value)
+        return self.table(depth)
 
     def table(self, depth: int) -> MartingaleTable:
-        return MartingaleTable.from_function(depth, self.value)
+        return MartingaleTable.from_entries(depth, lambda s: self.table_entry(0, s))
 
 
 def embed_continuous(h: StepFunction) -> EmbeddedMartingale:

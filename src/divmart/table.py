@@ -13,10 +13,15 @@ from typing import Callable, Iterator, Optional
 
 from .bits import BitString
 from .dyadic import Dyadic
-from .errors import ParseError
+from .errors import HorizonExhausted, ParseError
 
 FORMAT_VERSION = 1
 DOCUMENT_KIND = "martingale-table"
+
+# Table-size budget: the most nodes a table may be built with, 2^21 - 1
+# (depth 20).  Building preallocates every slot, so a deeper request fails
+# up front instead of exhausting memory.
+TABLE_NODE_CAP = (1 << 21) - 1
 
 
 def _node_index(s: BitString) -> int:
@@ -36,12 +41,49 @@ class MartingaleTable:
         self.values = list(values)
 
     @staticmethod
-    def from_function(depth: int, fn: Callable[[BitString], Dyadic]) -> "MartingaleTable":
-        values = []
+    def from_entries(
+        depth: int, entry: Callable[[BitString], tuple[Dyadic, bool]]
+    ) -> "MartingaleTable":
+        """Build the table by one top-down descent over the live nodes.
+
+        entry(s) gives the value at s and whether s is *settled*: every node
+        below s carries the same value.  A settled node's value is written
+        over its whole subtree, one slice per deeper level, and entry is
+        never asked below it; a live node's two children join the next
+        level's frontier.  The table is therefore exactly the one that
+        entry gives at every node, whenever the settled claims are true.
+
+        Raises HorizonExhausted, before allocating anything, when the table
+        would have more than TABLE_NODE_CAP nodes."""
+        if depth < 0:
+            raise ValueError("depth must be ≥ 0")
+        size = (1 << (depth + 1)) - 1
+        if size > TABLE_NODE_CAP:
+            raise HorizonExhausted(
+                f"table-size budget of {TABLE_NODE_CAP} nodes "
+                f"(depth ≤ {TABLE_NODE_CAP.bit_length() - 1})",
+                f"depth {depth} needs {size} nodes",
+            )
+        values: list = [None] * size
+        frontier = [0]
         for l in range(depth + 1):
-            for v in range(1 << l):
-                values.append(fn(BitString.raw(l, v)))
+            base = (1 << l) - 1
+            live = []
+            for v in frontier:
+                value, settled = entry(BitString.raw(l, v))
+                values[base + v] = value
+                if not settled:
+                    live += (2 * v, 2 * v + 1)
+                    continue
+                for below in range(1, depth - l + 1):
+                    start = (1 << (l + below)) - 1 + (v << below)
+                    values[start : start + (1 << below)] = [value] * (1 << below)
+            frontier = live
         return MartingaleTable(depth, values)
+
+    @staticmethod
+    def from_function(depth: int, fn: Callable[[BitString], Dyadic]) -> "MartingaleTable":
+        return MartingaleTable.from_entries(depth, lambda s: (fn(s), False))
 
     def value(self, s: BitString) -> Dyadic:
         if len(s) > self.depth:

@@ -2,6 +2,7 @@
 on-disk document formats."""
 
 import json
+import time
 from decimal import Decimal, Inexact, localcontext
 
 import pytest
@@ -264,6 +265,28 @@ def test_exhausted_budget_exits_three(runner, tmp_path):
     assert res.exit_code == 3
     assert "horizon exhausted" in res.stderr
     assert "stage budget" in res.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["synthesize"],
+        ["verify", "--suite", "identity"],
+        ["verify", "--suite", "doob"],
+    ],
+)
+def test_table_size_budget_exits_three(runner, tmp_path, args):
+    # 2^41 - 1 nodes: refused before anything is allocated or computed.
+    spec = write_spec(tmp_path, UNION)
+    start = time.perf_counter()
+    res = runner.invoke(main, args + ["--spec", spec, "--depth", "40"])
+    elapsed = time.perf_counter() - start
+    assert res.exit_code == 3, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.stderr
+    assert "table-size budget of 2097151 nodes" in res.stderr
+    assert f"needs {(1 << 41) - 1} nodes" in res.stderr
+    assert elapsed < 1.0
 
 
 def test_malformed_json_exits_two(runner, tmp_path):

@@ -401,3 +401,81 @@ def test_embedded_tables_are_martingales(values):
     for i, v in enumerate(values):
         leaf = BitString(format(i, f"0{depth}b") if depth else "")
         assert phi.value(leaf) == v
+
+
+# ---------------------------------------------------------------------------
+# the settled-subtree descent against the per-node reference
+
+
+bit_strings = st.text(alphabet="01", max_size=4)
+points = st.builds(lambda pre, per: Point.parse(f"{pre}({per})"),
+                   bit_strings, st.text(alphabet="01", min_size=1, max_size=3))
+# A path of cylinders ending in an empty stage: the ClopenRegion path.
+explicit_paths = st.text(alphabet="01", min_size=1, max_size=5).map(
+    lambda w: ExplicitGDelta(
+        [ClopenSet.from_strings([w[:i]]) for i in range(1, len(w) + 1)]
+        + [ClopenSet.empty()],
+        parse_rate("2^-n"),
+        "2^-n",
+    )
+)
+step_functions = st.integers(min_value=0, max_value=3).flatmap(
+    lambda d: st.lists(dyadic_values, min_size=1 << d, max_size=1 << d)
+).map(lambda vs: StepFunction(len(vs).bit_length() - 1, vs))
+
+
+def all_nodes(depth):
+    return [BitString.raw(l, v) for l in range(depth + 1) for v in range(1 << l)]
+
+
+def reference_table(f, k, depth):
+    """The per-node fill the descent replaces: M_k queried at every node."""
+    return [f.table_value(k, s) for s in all_nodes(depth)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    singletons=st.lists(points, max_size=2),
+    explicit=explicit_paths,
+    tail=st.none() | st.integers(min_value=0, max_value=8).map(lambda n: Dyadic(n, 3)),
+    step=st.none() | step_functions,
+    k=st.integers(min_value=0, max_value=5),
+    depth=st.integers(min_value=0, max_value=9),
+)
+def test_descent_matches_the_per_node_table(singletons, explicit, tail, step, k, depth):
+    parts = [gdelta_martingale(EvenZeros())]
+    parts += [gdelta_martingale(Singleton(p)) for p in singletons]
+    parts.append(gdelta_martingale(explicit))
+    if step is not None:
+        parts.append(embed_continuous(step))
+    f = union_combine(parts, tail_constant=tail)
+    want = reference_table(f, k, depth)
+    assert f.truncated_table(k, depth).values == want
+    for part in parts:
+        assert part.truncated_table(k, depth).values == reference_table(part, k, depth)
+    # A settled node's value holds on its whole subtree.
+    for s in all_nodes(depth):
+        value, settled = f.table_entry(k, s)
+        if not settled:
+            continue
+        for below in range(depth - len(s) + 1):
+            start = (1 << (len(s) + below)) - 1 + (s.v << below)
+            assert set(want[start : start + (1 << below)]) == {value}, (s, below)
+
+
+def test_constant_tail_and_empty_union_settle_at_the_root():
+    for f in (union_combine([]), union_combine([ConstantPart(Dyadic(5, 3))], Dyadic(1, 1))):
+        assert f.table_entry(4, EMPTY)[1]
+        assert f.truncated_table(4, 6).values == reference_table(f, 4, 6)
+
+
+def test_descent_queries_only_live_nodes():
+    f = gdelta_martingale(EvenZeros())
+    f.stage(4)
+    with patch.object(
+        StageRegion, "measure_in", autospec=True, side_effect=StageRegion.measure_in
+    ) as spy:
+        table = f.truncated_table(3, 12)
+    # The per-node fill made 5 queries at each of the 8,191 nodes (40,955).
+    assert spy.call_count < 2000
+    assert table.values == reference_table(f, 3, 12)

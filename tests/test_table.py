@@ -2,13 +2,15 @@
 format (canonical JSON, lossless round-trips, strict parsing)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from divmart.bits import BitString
 from divmart.dyadic import Dyadic
-from divmart.errors import ParseError
+from divmart.errors import HorizonExhausted, ParseError
 from divmart.table import (
     DOCUMENT_KIND,
     FORMAT_VERSION,
+    TABLE_NODE_CAP,
     MartingaleTable,
     dumps_document,
     loads_document,
@@ -54,6 +56,47 @@ def test_construction_validation():
 def test_from_function_layout():
     t = MartingaleTable.from_function(1, lambda s: Dyadic(s.v, 2))
     assert t.values == [Dyadic.zero(), Dyadic.zero(), Dyadic(1, 2)]
+
+
+@settings(max_examples=60)
+@given(
+    depth=st.integers(min_value=0, max_value=7),
+    cuts=st.sets(st.text(alphabet="01", max_size=7), max_size=12),
+)
+def test_from_entries_fills_settled_subtrees(depth, cuts):
+    # Below a cut node every value is the cut node's own: the settled claim
+    # is true, so the descent must give the per-node table exactly.
+    def value(s):
+        name = str(s)
+        for l in range(len(name) + 1):
+            if name[:l] in cuts:
+                return Dyadic(int("1" + name[:l], 2), 8)
+        return Dyadic(int("1" + name, 2), 8)
+
+    asked = []
+
+    def entry(s):
+        asked.append(str(s))
+        return value(s), any(str(s)[:l] in cuts for l in range(len(s) + 1))
+
+    t = MartingaleTable.from_entries(depth, entry)
+    assert t.values == [value(s) for s, _ in t.nodes()]
+    # No node strictly below a settled one is ever queried.
+    for name in asked:
+        assert not any(name[:l] in cuts for l in range(len(name)))
+
+
+def test_table_size_budget():
+    with pytest.raises(HorizonExhausted) as exc:
+        MartingaleTable.from_entries(21, lambda s: (Dyadic.zero(), True))
+    assert f"table-size budget of {TABLE_NODE_CAP} nodes" in str(exc.value)
+    assert f"needs {(1 << 22) - 1} nodes" in str(exc.value)
+    with pytest.raises(HorizonExhausted):
+        MartingaleTable.from_function(40, lambda s: Dyadic.zero())
+    # The cap itself is allowed: a settled root fills depth 20 by slices.
+    t = MartingaleTable.from_entries(20, lambda s: (Dyadic(1, 1), True))
+    assert len(t.values) == TABLE_NODE_CAP
+    assert t.leaf_values()[-1] == Dyadic(1, 1)
 
 
 def test_document_round_trip():
