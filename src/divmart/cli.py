@@ -88,6 +88,13 @@ def _parse_precision(text: str) -> Dyadic:
     return Dyadic.pow2(-int(m.group(1)))
 
 
+def _check_sizes(**sizes: int) -> None:
+    """Negative --depth/--truncation values are malformed input (exit 2)."""
+    bad = [name for name, n in sizes.items() if n < 0]
+    if bad:
+        raise ParseError(f"{' and '.join(bad)} must be nonnegative")
+
+
 def _parse_point(text: str) -> Point:
     return Point.parse(text)
 
@@ -142,8 +149,7 @@ def main() -> None:
 @_guarded
 def synthesize(spec_path: str, out_path: Optional[str], depth: int, truncation: int):
     """Write the exact truncated martingale table M_k to depth D."""
-    if depth < 0 or truncation < 0:
-        raise ParseError("depth and truncation must be nonnegative")
+    _check_sizes(depth=depth, truncation=truncation)
     spec_doc = _load_json(spec_path)
     b = SigmaThreeSet.from_spec(spec_doc)
     pipeline = sigma3_pipeline(b)
@@ -185,6 +191,7 @@ def _trace_rows(path: str, beta: Point, depth: int, precision: Dyadic):
 @_guarded
 def trace(spec_path: str, point_text: str, depth: int, precision: str):
     """CSV of certified value intervals along a branch."""
+    _check_sizes(depth=depth)
     beta = _parse_point(point_text)
     prec = _parse_precision(precision)
     out = ["l,lo_dyadic,hi_dyadic,lo_decimal,hi_decimal"]
@@ -204,6 +211,7 @@ def trace(spec_path: str, point_text: str, depth: int, precision: str):
 def oscillate(spec_path: str, point_text: str, depth: int, precision: str):
     """Certify divergence or convergence of the synthesized martingale at a
     point; exit 1 when neither certificate is found within the budget."""
+    _check_sizes(depth=depth)
     beta = _parse_point(point_text)
     eps = _parse_precision(precision)
     pipeline = sigma3_pipeline(_load_set_spec(spec_path))
@@ -228,6 +236,7 @@ def oscillate(spec_path: str, point_text: str, depth: int, precision: str):
 def measure(spec_path: str, depth: int):
     """Exact per-component λ(G*_n): an upper bound on the divergence-set
     measure of each part."""
+    _check_sizes(depth=depth)
     b = _load_set_spec(spec_path)
     for i, comp in enumerate(b.components):
         f = gdelta_martingale(comp)
@@ -370,6 +379,7 @@ _SUITE_RUNNERS = {
 def verify(spec_path: str, suite: str, samples_path: Optional[str], depth: int,
            truncation: int, precision: str):
     """Run a verification suite; exit 0 iff every check passes."""
+    _check_sizes(depth=depth, truncation=truncation)
     b = _load_set_spec(spec_path)
     points = _load_samples(samples_path, list(_DEFAULT_POINTS))
     eps = _parse_precision(precision)

@@ -357,42 +357,6 @@ class SigmaThreeSet:
         return SigmaThreeSet([component_from_spec(c) for c in comps])
 
 
-class StageView:
-    """Read-only handle on stage(n) of a target, answering measure/geometry
-    queries through the closed forms (no antichain materialization)."""
-
-    __slots__ = ("gdelta", "n")
-
-    def __init__(self, gdelta: GDeltaSet, n: int) -> None:
-        self.gdelta = gdelta
-        self.n = n
-
-    def measure_in(self, t: BitString) -> Dyadic:
-        return self.gdelta.measure_stage_in(self.n, t)
-
-    @property
-    def measure(self) -> Dyadic:
-        return self.measure_in(EMPTY)
-
-    def meets(self, t: BitString) -> bool:
-        return self.measure_in(t) > 0
-
-    def covers(self, t: BitString) -> bool:
-        return self.measure_in(t) == Dyadic.pow2(-len(t))
-
-    def cylinder_containing(self, beta: Point) -> Optional[BitString]:
-        return self.gdelta.stage_cylinder_containing(self.n, beta)
-
-    def contains_point(self, beta: Point) -> bool:
-        return self.cylinder_containing(beta) is not None
-
-    def max_len(self) -> int:
-        return self.gdelta.stage_max_len(self.n)
-
-    def materialize(self) -> ClopenSet:
-        return self.gdelta.stage(self.n)
-
-
 # -- spec-level operations --------------------------------------------------
 
 
@@ -410,7 +374,7 @@ def membership(s, beta: Point, depth: int) -> Membership:
 
 
 def density_ratio(m, beta: Point, l: int) -> Dyadic:
-    """λ(M ∩ N_{β|l}) / λ(N_{β|l}) for a clopen set or stage view."""
+    """λ(M ∩ N_{β|l}) / λ(N_{β|l}) for a clopen set or stage region."""
     t = beta.prefix(l)
     return m.measure_in(t).mul_pow2(l)
 

@@ -69,11 +69,27 @@ def test_synthesize_deterministic(runner, tmp_path):
     assert out.read_text() == first.output
 
 
-def test_synthesize_rejects_negative_depth(runner, tmp_path):
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["synthesize", "--depth=-1"],
+        ["synthesize", "--truncation=-1"],
+        ["trace", "--point", "(0)", "--depth=-1"],
+        ["oscillate", "--point", "(0)", "--depth=-1"],
+        ["measure", "--depth=-1"],
+        ["verify", "--suite", "identity", "--depth=-1"],
+        ["verify", "--suite", "doob", "--truncation=-1"],
+    ],
+    ids=["synthesize-depth", "synthesize-truncation", "trace-depth", "oscillate-depth",
+         "measure-depth", "verify-identity-depth", "verify-doob-truncation"],
+)
+def test_negative_sizes_exit_two(runner, tmp_path, args):
     spec = write_spec(tmp_path, EVEN)
-    res = runner.invoke(main, ["synthesize", "--spec", spec, "--depth=-1"])
-    assert res.exit_code == 2
-    assert "parse error" in res.stderr
+    res = runner.invoke(main, [args[0], "--spec", spec, *args[1:]])
+    assert res.exit_code == 2, res.output
+    assert "parse error" in res.stderr and "nonnegative" in res.stderr
+    assert isinstance(res.exception, SystemExit) and "Traceback" not in res.stderr
+    assert res.stdout == ""
 
 
 # ---------------------------------------------------------------------------

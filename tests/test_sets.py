@@ -73,14 +73,14 @@ def test_density_example():
     for n in range(1, 7):
         for j in range(n + 1):
             assert density_ratio(
-                _stage_view(n), beta, 2 * j
+                _stage_region(n), beta, 2 * j
             ) == Dyadic.pow2(-(n - j))
 
 
-def _stage_view(n):
-    from divmart.sets import StageView
+def _stage_region(n):
+    from divmart.synthesis import StageRegion
 
-    return StageView(K, n)
+    return StageRegion(K, n)
 
 
 def test_stage_cylinder_containing():
