@@ -1,7 +1,8 @@
 """divmart: exact martingales on the binary tree with prescribed divergence
 sets.
 
-Given a finitely presented measure-zero Σ⁰₃ subset of Cantor space, the
+Given a finite union of closed null subsets of Cantor space, each the
+intersection of nested clopen stages with a certified decay rate, the
 package constructs a [0,1]-valued martingale whose set of divergence is
 exactly that set, in exact dyadic arithmetic, together with point-by-point
 divergence/convergence certificates, graded density separators, and Doob

@@ -91,6 +91,14 @@ class ClopenSet:
         not relative)."""
         return self.intersect(ClopenSet.cylinder(t)).measure
 
+    def measure_within_clopen(self, k: "ClopenSet") -> Dyadic:
+        return self.intersect(k).measure
+
+    def restrict(self, t: BitString) -> "ClopenSet | None":
+        """The intersection with N_t, or None when it is empty."""
+        c = self.intersect(ClopenSet.cylinder(t))
+        return None if c.is_empty else c
+
     def covers(self, t: BitString) -> bool:
         return kernel.covers(self._ac, t.n, t.v)
 
@@ -108,6 +116,14 @@ class ClopenSet:
             if beta.prefix(n) == BitString.raw(n, v):
                 return BitString.raw(n, v)
         return None
+
+    def refutation_depth(self, beta: Point) -> int:
+        """Minimal l with N_{beta|l} disjoint from the set.
+        Precondition: beta is outside the set."""
+        for l in range(self.max_len() + 1):
+            if not self.meets(beta.prefix(l)):
+                return l
+        raise ValueError("point is inside the set")
 
     def is_subset_of(self, other: "ClopenSet") -> bool:
         return self.minus(other).is_empty

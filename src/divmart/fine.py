@@ -39,26 +39,6 @@ _SEARCH_CAP = 100_000
 # pieces
 
 
-class ClopenPiece:
-    __slots__ = ("clopen",)
-
-    def __init__(self, clopen: ClopenSet) -> None:
-        self.clopen = clopen
-
-    def measure_within_clopen(self, k: ClopenSet) -> Dyadic:
-        return self.clopen.intersect(k).measure
-
-    def contains_point(self, beta: Point) -> bool:
-        return self.clopen.contains_point(beta)
-
-    def restrict(self, t: BitString) -> Optional["ClopenPiece"]:
-        c = self.clopen.intersect(ClopenSet.cylinder(t))
-        return None if c.is_empty else ClopenPiece(c)
-
-    def __repr__(self) -> str:
-        return f"ClopenPiece({self.clopen!r})"
-
-
 class StageComplementChunk:
     """N_support minus stage(k) of a target — clopen, never materialized."""
 
@@ -131,7 +111,7 @@ class DifferencePiece:
         return f"DifferencePiece({self.positive!r} \\ ...)"
 
 
-Piece = Union[ClopenPiece, StageComplementChunk, DifferencePiece]
+Piece = Union[ClopenSet, StageComplementChunk, DifferencePiece]
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +135,7 @@ class ClosedPieceSet:
 
     @staticmethod
     def from_clopen(c: ClopenSet) -> "ClosedPieceSet":
-        return ClosedPieceSet([] if c.is_empty else [ClopenPiece(c)])
+        return ClosedPieceSet([] if c.is_empty else [c])
 
     @staticmethod
     def empty() -> "ClosedPieceSet":
@@ -351,7 +331,7 @@ def _inner_approx(m: MHandle, s: BitString, eps: Dyadic) -> tuple[list[Piece], D
     together with an upper bound on λ(M ∩ N_s) itself."""
     if isinstance(m, ClopenSet):
         c = m.intersect(ClopenSet.cylinder(s))
-        return ([] if c.is_empty else [ClopenPiece(c)]), c.measure
+        return ([] if c.is_empty else [c]), c.measure
     if isinstance(m, ClosedPieceSet):
         # Denotationally clopen: restriction is exact, no measure is lost.
         out = []
@@ -408,11 +388,11 @@ def _stream_approx(
             hi = cap
         # λ(M ∩ N_s) ≤ lower + tail, so lower ≥ (1-eps)(lower+tail) suffices.
         if lower >= (Dyadic.one() - eps) * hi:
-            return ([] if acc.is_empty else [ClopenPiece(acc)]), hi
+            return ([] if acc.is_empty else [acc]), hi
         p = m.piece(h)
         if p is None:
             if tail == 0:
-                return ([] if acc.is_empty else [ClopenPiece(acc)]), lower
+                return ([] if acc.is_empty else [acc]), lower
             raise HorizonExhausted(
                 f"open-set stream ended at piece {h}",
                 f"tail bound {tail} still too large for budget {eps}",
@@ -625,8 +605,8 @@ def _sample_f_points(fs: ClosedPieceSet, cap: int = 8) -> list[Point]:
     for p in fs.pieces:
         if len(pts) >= cap:
             break
-        if isinstance(p, ClopenPiece):
-            for cyl in p.clopen.cylinders[:2]:
+        if isinstance(p, ClopenSet):
+            for cyl in p.cylinders[:2]:
                 pts.append(_leftmost_point(cyl))
         elif isinstance(p, StageComplementChunk):
             cand = _leftmost_point(p.support)

@@ -2,8 +2,8 @@
 
 A target is described by its nested clopen stages stage(0) ⊇ stage(1) ⊇ …
 with stage(0) the full space and λ(stage(n)) ≤ rate(n) → 0; the set itself
-is the intersection.  Finite unions of these are the Σ⁰₃ inputs the rest of
-the package consumes.
+is the intersection, a closed null set.  Finite unions of these (closed null
+sets again) are the inputs the rest of the package consumes.
 
 Two built-in families carry closed-form stage geometry (measure of
 stage(n) ∩ N_t, the stage cylinder containing a point, exit stages), which
@@ -53,15 +53,6 @@ class GDeltaSet:
         """The canonical-antichain cylinder of stage(n) containing beta."""
         return self.stage(n).cylinder_containing(beta)
 
-    def stage_max_len(self, n: int) -> int:
-        return self.stage(n).max_len()
-
-    def first_stage_cylinder(self, n: int) -> BitString:
-        cyls = self.stage(n).cylinders
-        if not cyls:
-            raise ValueError(f"stage {n} is empty")
-        return cyls[0]
-
     def exit_stage(self, beta: Point) -> Optional[int]:
         """First n with beta outside stage(n); None when beta is in the set.
 
@@ -72,11 +63,7 @@ class GDeltaSet:
     def stage_refutation_depth(self, n: int, beta: Point) -> int:
         """Minimal l with N_{beta|l} disjoint from stage(n).
         Precondition: beta is outside stage(n)."""
-        stage = self.stage(n)
-        for l in range(stage.max_len() + 1):
-            if not stage.meets(beta.prefix(l)):
-                return l
-        raise ValueError(f"point is inside stage {n}")
+        return self.stage(n).refutation_depth(beta)
 
     def meets_target(self, t: BitString) -> bool:
         """Does N_t intersect the target set?  Exact."""
@@ -182,12 +169,6 @@ class EvenZeros(GDeltaSet):
         c = beta.prefix(2 * n - 1)
         return None if c.v & _even_mask(c.n) else c
 
-    def stage_max_len(self, n: int) -> int:
-        return max(2 * n - 1, 0)
-
-    def first_stage_cylinder(self, n: int) -> BitString:
-        return BitString.zeros(max(2 * n - 1, 0))
-
     def exit_stage(self, beta: Point) -> Optional[int]:
         bound = len(beta.prefix_bits) + 2 * len(beta.period_bits)
         i = _first_even_one(bound, beta.prefix(bound).v)
@@ -233,12 +214,6 @@ class Singleton(GDeltaSet):
     def stage_cylinder_containing(self, n: int, beta: Point) -> Optional[BitString]:
         w = self.point.prefix(n)
         return w if beta.starts_with(w) else None
-
-    def stage_max_len(self, n: int) -> int:
-        return n
-
-    def first_stage_cylinder(self, n: int) -> BitString:
-        return self.point.prefix(n)
 
     def exit_stage(self, beta: Point) -> Optional[int]:
         d = beta.first_difference(self.point)
@@ -328,7 +303,8 @@ class ExplicitGDelta(GDeltaSet):
 
 
 class SigmaThreeSet:
-    """Finite union of G-delta targets (the Σ⁰₃ input class)."""
+    """Finite union of G-delta targets: a closed null set, since each
+    component is an intersection of nested clopen stages."""
 
     def __init__(self, components: Sequence[GDeltaSet]) -> None:
         self.components = list(components)
@@ -369,7 +345,7 @@ def singleton(beta: Point) -> Singleton:
 
 
 def membership(s, beta: Point, depth: int) -> Membership:
-    """Tri-state membership for a G-delta or Σ⁰₃ handle."""
+    """Tri-state membership for a component or a finite union of them."""
     return s.membership(beta, depth)
 
 

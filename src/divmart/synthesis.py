@@ -11,12 +11,14 @@ by an even-index truncation ladder whose one-sided error is the relative
 measure of the next-next region — again exact, so every evaluation is a
 certified nested interval.
 
-Two realizations of a region:
+Two realizations of a region, answering the same measure and membership
+queries:
   * StageRegion — a whole presentation stage, queried through the target's
     closed-form geometry (never materialized; deep stages are astronomically
     wide antichains),
-  * ClopenRegion — a materialized clopen set, used when per-witness stage
-    choices differ (explicitly-listed targets).
+  * ClopenSet — a materialized clopen set, used when per-witness stage
+    choices differ (explicitly-listed targets) and for the empty region
+    after the witnesses run out.
 Budget searches that cannot terminate (a stage that stops shrinking, a rate
 too slow for the requested depth) raise HorizonExhausted with the failing
 budget, never a silent wrong answer.
@@ -31,7 +33,7 @@ from .bits import EMPTY, BitString, Point
 from .clopen import ClopenSet
 from .dyadic import Dyadic
 from .errors import HorizonExhausted
-from .fine import StepFunction, TauFunction
+from .fine import StepFunction
 from .sets import GDeltaSet, SigmaThreeSet
 from .table import MartingaleTable
 
@@ -57,9 +59,6 @@ class StageRegion:
     def measure(self) -> Dyadic:
         return self.measure_in(EMPTY)
 
-    def meets(self, t: BitString) -> bool:
-        return self.measure_in(t) > 0
-
     def covers(self, t: BitString) -> bool:
         return self.measure_in(t) == Dyadic.pow2(-len(t))
 
@@ -68,9 +67,6 @@ class StageRegion:
 
     def cylinder_containing(self, beta: Point) -> Optional[BitString]:
         return self.target.stage_cylinder_containing(self.m, beta)
-
-    def max_len(self) -> int:
-        return self.target.stage_max_len(self.m)
 
     def refutation_depth(self, beta: Point) -> int:
         return self.target.stage_refutation_depth(self.m, beta)
@@ -81,78 +77,11 @@ class StageRegion:
     def cylinder_count(self) -> int:
         return self.target.stage_count(self.m)
 
-    def materialize(self) -> ClopenSet:
-        return self.target.stage(self.m)
-
     def __repr__(self) -> str:
         return f"StageRegion(stage={self.m})"
 
 
-class ClopenRegion:
-    """G*-region backed by a materialized clopen set."""
-
-    def __init__(self, clopen: ClopenSet) -> None:
-        self.clopen = clopen
-
-    def measure_in(self, t: BitString) -> Dyadic:
-        return self.clopen.measure_in(t)
-
-    @property
-    def measure(self) -> Dyadic:
-        return self.clopen.measure
-
-    def meets(self, t: BitString) -> bool:
-        return self.clopen.meets(t)
-
-    def covers(self, t: BitString) -> bool:
-        return self.clopen.covers(t)
-
-    def contains_point(self, beta: Point) -> bool:
-        return self.clopen.contains_point(beta)
-
-    def cylinder_containing(self, beta: Point) -> Optional[BitString]:
-        return self.clopen.cylinder_containing(beta)
-
-    def max_len(self) -> int:
-        return self.clopen.max_len()
-
-    def refutation_depth(self, beta: Point) -> int:
-        for l in range(self.clopen.max_len() + 1):
-            if not self.clopen.meets(beta.prefix(l)):
-                return l
-        raise ValueError("point is inside the region")
-
-    def sample_cylinders(self, count: int) -> list[BitString]:
-        return list(self.clopen.cylinders[:count])
-
-    def cylinder_count(self) -> int:
-        return len(self.clopen.cylinders)
-
-    def materialize(self) -> ClopenSet:
-        return self.clopen
-
-    def __repr__(self) -> str:
-        return f"ClopenRegion({self.clopen!r})"
-
-
-Region = Union[StageRegion, ClopenRegion]
-
-
-class IndicatorTau(TauFunction):
-    """Indicator of a region whose boundary is (denotationally) clopen: a
-    valid graded separator with exact evaluation and exact cylinder means.
-    Equals 1 on the target inside the region and 0 off the region."""
-
-    def __init__(self, region: Region) -> None:
-        self.region = region
-
-    def evaluate(self, beta: Point, precision: Dyadic = None) -> tuple[Dyadic, Dyadic]:
-        v = Dyadic.one() if self.region.contains_point(beta) else Dyadic.zero()
-        return v, v
-
-    def mean_in(self, s: BitString, precision: Dyadic = None) -> tuple[Dyadic, Dyadic]:
-        v = self.region.measure_in(s).mul_pow2(len(s))
-        return v, v
+Region = Union[StageRegion, ClopenSet]
 
 
 # ---------------------------------------------------------------------------
@@ -240,11 +169,6 @@ class StageCertificate:
         return -1 if self.index % 2 else 1
 
     @property
-    def g(self) -> IndicatorTau:
-        """The stage separator g_n (1 on the target, 0 off G*_n)."""
-        return IndicatorTau(self.gstar)
-
-    @property
     def signed_combination(self) -> tuple[int, ...]:
         """Signs of S_n = Σ_{j≤n} (-1)^j g_j."""
         return tuple(1 if j % 2 == 0 else -1 for j in range(self.index + 1))
@@ -300,9 +224,9 @@ def build_stage(prev: StageCertificate, target: GDeltaSet) -> StageCertificate:
     if target.self_covering and target.witness_uniform:
         rep_list = prev.witnesses.sample(1)
         if not rep_list:
-            region: Region = ClopenRegion(ClopenSet.empty())
+            region: Region = ClopenSet.empty()
             return StageCertificate(
-                n + 1, region, WitnessFamily(region, target), None, prev
+                n + 1, region, WitnessFamily(region, target, explicit=()), None, prev
             )
         rep = rep_list[0]
         start = max(n + 1, (prev.stage_index or 0) + 1)
@@ -317,7 +241,7 @@ def build_stage(prev: StageCertificate, target: GDeltaSet) -> StageCertificate:
         m = _find_stage_index(target, w, threshold, n + 1)
         piece = target.stage(m).intersect(ClopenSet.cylinder(w))
         pieces = pieces.union(piece)
-    region = ClopenRegion(pieces)
+    region = pieces
     candidates = tuple(c for c in pieces.cylinders if target.meets_target(c))
     cert = StageCertificate(
         n + 1, region, WitnessFamily(region, target, explicit=candidates), None, prev
@@ -399,9 +323,6 @@ class SynthesizedMartingale:
         while len(self._stages) <= n:
             self._stages.append(build_stage(self._stages[-1], self.target))
         return self._stages[n]
-
-    def built_stages(self) -> int:
-        return len(self._stages)
 
     # -- exact means ---------------------------------------------------
 

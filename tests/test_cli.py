@@ -7,8 +7,9 @@ from decimal import Decimal, Inexact, localcontext
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
-from divmart.cli import main
+from divmart.cli import SUITES, main
 from divmart.table import MartingaleTable
 from divmart.analysis import check_identity
 
@@ -346,3 +347,112 @@ def test_unknown_component_exits_two(runner, tmp_path):
     )
     res = runner.invoke(main, ["oscillate", "--spec", spec, "--point", "(0)"])
     assert res.exit_code == 2 and "unknown component kind" in res.stderr
+
+
+# ---------------------------------------------------------------------------
+# fuzz: every input gets an exit code from the contract, never a traceback
+
+json_scalars = (
+    st.none() | st.booleans() | st.integers(min_value=-3, max_value=40)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=6)
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=6), kids, max_size=3),
+    max_leaves=8,
+)
+bit_text = st.text(alphabet="01", max_size=5)
+valid_points = st.builds(
+    "{}({})".format, bit_text, st.text(alphabet="01", min_size=1, max_size=3)
+)
+point_text = st.one_of(valid_points, valid_points, st.text(alphabet="01()x", max_size=8))
+rate_text = (
+    st.sampled_from(["2^-n", "2^ - n", "3^-n", ""])
+    | st.builds("2^-(n{}{})".format, st.sampled_from("+-"), st.integers(0, 40))
+    | st.text(alphabet="2^-(n+)1 ", max_size=9)
+)
+# Nested paths of cylinders (decreasing stages, the last one empty or not).
+nested_stages = st.builds(
+    lambda w, end: [[w[:i]] for i in range(1, len(w) + 1)] + end,
+    st.text(alphabet="01", min_size=1, max_size=5),
+    st.sampled_from([[[]], []]),
+)
+well_typed_components = st.one_of(
+    st.just({"kind": "even-zeros"}),
+    st.fixed_dictionaries({"kind": st.just("singleton"), "point": valid_points}),
+    st.fixed_dictionaries(
+        {"kind": st.just("explicit"), "stages": nested_stages}, optional={"rate": rate_text}
+    ),
+)
+any_components = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("singleton"), "point": point_text | json_values}),
+    st.fixed_dictionaries(
+        {
+            "kind": st.just("explicit"),
+            "stages": st.lists(st.lists(bit_text | json_scalars, max_size=3), max_size=4)
+            | json_values,
+        },
+        optional={"rate": rate_text | json_values},
+    ),
+    st.fixed_dictionaries(
+        {"kind": st.sampled_from(["even-zeros", "singleton", "explicit", "sigma3"]) | json_values}
+    ),
+    json_values,
+)
+# Well-typed strategies are listed twice so that most examples get past
+# parsing and reach the construction.
+components = st.one_of(well_typed_components, well_typed_components, any_components)
+sigma3_docs = st.fixed_dictionaries(
+    {"kind": st.just("sigma3"), "components": st.lists(components, max_size=3)}
+)
+spec_docs = st.one_of(
+    sigma3_docs,
+    sigma3_docs,
+    st.fixed_dictionaries(
+        {"kind": st.just("sigma3") | json_values, "components": st.lists(components, max_size=3) | json_values}
+    ),
+    json_values,
+)
+precisions = st.one_of(
+    st.builds("2^-{}".format, st.integers(0, 40)),
+    st.sampled_from(["2^-6", "3", "0"]),
+    st.sampled_from(["x", "2^6", "", "-2"]),
+)
+SIZED = {  # the size flags each command takes
+    "synthesize": ("--depth", "--truncation"),
+    "trace": ("--depth",),
+    "oscillate": ("--depth",),
+    "measure": ("--depth",),
+    "verify": ("--depth", "--truncation"),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    doc=spec_docs,
+    depth=st.integers(min_value=-1, max_value=6),
+    truncation=st.integers(min_value=-1, max_value=4),
+    point=point_text,
+    precision=precisions,
+    suite=st.sampled_from(SUITES),
+)
+def test_cli_fuzz_keeps_the_exit_code_contract(
+    tmp_path_factory, doc, depth, truncation, point, precision, suite
+):
+    spec = tmp_path_factory.mktemp("fuzz") / "spec.json"
+    spec.write_text(json.dumps(doc))
+    sizes = {"--depth": depth, "--truncation": truncation}
+    for command, flags in SIZED.items():
+        args = [command, "--spec", str(spec)] + [f"{f}={sizes[f]}" for f in flags]
+        if command in ("trace", "oscillate"):
+            args += ["--point", point, "--precision", precision]
+        if command == "verify":
+            args += ["--suite", suite, "--precision", precision]
+        start = time.perf_counter()
+        res = CliRunner().invoke(main, args)
+        elapsed = time.perf_counter() - start
+        assert res.exit_code in (0, 1, 2, 3), (args, doc, res.output)
+        # An exception other than SystemExit is what a traceback would show.
+        assert res.exception is None or isinstance(res.exception, SystemExit), (args, doc)
+        assert "Traceback" not in res.stderr
+        assert elapsed < 10.0, (args, doc, elapsed)

@@ -17,7 +17,6 @@ from divmart.clopen import ClopenSet
 from divmart.dyadic import Dyadic
 from divmart.errors import HorizonExhausted
 from divmart.fine import (
-    ClopenPiece,
     ClosedPieceSet,
     FillRecord,
     GrowingClosedSet,
@@ -99,7 +98,7 @@ def test_interpolation_check_flags_short_fill():
 
 def test_interpolation_check_flags_escaping_fill():
     # A forged fill sitting in N_1 cannot pass against M = N_0.
-    piece = ClopenPiece(ClopenSet.from_strings(["1"]))
+    piece = ClopenSet.from_strings(["1"])
     c = ClosedPieceSet([piece])
     c.fills = [FillRecord(0, EMPTY, (piece,), Dyadic(1, 1), Dyadic(1, 1))]
     rep = check_interpolation(c, ClopenSet.empty(), ClopenSet.from_strings(["0"]))

@@ -13,7 +13,13 @@ from unittest.mock import patch
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from divmart.analysis import first_identity_violation
+from divmart.analysis import (
+    CertifiedConvergent,
+    _single_convergence,
+    certify_convergence,
+    divergence_measure_bound,
+    first_identity_violation,
+)
 from divmart.bits import BitString, Point, EMPTY
 from divmart.clopen import ClopenSet
 from divmart.dyadic import Dyadic
@@ -27,7 +33,6 @@ from divmart.synthesis import (
     EmbeddedMartingale,
     StageCertificate,
     StageRegion,
-    ClopenRegion,
     embed_continuous,
     gdelta_martingale,
     sigma3_pipeline,
@@ -286,7 +291,7 @@ def test_explicit_target_builds_clopen_regions(explicit_target):
     g = gdelta_martingale(explicit_target)
     assert isinstance(g.stage(0).gstar, StageRegion)
     for n in (1, 2, 3):
-        assert isinstance(g.stage(n).gstar, ClopenRegion)
+        assert isinstance(g.stage(n).gstar, ClopenSet)
         assert g.stage(n).gstar.measure == Dyadic.pow2(-M_CHAIN[n])
     assert [[str(w) for w in g.stage(n).witnesses.all()] for n in range(4)] == [
         [""], ["0000"], ["000000000"], ["000000000000000"]
@@ -303,6 +308,71 @@ def test_explicit_target_exhausts_honestly(explicit_target):
     with pytest.raises(HorizonExhausted) as exc:
         g.stage(4)
     assert "stage budget" in str(exc.value)
+
+
+def brute_force_settling_depth(f, beta, stage_budget):
+    """Minimal l at which N_{β|l} lies inside or outside each examined
+    region, by direct measure queries."""
+    l = 0
+    while True:
+        t = beta.prefix(l)
+        full = Dyadic.pow2(-l)
+        if all(
+            f.stage(j).gstar.measure_in(t) in (Dyadic.zero(), full)
+            for j in range(stage_budget + 1)
+        ):
+            return l
+        l += 1
+
+
+@pytest.mark.parametrize(
+    "text, depth, limit",
+    [("1(0)", 1, 1), ("001(0)", 3, 1), ("00001(0)", 5, 0), ("0000000001(1)", 10, 1)],
+)
+def test_convergence_through_materialized_regions(explicit_target, text, depth, limit):
+    g = gdelta_martingale(explicit_target)
+    beta = Point.parse(text)
+    got = _single_convergence(g, beta, 3)
+    assert got == (depth, Dyadic(limit, 0))
+    assert depth == brute_force_settling_depth(g, beta, 3)
+    rep = certify_convergence(g, beta, Dyadic(1, 6), 3)
+    assert rep.verdict == CertifiedConvergent(depth, Dyadic(1, 6))
+    # From the certified depth on, the evaluation bracket is constant and
+    # holds the limit, and the mean of S_3 is exactly the limit.  (A finer
+    # bracket at the last point needs stage 4, which this target cannot
+    # build.)
+    bracket = g.eval(beta.prefix(depth), Dyadic.one())
+    assert bracket[0] <= Dyadic(limit, 0) <= bracket[1]
+    for l in range(depth, depth + 6):
+        assert g.eval(beta.prefix(l), Dyadic.one()) == bracket
+        assert g.partial_mean(3, beta.prefix(l)) == Dyadic(limit, 0)
+
+
+class DeadAfterStageZero(GDeltaSet):
+    """Full stage 0, every later stage empty, and no cylinder meets the
+    target: the witnesses run out at once."""
+
+    self_covering = witness_uniform = True
+
+    def stage(self, n):
+        return ClopenSet.full() if n == 0 else ClopenSet.empty()
+
+    def rate(self, n):
+        return Dyadic.pow2(-n)
+
+    def meets_target(self, t):
+        return False
+
+
+def test_empty_witnesses_give_the_empty_region():
+    g = gdelta_martingale(DeadAfterStageZero())
+    assert g.stage(2).gstar == ClopenSet.empty()
+    assert g.stage(1).witnesses.count() == 0
+    assert g.stage(2).witnesses.count() == 0
+    assert divergence_measure_bound(g, 1) == 0
+    rep = certify_convergence(g, Point.parse("01(1)"), Dyadic(1, 6), 3)
+    assert rep.verdict == CertifiedConvergent(0, Dyadic(1, 6))
+    assert rep.limit == Dyadic.one()
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +480,7 @@ def test_embedded_tables_are_martingales(values):
 bit_strings = st.text(alphabet="01", max_size=4)
 points = st.builds(lambda pre, per: Point.parse(f"{pre}({per})"),
                    bit_strings, st.text(alphabet="01", min_size=1, max_size=3))
-# A path of cylinders ending in an empty stage: the ClopenRegion path.
+# A path of cylinders ending in an empty stage: the materialized-region path.
 explicit_paths = st.text(alphabet="01", min_size=1, max_size=5).map(
     lambda w: ExplicitGDelta(
         [ClopenSet.from_strings([w[:i]]) for i in range(1, len(w) + 1)]
