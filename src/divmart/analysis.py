@@ -192,8 +192,15 @@ def _witness_distance(
 ) -> tuple[Dyadic, Dyadic]:
     """Exact split of |f(w) - S_n(target value)| into the mean-proximity
     error e1 = |⨍_{N_w} S_n - parity| and the truncation error
-    e2 = λ(G*_{n+1} ∩ N_w)/λ(N_w) (condition (5)'s budgeted quantity)."""
-    e1 = f.witness_mean_error(n, w)
+    e2 = λ(G*_{n+1} ∩ N_w)/λ(N_w) (condition (5)'s budgeted quantity).
+
+    Where w extends a verified witness of stage n, N_w lies inside every
+    region G*_0, …, G*_n (the invariant of synthesis._check_mean_proximity),
+    so every r_j(w) is 1 and e1 is exactly 0 without walking the chain."""
+    if f.stage(n).extends_verified(w):
+        e1 = Dyadic.zero()
+    else:
+        e1 = f.witness_mean_error(n, w)
     e2 = f.relative_measure(n + 1, w)
     return e1, e2
 

@@ -209,6 +209,8 @@ class Dyadic:
 
     @staticmethod
     def from_json(obj: dict) -> "Dyadic":
+        if not isinstance(obj, dict) or "num" not in obj or "exp" not in obj:
+            raise ValueError(f"a dyadic needs 'num' and 'exp': {obj!r}")
         raw = obj["num"]
         num = _decimal_to_int(raw) if isinstance(raw, str) else int(raw)
         exp = obj["exp"]

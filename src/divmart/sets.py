@@ -15,6 +15,7 @@ Explicitly-listed stage documents take the materialized path instead.
 from __future__ import annotations
 
 import enum
+import functools
 import re
 from typing import Callable, Optional, Sequence
 
@@ -94,9 +95,14 @@ class GDeltaSet:
         raise NotImplementedError
 
 
+@functools.lru_cache(maxsize=64)
 def _even_mask(length: int) -> int:
     """Mask 0b…0101 of the even positions 0, 2, 4, … of a big-endian bit
-    string of the given length (position i sits at shift length-1-i)."""
+    string of the given length (position i sits at shift length-1-i).
+
+    Memoized per length: a stage chain asks again and again for the few
+    lengths of its current witnesses, and each mask costs O(length) to
+    build; the cache is bounded, since deep masks are long."""
     k = (length + 1) // 2
     return ((1 << 2 * k) // 3) << (1 - length % 2)
 

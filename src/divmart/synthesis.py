@@ -156,13 +156,23 @@ class StageCertificate:
     """Stage n of the construction: the open region G*_n, its witness
     antichain (union = G**_n), and the sign this stage contributes to the
     alternating sum S_n.  Certificates chain through `prev`, so the whole
-    region sequence G*_0 ⊇ … ⊇ G*_n is reachable from the newest one."""
+    region sequence G*_0 ⊇ … ⊇ G*_n is reachable from the newest one.
+
+    `verified` holds the witness cylinders at which the certificate was
+    checked to lie inside every region G*_0, …, G*_n (see
+    _check_mean_proximity); empty until the check has run."""
 
     index: int
     gstar: Region
     witnesses: WitnessFamily
     stage_index: Optional[int]  # presentation stage realizing gstar, if any
     prev: Optional["StageCertificate"] = None
+    verified: tuple[BitString, ...] = ()
+
+    def extends_verified(self, w: BitString) -> bool:
+        """Does w extend a verified witness?  Then N_w lies inside every
+        region of the chain."""
+        return any(v.is_prefix_of(w) for v in self.verified)
 
     @property
     def sign(self) -> int:
@@ -184,7 +194,9 @@ class StageCertificate:
         return cert.gstar
 
     def partial_mean_at(self, w: BitString) -> Dyadic:
-        """⨍_{N_w} S_n dλ computed through the chain in one walk, exact."""
+        """⨍_{N_w} S_n dλ computed through the chain in one walk, exact:
+        n+1 region queries.  The reference the inductive mean-proximity
+        check is tested against."""
         total = Dyadic.zero()
         cert = self
         for j in range(self.index, -1, -1):
@@ -216,8 +228,10 @@ def build_stage(prev: StageCertificate, target: GDeltaSet) -> StageCertificate:
     """Construct stage n+1 from stage n: choose for each witness s^n_j an
     open O_j = stage(m) ∩ N_{s^n_j} with λ(O_j) < 2^(-n-3)·λ(N_{s^n_j}),
     take G*_{n+1} = ⋃_j O_j, and read the new witnesses off its canonical
-    antichain (every retained cylinder satisfies the mean-proximity
-    condition exactly, since it lies inside all earlier regions)."""
+    antichain.  Every new witness checked for the mean-proximity condition
+    is certified by induction on the chain (_check_mean_proximity), with
+    O(1) region queries each, so building n stages costs O(n) queries
+    besides the stage searches."""
     n = prev.index
     threshold = Dyadic.pow2(-n - _BUDGET_EXP_OFFSET)
 
@@ -289,18 +303,41 @@ def _find_stage_index(
 
 
 def _check_mean_proximity(cert: StageCertificate, witnesses: Sequence[BitString]) -> None:
-    """Condition (6) at the new witnesses, exact through the chain: the mean
-    of S_{n+1} over N_w must be strictly within 2^(-3) of the (parity) value
-    S_{n+1} takes on the target.  Zero by construction for antichain
-    cylinders nested in all earlier regions; kept as a hard check."""
-    margin = Dyadic(1, 3)
-    want = _parity_value(cert.index)
+    """Condition (6) at the new witnesses: the mean of S_{n+1} over N_w must
+    be strictly within 2^(-3) of the (parity) value S_{n+1} takes on the
+    target.  Proved by induction on the chain instead of walking it.
+
+    Invariant: every cylinder in `verified` lies inside every region of its
+    certificate's chain.  G*_0 is verified at the empty string (it is the
+    full space).  A new witness w of G*_{n+1} passes two tests:
+      * prefix: w extends a verified witness v of stage n, so
+        N_w ⊆ N_v ⊆ G*_j for every j ≤ n;
+      * cover: N_w ⊆ G*_{n+1}, one region query.
+    Then r_j(w) = λ(G*_j ∩ N_w)/λ(N_w) = 1 for every j ≤ n+1, so
+    ⨍_{N_w} S_{n+1} dλ = Σ_{j≤n+1} (-1)^j is exactly the parity value and
+    the error is 0 < 2^(-3).  The witnesses become `cert.verified`, which
+    keeps the invariant for the next stage.  A witness failing either test
+    raises ValueError; StageCertificate.partial_mean_at is the O(n) chain
+    walk the check is tested against.  The prefix test scans the verified
+    witnesses of stage n: one on the closed-form path, and on the
+    materialized path all of them, as the union of its pieces does."""
+    prev = cert.prev
+    if prev is None and cert.index != 0:
+        raise ValueError(f"certificate chain broken below index {cert.index}")
+    if prev is not None and prev.index != cert.index - 1:
+        raise ValueError(f"no certificate at index {cert.index - 1}")
     for w in witnesses:
-        err = abs(cert.partial_mean_at(w) - want)
-        if not err < margin:
+        if prev is not None and not prev.extends_verified(w):
             raise ValueError(
-                f"mean-proximity condition fails at witness {w!r}: error {err}"
+                f"mean-proximity condition fails at witness {w!r}: "
+                f"it extends no verified witness of stage {cert.index - 1}"
             )
+        if not cert.gstar.covers(w):
+            raise ValueError(
+                f"mean-proximity condition fails at witness {w!r}: "
+                f"it is not inside G*_{cert.index}"
+            )
+    cert.verified = tuple(witnesses)
 
 
 class SynthesizedMartingale:
@@ -315,9 +352,9 @@ class SynthesizedMartingale:
     def __init__(self, target: GDeltaSet) -> None:
         self.target = target
         region = StageRegion(target, 0)
-        self._stages: list[StageCertificate] = [
-            StageCertificate(0, region, WitnessFamily(region, target), 0)
-        ]
+        root = StageCertificate(0, region, WitnessFamily(region, target), 0)
+        _check_mean_proximity(root, (EMPTY,))
+        self._stages: list[StageCertificate] = [root]
 
     def stage(self, n: int) -> StageCertificate:
         while len(self._stages) <= n:

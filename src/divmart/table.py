@@ -137,9 +137,17 @@ class MartingaleTable:
         raw = doc.get("values")
         if not isinstance(depth, int) or not isinstance(raw, list):
             raise ParseError("table document needs integer depth and a values array")
+        if depth < 0:
+            raise ParseError(f"table depth must be ≥ 0, got {depth}")
+        # A table of depth d has 2^(d+1) - 1 values, which has bit length
+        # d + 1; testing that first never builds 2^(d+1) for an absurd d.
+        if depth >= len(raw).bit_length() or len(raw) != (1 << (depth + 1)) - 1:
+            raise ParseError(
+                f"a table of depth {depth} needs 2^{depth + 1} - 1 values, got {len(raw)}"
+            )
         try:
             values = [Dyadic.from_json(x) for x in raw]
-        except (ValueError, TypeError) as e:
+        except (ValueError, TypeError, OverflowError) as e:  # int(inf) overflows
             raise ParseError(f"bad dyadic in table values: {e}") from None
         table = MartingaleTable(depth, values)
         return table, doc.get("spec"), doc.get("truncation")

@@ -10,6 +10,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from divmart.cli import SUITES, main
+from divmart.dyadic import Dyadic
 from divmart.table import MartingaleTable
 from divmart.analysis import check_identity
 
@@ -349,6 +350,24 @@ def test_unknown_component_exits_two(runner, tmp_path):
     assert res.exit_code == 2 and "unknown component kind" in res.stderr
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"kind": "martingale-table", "version": 1, "depth": 2, "values": []},
+         "needs 2^3 - 1 values, got 0"),
+        ({"kind": "martingale-table", "version": 1, "depth": 0, "values": [{"exp": 0}]},
+         "a dyadic needs 'num' and 'exp'"),
+    ],
+    ids=["wrong-length", "dyadic-without-num"],
+)
+def test_malformed_table_documents_exit_two(runner, tmp_path, doc, message):
+    spec = write_spec(tmp_path, doc)
+    res = runner.invoke(main, ["trace", "--spec", spec, "--point", "(0)", "--depth", "0"])
+    assert res.exit_code == 2, res.output
+    assert "parse error" in res.stderr and message in res.stderr
+    assert isinstance(res.exception, SystemExit) and "Traceback" not in res.stderr
+
+
 # ---------------------------------------------------------------------------
 # fuzz: every input gets an exit code from the contract, never a traceback
 
@@ -413,6 +432,50 @@ spec_docs = st.one_of(
     ),
     json_values,
 )
+# Table documents for `trace --spec`: well formed, truncated (values cut
+# short, or the JSON text cut off) and mistyped (a field or one value
+# replaced by arbitrary JSON, or a dyadic with keys missing).
+dyadic_docs = st.builds(
+    lambda num, exp: Dyadic(num, exp).to_json(), st.integers(-9, 9), st.integers(0, 5)
+)
+well_formed_tables = st.integers(min_value=0, max_value=4).flatmap(
+    lambda d: st.fixed_dictionaries(
+        {
+            "kind": st.just("martingale-table"),
+            "version": st.just(1),
+            "depth": st.just(d),
+            "values": st.lists(dyadic_docs, min_size=(2 << d) - 1, max_size=(2 << d) - 1),
+        },
+        optional={"spec": json_values, "truncation": json_values},
+    )
+)
+bad_dyadics = json_values | st.fixed_dictionaries(
+    {}, optional={"num": json_scalars, "exp": json_scalars}
+)
+truncated_tables = well_formed_tables.flatmap(
+    lambda doc: st.integers(0, len(doc["values"]) - 1).map(
+        lambda k: {**doc, "values": doc["values"][:k]}
+    )
+)
+mistyped_fields = well_formed_tables.flatmap(
+    lambda doc: st.tuples(st.sampled_from(sorted(doc)), json_values).map(
+        lambda kv: {**doc, kv[0]: kv[1]}
+    )
+)
+mistyped_values = well_formed_tables.flatmap(
+    lambda doc: st.tuples(st.integers(0, len(doc["values"]) - 1), bad_dyadics).map(
+        lambda iv: {**doc, "values": [*doc["values"][: iv[0]], iv[1], *doc["values"][iv[0] + 1 :]]}
+    )
+)
+table_texts = st.one_of(
+    well_formed_tables.map(json.dumps),
+    st.one_of(truncated_tables, mistyped_fields, mistyped_values).map(json.dumps),
+    st.tuples(well_formed_tables.map(json.dumps), st.integers(min_value=0)).map(
+        lambda tk: tk[0][: tk[1] % len(tk[0])]
+    ),
+)
+# Spec documents are listed twice so that most examples reach a construction.
+spec_texts = st.one_of(spec_docs.map(json.dumps), spec_docs.map(json.dumps), table_texts)
 precisions = st.one_of(
     st.builds("2^-{}".format, st.integers(0, 40)),
     st.sampled_from(["2^-6", "3", "0"]),
@@ -427,9 +490,9 @@ SIZED = {  # the size flags each command takes
 }
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(
-    doc=spec_docs,
+    text=spec_texts,
     depth=st.integers(min_value=-1, max_value=6),
     truncation=st.integers(min_value=-1, max_value=4),
     point=point_text,
@@ -437,10 +500,10 @@ SIZED = {  # the size flags each command takes
     suite=st.sampled_from(SUITES),
 )
 def test_cli_fuzz_keeps_the_exit_code_contract(
-    tmp_path_factory, doc, depth, truncation, point, precision, suite
+    tmp_path_factory, text, depth, truncation, point, precision, suite
 ):
     spec = tmp_path_factory.mktemp("fuzz") / "spec.json"
-    spec.write_text(json.dumps(doc))
+    spec.write_text(text)
     sizes = {"--depth": depth, "--truncation": truncation}
     for command, flags in SIZED.items():
         args = [command, "--spec", str(spec)] + [f"{f}={sizes[f]}" for f in flags]
@@ -451,8 +514,8 @@ def test_cli_fuzz_keeps_the_exit_code_contract(
         start = time.perf_counter()
         res = CliRunner().invoke(main, args)
         elapsed = time.perf_counter() - start
-        assert res.exit_code in (0, 1, 2, 3), (args, doc, res.output)
+        assert res.exit_code in (0, 1, 2, 3), (args, text, res.output)
         # An exception other than SystemExit is what a traceback would show.
-        assert res.exception is None or isinstance(res.exception, SystemExit), (args, doc)
+        assert res.exception is None or isinstance(res.exception, SystemExit), (args, text)
         assert "Traceback" not in res.stderr
-        assert elapsed < 10.0, (args, doc, elapsed)
+        assert elapsed < 10.0, (args, text, elapsed)

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from divmart.analysis import (
     CertifiedConvergent,
     _single_convergence,
+    _witness_distance,
     certify_convergence,
     divergence_measure_bound,
     first_identity_violation,
@@ -549,3 +550,102 @@ def test_descent_queries_only_live_nodes():
     # The per-node fill made 5 queries at each of the 8,191 nodes (40,955).
     assert spy.call_count < 2000
     assert table.values == reference_table(f, 3, 12)
+
+
+# ---------------------------------------------------------------------------
+# the inductive mean-proximity check against the chain walk
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    target=st.one_of(st.just(EvenZeros()), points.map(Singleton), explicit_paths),
+    n=st.integers(min_value=0, max_value=30),
+)
+def test_certified_witnesses_have_the_parity_mean(target, n):
+    g = gdelta_martingale(target)
+    g.stage(n)
+    for j in range(n + 1):
+        cert = g.stage(j)
+        verified = list(cert.verified)
+        if j == 0:  # the base case, whether or not the target is empty
+            assert verified == [EMPTY]
+        else:  # exactly the witnesses build_stage checks
+            assert verified == cert.witnesses.sample(len(verified))
+            assert bool(verified) == bool(cert.witnesses.count())
+        for w in verified:
+            assert cert.partial_mean_at(w) == partial_mean_reference(cert, w)
+            assert cert.partial_mean_at(w) == synthesis._parity_value(j)
+            assert _witness_distance(g, j, w)[0] == Dyadic.zero()
+
+
+@pytest.mark.parametrize("target", [EvenZeros(), Singleton(Point.parse("01(011)"))],
+                         ids=["even-zeros", "singleton"])
+def test_stage_chain_costs_linear_region_queries(target):
+    # Walking the chain at every stage made 20,300 region queries up to
+    # stage 200 (22,844 target queries in all).  The inductive check makes
+    # one per stage.
+    n = 200
+    with patch.object(
+        StageRegion, "measure_in", autospec=True, side_effect=StageRegion.measure_in
+    ) as regions, patch.object(
+        type(target), "measure_stage_in", autospec=True,
+        side_effect=type(target).measure_stage_in,
+    ) as stage_queries:
+        gdelta_martingale(target).stage(n)
+    assert regions.call_count <= 2 * n
+    # Stage searches included, the target is queried O(log n) times a stage.
+    assert stage_queries.call_count <= 20 * n
+
+
+def test_a_witness_outside_the_verified_ones_fails_the_check(even):
+    prev = even.stage(2)
+    cert = StageCertificate(3, even.stage(3).gstar, even.stage(3).witnesses, M_CHAIN[3], prev)
+    # A genuine witness of G*_3 whose mean is the parity value, but which
+    # does not extend the verified witness of stage 2: not certified.
+    w = cert.witnesses.containing(Point.parse("(01)"))
+    assert cert.partial_mean_at(w) == synthesis._parity_value(3)
+    with pytest.raises(ValueError, match="extends no verified witness of stage 2"):
+        synthesis._check_mean_proximity(cert, [w])
+    # The verified witness of stage 2 itself extends a verified witness, but
+    # G*_3 does not cover it.
+    v = prev.verified[0]
+    with pytest.raises(ValueError, match=r"not inside G\*_3"):
+        synthesis._check_mean_proximity(cert, [v])
+    assert cert.verified == ()
+    synthesis._check_mean_proximity(cert, cert.witnesses.sample(1))
+    assert cert.verified == even.stage(3).verified
+
+
+def test_a_broken_chain_fails_the_check(even):
+    cert = even.stage(2)
+    w = cert.witnesses.sample(1)
+    orphan = StageCertificate(2, cert.gstar, cert.witnesses, cert.stage_index, None)
+    with pytest.raises(ValueError, match="chain broken below index 2"):
+        synthesis._check_mean_proximity(orphan, w)
+    gap = StageCertificate(3, cert.gstar, cert.witnesses, None, even.stage(1))
+    with pytest.raises(ValueError, match="no certificate at index 2"):
+        synthesis._check_mean_proximity(gap, w)
+
+
+class Zigzag(GDeltaSet):
+    """Not nested, so not a real target: stage(m) is the cylinder 0^m for
+    odd m and 1^m for even m."""
+
+    self_covering = witness_uniform = True
+
+    def stage(self, m):
+        return ClopenSet.cylinder(BitString.raw(m, 0 if m % 2 else (1 << m) - 1))
+
+    def rate(self, m):
+        return Dyadic.pow2(-m)
+
+    def meets_target(self, t):
+        return True
+
+
+def test_build_stage_refuses_a_chain_that_is_not_nested():
+    g = gdelta_martingale(Zigzag())
+    assert g.stage(1).verified == (BitString("1111"),)
+    # Stage 2 is 0^5, outside G*_1: the walk would find the mean 2, not 1.
+    with pytest.raises(ValueError, match="extends no verified witness of stage 1"):
+        g.stage(2)

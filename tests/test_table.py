@@ -147,3 +147,33 @@ def test_document_parsing_rejections():
         MartingaleTable.from_document({**good, "depth": "2"})
     with pytest.raises(ParseError):
         MartingaleTable.from_document({**good, "values": [["1", 2, 3]] * 7})
+
+
+@pytest.mark.parametrize(
+    "depth, count, message",
+    [
+        (2, 0, "depth 2 needs 2^3 - 1 values, got 0"),
+        (1, 4, "depth 1 needs 2^2 - 1 values, got 4"),
+        (-1, 0, "depth must be ≥ 0, got -1"),
+        # 2^(10^12 + 1) is never built: the bit-length test comes first.
+        (10**12, 1, f"depth {10**12} needs 2^{10**12 + 1} - 1 values, got 1"),
+    ],
+    ids=["empty-values", "one-value-too-many", "negative-depth", "absurd-depth"],
+)
+def test_wrong_table_shape_is_a_parse_error(depth, count, message):
+    doc = {"kind": DOCUMENT_KIND, "version": FORMAT_VERSION, "depth": depth,
+           "values": [Dyadic.one().to_json()] * count}
+    with pytest.raises(ParseError) as exc:
+        MartingaleTable.from_document(doc)
+    assert message in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [{"exp": 0}, {"num": "1"}, {}, {"num": 1e400, "exp": 0}, "1", [1, 0]],
+    ids=["no-num", "no-exp", "no-keys", "infinite-num", "string", "list"],
+)
+def test_malformed_dyadic_is_a_parse_error(entry):
+    doc = {"kind": DOCUMENT_KIND, "version": FORMAT_VERSION, "depth": 0, "values": [entry]}
+    with pytest.raises(ParseError, match="bad dyadic"):
+        MartingaleTable.from_document(doc)
