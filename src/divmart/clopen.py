@@ -89,10 +89,17 @@ class ClopenSet:
     def measure_in(self, t: BitString) -> Dyadic:
         """Measure of the intersection with the cylinder at t (absolute,
         not relative)."""
-        return self.intersect(ClopenSet.cylinder(t)).measure
+        num, exp = kernel.measure_intersect(self._ac, t.n, t.v)
+        return Dyadic(num, exp)
 
     def measure_within_clopen(self, k: "ClopenSet") -> Dyadic:
-        return self.intersect(k).measure
+        if len(k._ac) == 1:
+            num, exp = kernel.measure_intersect(self._ac, *k._ac[0])
+        elif len(self._ac) == 1:
+            num, exp = kernel.measure_intersect(k._ac, *self._ac[0])
+        else:
+            num, exp = kernel.measure(kernel.intersect(self._ac, k._ac))
+        return Dyadic(num, exp)
 
     def restrict(self, t: BitString) -> "ClopenSet | None":
         """The intersection with N_t, or None when it is empty."""

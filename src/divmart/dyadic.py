@@ -212,9 +212,17 @@ class Dyadic:
         if not isinstance(obj, dict) or "num" not in obj or "exp" not in obj:
             raise ValueError(f"a dyadic needs 'num' and 'exp': {obj!r}")
         raw = obj["num"]
-        num = _decimal_to_int(raw) if isinstance(raw, str) else int(raw)
+        # bool is an int subclass, and int() would truncate a float.
+        if isinstance(raw, str):
+            num = _decimal_to_int(raw)
+        elif isinstance(raw, int) and not isinstance(raw, bool):
+            num = raw
+        else:
+            raise ValueError(
+                f"bad dyadic numerator: {raw!r} (need a decimal string or an integer)"
+            )
         exp = obj["exp"]
-        if not isinstance(exp, int) or exp < 0:
+        if not isinstance(exp, int) or isinstance(exp, bool) or exp < 0:
             raise ValueError(f"bad dyadic exponent: {exp!r}")
         d = Dyadic(num, exp)
         if d.num != num or d.exp != exp:

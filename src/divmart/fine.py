@@ -118,16 +118,40 @@ Piece = Union[ClopenSet, StageComplementChunk, DifferencePiece]
 # closed piece sets
 
 
+def _add_exact(num: int, exp: int, d: Dyadic) -> tuple[int, int]:
+    """num/2^exp + d as an unreduced pair, so a sum builds one Dyadic."""
+    if d.exp > exp:
+        return (num << (d.exp - exp)) + d.num, d.exp
+    return num + (d.num << (exp - d.exp)), exp
+
+
 class ClosedPieceSet:
     """core ∪ disjoint pieces.  The core (a measure-zero target handle) adds
     no measure; the pieces are denotationally clopen, so all measure queries
-    are exact and measure-positivity equals nonemptiness of the piece part."""
+    are exact and measure-positivity equals nonemptiness of the piece part.
+
+    A set built from another as "its pieces + new pieces" keeps that set as
+    its *base* and passes only the new pieces: `pieces` is the base's pieces
+    followed by its own.  `measure_within_clopen(k)` is then the base's
+    answer plus the sum over its own pieces.  The base's answer is read
+    through: from the base's cache when it holds k, else by walking the base
+    (and its own base) without storing anything.  Only the set that was
+    asked stores the result.  Separator levels are built from coarser ones,
+    so a level queried after its base costs its own pieces and one lookup,
+    and bases fill their caches only with what they were asked directly.
+    A set with a core is never made a base: it may be a `GrowingClosedSet`,
+    whose pieces keep growing after a set is built on it."""
 
     def __init__(
-        self, pieces: Sequence[Piece], core: Optional[GDeltaSet] = None
+        self,
+        pieces: Sequence[Piece],
+        core: Optional[GDeltaSet] = None,
+        base: Optional["ClosedPieceSet"] = None,
     ) -> None:
-        self.pieces = list(pieces)
+        self._own = list(pieces)
+        self.pieces = self._own if base is None else base.pieces + self._own
         self.core = core
+        self._base = base
         self._measure_cache: dict = {}
         # Populated by lusin_menchoff: one record per complement cylinder,
         # so the interpolation conditions can be re-verified afterwards.
@@ -144,13 +168,24 @@ class ClosedPieceSet:
     def measure_within_clopen(self, k: ClopenSet) -> Dyadic:
         key = k._ac
         hit = self._measure_cache.get(key)
-        if hit is not None:
-            return hit
-        total = Dyadic.zero()
-        for p in self.pieces:
-            total = total + p.measure_within_clopen(k)
-        self._measure_cache[key] = total
-        return total
+        if hit is None:
+            hit = self._measure_cache[key] = Dyadic(*self._measure_pair(k))
+        return hit
+
+    def _measure_pair(self, k: ClopenSet) -> tuple[int, int]:
+        """λ(self ∩ k) as (num, exp), not stored: the base's cached or
+        walked answer plus the own pieces, summed as exact integers."""
+        num = exp = 0
+        base = self._base
+        if base is not None:
+            hit = base._measure_cache.get(k._ac)
+            if hit is None:
+                num, exp = base._measure_pair(k)
+            else:
+                num, exp = hit.num, hit.exp
+        for p in self._own:
+            num, exp = _add_exact(num, exp, p.measure_within_clopen(k))
+        return num, exp
 
     def measure_in(self, t: BitString) -> Dyadic:
         return self.measure_within_clopen(ClopenSet.cylinder(t))
@@ -175,7 +210,10 @@ class ClosedPieceSet:
     def union_with_clopen(self, w: ClopenSet) -> "ClosedPieceSet":
         if w.is_empty:
             return self
-        return ClosedPieceSet(self.pieces + [DifferencePiece(w, self)], self.core)
+        diff = DifferencePiece(w, self)
+        if self.core is not None:  # never a base, see the class docstring
+            return ClosedPieceSet(self.pieces + [diff], self.core)
+        return ClosedPieceSet([diff], base=self)
 
     def decomposition(self, cap: int = 20_000) -> list[BitString]:
         """Canonical (breadth-first maximal-cylinder) antichain of the
@@ -227,49 +265,16 @@ def _decompose(
 
 
 class OpenSetStream:
-    """An open set presented as disjoint clopen pieces with a certified
-    bound on the measure of the un-enumerated tail."""
+    """The complement of a measure-zero target, as an open set M for the
+    interpolation.  It is never enumerated: the fill inside a complement
+    cylinder N_s is N_s minus a deep enough target stage."""
 
-    def __init__(
-        self,
-        piece_fn: Callable[[int], Optional[ClopenSet]],
-        tail_bound_fn: Callable[[int], Dyadic],
-        complement_of: Optional[GDeltaSet] = None,
-    ) -> None:
-        self.piece = piece_fn
-        self.tail_bound = tail_bound_fn
+    def __init__(self, complement_of: GDeltaSet) -> None:
         self.complement_of = complement_of
 
     @staticmethod
-    def from_pieces(pieces: Sequence[ClopenSet]) -> "OpenSetStream":
-        items = list(pieces)
-
-        def piece(n: int) -> Optional[ClopenSet]:
-            return items[n] if n < len(items) else None
-
-        def tail(n: int) -> Dyadic:
-            return Dyadic.zero() if n >= len(items) else _measure_sum(items[n:])
-
-        return OpenSetStream(piece, tail)
-
-    @staticmethod
     def complement_of_target(g: GDeltaSet) -> "OpenSetStream":
-        """Complement of a measure-zero target as the disjoint union of
-        stage(n) \\ stage(n+1); tail after n is inside stage(n), measure
-        ≤ rate(n).  Pieces materialize stages, so only use the enumeration
-        for shallow n — the interpolation below never needs it."""
-
-        def piece(n: int) -> Optional[ClopenSet]:
-            return g.stage(n).minus(g.stage(n + 1))
-
-        return OpenSetStream(piece, g.rate, complement_of=g)
-
-
-def _measure_sum(sets: Sequence[ClopenSet]) -> Dyadic:
-    total = Dyadic.zero()
-    for s in sets:
-        total = total + s.measure
-    return total
+        return OpenSetStream(g)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +318,7 @@ def lusin_menchoff(
             got, m_hi = _inner_approx(m, s, budget(n))
             new_pieces.extend(got)
             fills.append(_fill_record(n, s, got, m_hi))
-        out = ClosedPieceSet(fs.pieces + new_pieces, None)
+        out = ClosedPieceSet(new_pieces, base=fs)
         out.fills = fills
         return out
     return GrowingClosedSet(fs, m, budget)
@@ -341,9 +346,7 @@ def _inner_approx(m: MHandle, s: BitString, eps: Dyadic) -> tuple[list[Piece], D
                 out.append(r)
         return out, m.measure_in(s)
     if isinstance(m, OpenSetStream):
-        if m.complement_of is not None:
-            return _stage_complement_approx(m.complement_of, s, eps)
-        return _stream_approx(m, s, eps)
+        return _stage_complement_approx(m.complement_of, s, eps)
     raise TypeError(f"unsupported M handle {type(m).__name__}")
 
 
@@ -369,41 +372,6 @@ def _stage_complement_approx(
     if chunk.measure_within_clopen(ClopenSet.full()) == 0:
         return [], full
     return [chunk], full
-
-
-def _stream_approx(
-    m: OpenSetStream, s: BitString, eps: Dyadic
-) -> tuple[list[Piece], Dyadic]:
-    """Generic stream: accumulate pieces until the certified tail is small
-    enough that the enumerated part provably meets the budget."""
-    acc = ClopenSet.empty()
-    cyl = ClopenSet.cylinder(s)
-    h = 0
-    while True:
-        lower = acc.measure
-        tail = m.tail_bound(h)
-        hi = lower + tail
-        cap = Dyadic.pow2(-len(s))
-        if hi > cap:
-            hi = cap
-        # λ(M ∩ N_s) ≤ lower + tail, so lower ≥ (1-eps)(lower+tail) suffices.
-        if lower >= (Dyadic.one() - eps) * hi:
-            return ([] if acc.is_empty else [acc]), hi
-        p = m.piece(h)
-        if p is None:
-            if tail == 0:
-                return ([] if acc.is_empty else [acc]), lower
-            raise HorizonExhausted(
-                f"open-set stream ended at piece {h}",
-                f"tail bound {tail} still too large for budget {eps}",
-            )
-        acc = acc.union(p.intersect(cyl))
-        h += 1
-        if h > _SEARCH_CAP:
-            raise HorizonExhausted(
-                f"open-set stream horizon at {s!r}",
-                f"tail bound {m.tail_bound(h)} never met budget {eps}",
-            )
 
 
 class GrowingClosedSet(ClosedPieceSet):
@@ -575,24 +543,12 @@ def _piece_inside_m(p: Piece, m: MHandle, s: BitString) -> bool:
         # check: they cannot outweigh M inside their cylinder.
         return size <= m.measure_in(s)
     if isinstance(m, OpenSetStream):
-        if m.complement_of is not None:
-            # M = complement of the target; a stage-complement chunk misses
-            # stage(k) ⊇ target by construction.  Anything else must avoid
-            # the target's stages, checked against the deepest cheap stage.
-            if isinstance(p, StageComplementChunk) and p.gdelta is m.complement_of:
-                return True
-            return p.measure_within_clopen(m.complement_of.stage(3)) == 0
-        acc = ClopenSet.empty()
-        h = 0
-        while h <= _SEARCH_CAP:
-            if p.measure_within_clopen(acc) == size:
-                return True
-            nxt = m.piece(h)
-            if nxt is None:
-                break
-            acc = acc.union(nxt)
-            h += 1
-        return p.measure_within_clopen(acc) == size
+        # M = complement of the target; a stage-complement chunk misses
+        # stage(k) ⊇ target by construction.  Anything else must avoid
+        # the target's stages, checked against the deepest cheap stage.
+        if isinstance(p, StageComplementChunk) and p.gdelta is m.complement_of:
+            return True
+        return p.measure_within_clopen(m.complement_of.stage(3)) == 0
     return False
 
 
@@ -745,11 +701,18 @@ class SeparatorFunction(TauFunction):
     def mean_in(self, s: BitString, precision: Dyadic) -> tuple[Dyadic, Dyadic]:
         """Exact layer-cake bracketing of the cylinder mean: summing the
         (exact) relative measures of the 2^n levels pins the mean of the
-        level profile to within one grading step 2^(-n)."""
+        level profile to within one grading step 2^(-n).
+
+        The sum runs from j = 2^n down to 1.  Level j is built on a higher
+        level (j + 1, or through one union on the backbone) as its base, so
+        by the time level j is asked, its base holds the answer in its cache
+        and level j adds only its own pieces.  The terms are exact dyadics,
+        so the order does not change the result."""
         n = _precision_exponent(precision)
-        rel = Dyadic.zero()
-        for j in range(1, (1 << n) + 1):
-            rel = rel + self.level(j, n).measure_in(s)
+        num = exp = 0
+        for j in range(1 << n, 0, -1):
+            num, exp = _add_exact(num, exp, self.level(j, n).measure_in(s))
+        rel = Dyadic(num, exp)
         profile_lo = rel.mul_pow2(len(s) - n)  # lower bound on mean of sup-level
         hi = Dyadic.one() - profile_lo
         lo = hi - Dyadic.pow2(-n)

@@ -16,8 +16,10 @@ contiguous run: the single member holding it when m <= n, the members inside
 it when m > n.  `covers`, `meets` and `intersect` with a one-cylinder
 argument walk the distinct lengths of the antichain and find each run by
 bisection.  The members inside a cylinder are already canonical, so the
-intersection is their concatenation.  `normalize`, `union`, `complement` and
-the general `intersect` split on the first bit and recurse.
+intersection is their concatenation.  `measure_intersect` walks the same
+runs but only counts them: λ(a ∩ N_(n,v)) comes back as (num, exp) without
+building the intersection.  `normalize`, `union`, `complement` and the
+general `intersect` split on the first bit and recurse.
 
 Recursion goes through private names only, so a wrapper put around a public
 op (a tracer, say) sees each outside call once.
@@ -158,6 +160,36 @@ def intersect(a: Antichain, b: Antichain) -> Antichain:
 
 def complement(a: Antichain) -> Antichain:
     return _complement(a)
+
+
+def measure_intersect(a: Antichain, n: int, v: int) -> Cyl:
+    """Measure of a ∩ N_(n,v) as an unreduced pair (numerator, exponent),
+    equal to measure(intersect(a, ((n, v),))) but counted run by run
+    instead of sliced into a tuple."""
+    if len(a) == 1:
+        m, u = a[0]
+        if m <= n:
+            return (1, n) if v >> (n - m) == u else (0, 0)
+        return (1, m) if u >> (m - n) == v else (0, 0)
+    num = 0
+    e = 0
+    i = 0
+    end = len(a)
+    while i < end:
+        m = a[i][0]
+        if m <= n:
+            holder = (m, v >> (n - m))
+            i = bisect_left(a, holder, i)
+            if i < end and a[i] == holder:
+                return (1, n)
+        else:
+            lo = bisect_left(a, (m, v << (m - n)), i)
+            i = bisect_left(a, (m, (v + 1) << (m - n)), lo)
+            if i > lo:
+                num = (num << (m - e)) + (i - lo)
+                e = m
+        i = bisect_left(a, (m + 1,), i)
+    return (num, e)
 
 
 def measure(a: Antichain) -> Cyl:

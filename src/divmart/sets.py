@@ -202,6 +202,8 @@ class Singleton(GDeltaSet):
 
     def __init__(self, point: Point) -> None:
         self.point = point
+        # ((len, value) of the last t asked about, its agreement length)
+        self._last_agreement: tuple = (None, 0)
 
     def stage(self, n: int) -> ClopenSet:
         return ClopenSet.cylinder(self.point.prefix(n))
@@ -210,12 +212,25 @@ class Singleton(GDeltaSet):
         return Dyadic.pow2(-n)
 
     def measure_stage_in(self, n: int, t: BitString) -> Dyadic:
-        w = self.point.prefix(n)
-        if w.is_prefix_of(t):
+        # With a the common-prefix length of t and the point, the stage
+        # cylinder N_{point|n} holds N_t when n <= a, lies inside it when
+        # t is a prefix of the point (a = len(t)), and misses it otherwise.
+        a = self._agreement(t)
+        if n <= a:
             return Dyadic.pow2(-len(t))
-        if t.is_prefix_of(w):
+        if a == len(t):
             return Dyadic.pow2(-n)
         return Dyadic.zero()
+
+    def _agreement(self, t: BitString) -> int:
+        """Length of the common prefix of t and the point.  The answer for
+        the last t is kept: a stage search asks about one t at many n."""
+        key = (t.n, t.v)
+        last, a = self._last_agreement
+        if last != key:
+            a = t.n - (self.point.prefix(t.n).v ^ t.v).bit_length()
+            self._last_agreement = (key, a)
+        return a
 
     def stage_cylinder_containing(self, n: int, beta: Point) -> Optional[BitString]:
         w = self.point.prefix(n)
@@ -383,6 +398,12 @@ def parse_rate(text: str) -> Callable[[int], Dyadic]:
     raise ParseError(f"unsupported rate {text!r}; accepted forms: {_RATE_FORMS}")
 
 
+# Longest bit string an explicit stage may list.  The kernel's normalize,
+# union and complement recurse once per bit, so this keeps every cylinder
+# well inside the interpreter's recursion limit (1000 by default).
+EXPLICIT_BITS_LIMIT = 512
+
+
 def component_from_spec(doc: dict) -> GDeltaSet:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ParseError(f"bad component description: {doc!r}")
@@ -402,6 +423,13 @@ def component_from_spec(doc: dict) -> GDeltaSet:
             raise ParseError(
                 "explicit component needs 'stages': list of lists of bit strings"
             )
+        for st in stages:
+            for c in st:
+                if len(c) > EXPLICIT_BITS_LIMIT:
+                    raise ParseError(
+                        f"explicit stage string of {len(c)} bits is longer than "
+                        f"the limit of {EXPLICIT_BITS_LIMIT} bits"
+                    )
         rate_text = doc.get("rate", "2^-n")
         return ExplicitGDelta(
             [ClopenSet.from_strings(st) for st in stages],

@@ -234,6 +234,7 @@ def test_union_intersect_oracle(xs, ys):
     assert extensions(a.union(b), 7) == ea | eb
     assert extensions(a.intersect(b), 7) == ea & eb
     assert extensions(a.minus(b), 7) == ea - eb
+    assert a.measure_within_clopen(b) == Dyadic(len(ea & eb), 7)
 
 
 @given(cylinder_lists)

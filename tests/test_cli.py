@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from divmart.cli import SUITES, main
 from divmart.dyadic import Dyadic
+from divmart.sets import EXPLICIT_BITS_LIMIT
 from divmart.table import MartingaleTable
 from divmart.analysis import check_identity
 
@@ -350,6 +351,21 @@ def test_unknown_component_exits_two(runner, tmp_path):
     assert res.exit_code == 2 and "unknown component kind" in res.stderr
 
 
+def test_overlong_explicit_cylinder_exits_two(runner, tmp_path):
+    # The kernel recurses once per bit, so a 1,200-bit cylinder would
+    # overflow the stack; it is refused at parse time.  The limit parses.
+    def spec(bits):
+        return write_spec(tmp_path, {"kind": "sigma3", "components": [
+            {"kind": "explicit", "stages": [["0" * bits], []]}]})
+
+    res = runner.invoke(main, ["measure", "--spec", spec(1200)])
+    assert res.exit_code == 2, res.output
+    assert "parse error" in res.stderr and f"limit of {EXPLICIT_BITS_LIMIT} bits" in res.stderr
+    assert "Traceback" not in res.stderr
+    res = runner.invoke(main, ["measure", "--spec", spec(EXPLICIT_BITS_LIMIT), "--depth", "3"])
+    assert res.exit_code == 0, res.output
+
+
 @pytest.mark.parametrize(
     "doc, message",
     [
@@ -357,8 +373,11 @@ def test_unknown_component_exits_two(runner, tmp_path):
          "needs 2^3 - 1 values, got 0"),
         ({"kind": "martingale-table", "version": 1, "depth": 0, "values": [{"exp": 0}]},
          "a dyadic needs 'num' and 'exp'"),
+        ({"kind": "martingale-table", "version": 1, "depth": 0,
+          "values": [{"num": 1.5, "exp": 0}]},
+         "bad dyadic numerator: 1.5"),
     ],
-    ids=["wrong-length", "dyadic-without-num"],
+    ids=["wrong-length", "dyadic-without-num", "float-numerator"],
 )
 def test_malformed_table_documents_exit_two(runner, tmp_path, doc, message):
     spec = write_spec(tmp_path, doc)

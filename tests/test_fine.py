@@ -315,13 +315,80 @@ def test_precision_must_be_positive(sep):
         sep.mean_in(EMPTY, Dyadic(-1, 2))
 
 
-def test_finer_grading_exhausts_the_work_cap(sep):
+def test_finer_grading_exhausts_the_work_cap():
     # Backbone level 5 has an infinite complement antichain (the level-4
     # fills leave slivers along the target boundary at every depth), so the
     # decomposition must give up after its examination budget.
+    target = EvenZeros()
+    h = urysohn(target.stage(1).complement(), target)
     with pytest.raises(HorizonExhausted) as exc:
-        sep.evaluate(Point.parse("0(1)"), Dyadic(1, 5))
+        h.evaluate(Point.parse("0(1)"), Dyadic(1, 5))
     assert "complement decomposition work" in str(exc.value)
+    # The decomposition asks about some 20,000 cylinders.  The backbone
+    # levels under it are read through, not filled: their caches (and their
+    # bases') keep only what was asked of them directly, 238 entries here.
+    chain = h._backbone + [b._base for b in h._backbone]
+    assert sum(len(b._measure_cache) for b in chain) < 1000
+
+
+# ---------------------------------------------------------------------------
+# levels share their base's measure work
+
+
+def _reference_measure(level: ClosedPieceSet, s: BitString) -> Dyadic:
+    """λ(level ∩ N_s) summed over every piece of the level, base or not."""
+    k = ClopenSet.cylinder(s)
+    total = Dyadic.zero()
+    for p in level.pieces:
+        total = total + p.measure_within_clopen(k)
+    return total
+
+
+def _reference_mean(h: SeparatorFunction, s: BitString, n: int):
+    """The layer-cake bracket summed over levels j = 1..2^n in ascending order."""
+    rel = Dyadic.zero()
+    for j in range(1, (1 << n) + 1):
+        rel = rel + _reference_measure(h.level(j, n), s)
+    hi = Dyadic.one() - rel.mul_pow2(len(s) - n)
+    lo = hi - Dyadic.pow2(-n)
+    return (Dyadic.zero() if lo < 0 else lo), hi
+
+
+def _check_shared_levels(h: SeparatorFunction, n: int, cold: BitString, warm: BitString):
+    levels = [h.level(j, n) for j in range(1, (1 << n) + 1)]
+    # Ascending from level 1: each base is asked before it holds an answer.
+    for level in levels:
+        assert level.measure_in(cold) == _reference_measure(level, cold)
+    # mean_in sums downward, so every base is cached when its level asks.
+    assert h.mean_in(warm, Dyadic.pow2(-n)) == _reference_mean(h, warm, n)
+    for level in levels:
+        assert level.measure_in(warm) == _reference_measure(level, warm)
+
+
+@pytest.mark.parametrize("j, n", [(j, n) for j in (1, 2, 3) for n in (4, 5, 6, 7)])
+@settings(max_examples=10, deadline=None)
+@given(
+    prefix=st.text(alphabet="01", max_size=4),
+    period=st.text(alphabet="01", min_size=1, max_size=4),
+    leave=st.integers(min_value=0, max_value=5),
+    depth=st.integers(min_value=0, max_value=9),
+)
+def test_singleton_levels_match_the_reference_sums(j, n, prefix, period, leave, depth):
+    point = Point.parse(f"{prefix}({period})")
+    target = Singleton(point)
+    h = urysohn(target.stage(j).complement(), target)
+    # cold: a cylinder that leaves the target j + leave bits in; warm: a
+    # prefix of the target itself.
+    near = point.prefix(j + leave + 1)
+    cold = BitString.raw(near.n, near.v ^ 1)
+    _check_shared_levels(h, n, cold, point.prefix(depth))
+
+
+def test_even_zeros_levels_match_the_reference_sums():
+    target = EvenZeros()
+    h = urysohn(target.stage(1).complement(), target)
+    for cold, warm in [("", "0"), ("001", "01"), ("0001", "")]:
+        _check_shared_levels(h, 4, BitString(cold), BitString(warm))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """The antichain kernel's bisect queries against the recursive first-bit
-split they replace, which is kept here as the reference."""
+split they replace, which is kept here as the reference.  The count-only
+measure query is checked against the measure of the built intersection."""
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -76,6 +77,7 @@ def _check_queries(a, c):
     assert kernel.normalize(expected) == expected
     assert kernel.covers(a, n, v) == ref_covers(a, n, v)
     assert kernel.meets(a, n, v) == ref_meets(a, n, v)
+    assert kernel.measure_intersect(a, n, v) == kernel.measure(expected)
 
 
 def test_kernel_names():
@@ -86,6 +88,7 @@ def test_kernel_names():
 @given(antichains, queries)
 def test_cylinder_queries_match_the_recursion(a, c):
     _check_queries(a, c)
+    _check_queries(a, (0, 0))  # the whole space: every run of every length
     # the edge cases: a member itself, its parent and one of its children
     for n, v in a[:3]:
         _check_queries(a, (n, v))
@@ -109,7 +112,8 @@ def test_deep_values(a, c, cut):
 def test_recursion_stays_behind_the_public_names(monkeypatch):
     # A wrapper around a public op must see one call per outside call.
     calls = []
-    for op in ("normalize", "union", "intersect", "complement", "covers", "meets"):
+    for op in ("normalize", "union", "intersect", "complement", "covers", "meets",
+               "measure_intersect"):
         raw = getattr(kernel, op)
         monkeypatch.setattr(
             kernel, op, lambda *args, _op=op, _raw=raw: calls.append(_op) or _raw(*args)
@@ -122,5 +126,6 @@ def test_recursion_stays_behind_the_public_names(monkeypatch):
     kernel.complement(a)
     kernel.covers(a, 5, 19)
     kernel.meets(a, 1, 0)
+    kernel.measure_intersect(a, 2, 1)
     assert calls == ["normalize", "normalize", "union", "intersect", "intersect",
-                     "complement", "covers", "meets"]
+                     "complement", "covers", "meets", "measure_intersect"]

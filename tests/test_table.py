@@ -170,8 +170,11 @@ def test_wrong_table_shape_is_a_parse_error(depth, count, message):
 
 @pytest.mark.parametrize(
     "entry",
-    [{"exp": 0}, {"num": "1"}, {}, {"num": 1e400, "exp": 0}, "1", [1, 0]],
-    ids=["no-num", "no-exp", "no-keys", "infinite-num", "string", "list"],
+    [{"exp": 0}, {"num": "1"}, {}, {"num": 1e400, "exp": 0}, "1", [1, 0],
+     {"num": 1.5, "exp": 0}, {"num": 1.0, "exp": 0}, {"num": True, "exp": 0},
+     {"num": None, "exp": 0}, {"num": [1], "exp": 0}, {"num": "1", "exp": True}],
+    ids=["no-num", "no-exp", "no-keys", "infinite-num", "string", "list",
+         "fractional-num", "float-num", "bool-num", "null-num", "list-num", "bool-exp"],
 )
 def test_malformed_dyadic_is_a_parse_error(entry):
     doc = {"kind": DOCUMENT_KIND, "version": FORMAT_VERSION, "depth": 0, "values": [entry]}
