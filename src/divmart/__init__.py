@@ -35,7 +35,6 @@ from .fine import (
     check_interpolation,
     lusin_menchoff,
     mean_trace,
-    mean_value,
     urysohn,
 )
 from .kernel import KERNEL_NAME
@@ -110,7 +109,6 @@ __all__ = [
     "limit_function",
     "lusin_menchoff",
     "mean_trace",
-    "mean_value",
     "membership",
     "osc_window",
     "parse_rate",

@@ -1,8 +1,10 @@
 """Density-topology toolkit: interpolating closed sets and graded separators.
 
-The central construction takes a closed set F inside an open set M (open in
-the density sense: here, clopen, a clopen-piece union, or the complement of
-a measure-zero target) and produces a closed C with F ⊆ C ⊆ M that fills
+The central construction starts from a closed F that is a clopen set or a
+clopen-piece set (a union of disjoint clopen pieces), so the complement of F
+decomposes into finitely many maximal cylinders.  Given an open M (open in
+the density sense: here, clopen, a clopen-piece set, or the complement of a
+measure-zero target) it produces a closed C with F ⊆ C ⊆ F ∪ M that fills
 almost all of M locally: for each maximal cylinder s_n of the complement of
 F (breadth-first order), C grabs a clopen subset of M ∩ N_{s_n} of measure
 at least (1 - budget(n))·λ(M ∩ N_{s_n}).
@@ -18,8 +20,8 @@ complements of deep target stages).  Sets are therefore unions of disjoint
 lazy *pieces* — materialized clopen sets, "cylinder minus target-stage"
 chunks, and "clopen minus earlier level" differences — each answering
 exact measure queries against arbitrary clopen constraints.  Measure zero
-is emptiness for such sets, so meets/covers/membership reduce to exact
-dyadic comparisons.
+is emptiness for such sets, so covers/membership reduce to exact dyadic
+comparisons.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .bits import EMPTY, BitString, Point
 from .clopen import ClopenSet
 from .dyadic import Dyadic
 from .errors import HorizonExhausted
-from .sets import GDeltaSet, Membership
+from .sets import GDeltaSet
 
 _SEARCH_CAP = 100_000
 
@@ -126,9 +128,8 @@ def _add_exact(num: int, exp: int, d: Dyadic) -> tuple[int, int]:
 
 
 class ClosedPieceSet:
-    """core ∪ disjoint pieces.  The core (a measure-zero target handle) adds
-    no measure; the pieces are denotationally clopen, so all measure queries
-    are exact and measure-positivity equals nonemptiness of the piece part.
+    """A union of disjoint pieces.  The pieces are denotationally clopen, so
+    all measure queries are exact and measure-positivity equals nonemptiness.
 
     A set built from another as "its pieces + new pieces" keeps that set as
     its *base* and passes only the new pieces: `pieces` is the base's pieces
@@ -138,19 +139,13 @@ class ClosedPieceSet:
     (and its own base) without storing anything.  Only the set that was
     asked stores the result.  Separator levels are built from coarser ones,
     so a level queried after its base costs its own pieces and one lookup,
-    and bases fill their caches only with what they were asked directly.
-    A set with a core is never made a base: it may be a `GrowingClosedSet`,
-    whose pieces keep growing after a set is built on it."""
+    and bases fill their caches only with what they were asked directly."""
 
     def __init__(
-        self,
-        pieces: Sequence[Piece],
-        core: Optional[GDeltaSet] = None,
-        base: Optional["ClosedPieceSet"] = None,
+        self, pieces: Sequence[Piece], base: Optional["ClosedPieceSet"] = None
     ) -> None:
         self._own = list(pieces)
         self.pieces = self._own if base is None else base.pieces + self._own
-        self.core = core
         self._base = base
         self._measure_cache: dict = {}
         # Populated by lusin_menchoff: one record per complement cylinder,
@@ -160,10 +155,6 @@ class ClosedPieceSet:
     @staticmethod
     def from_clopen(c: ClopenSet) -> "ClosedPieceSet":
         return ClosedPieceSet([] if c.is_empty else [c])
-
-    @staticmethod
-    def empty() -> "ClosedPieceSet":
-        return ClosedPieceSet([])
 
     def measure_within_clopen(self, k: ClopenSet) -> Dyadic:
         key = k._ac
@@ -194,54 +185,36 @@ class ClosedPieceSet:
     def measure(self) -> Dyadic:
         return self.measure_in(EMPTY)
 
-    def meets(self, t: BitString) -> bool:
-        if self.measure_in(t) > 0:
-            return True
-        return self.core is not None and self.core.meets_target(t)
-
     def covers(self, t: BitString) -> bool:
         return self.measure_in(t) == Dyadic.pow2(-len(t))
 
     def contains_point(self, beta: Point) -> bool:
-        if self.core is not None and self.core.exit_stage(beta) is None:
-            return True
         return any(p.contains_point(beta) for p in self.pieces)
 
     def union_with_clopen(self, w: ClopenSet) -> "ClosedPieceSet":
         if w.is_empty:
             return self
-        diff = DifferencePiece(w, self)
-        if self.core is not None:  # never a base, see the class docstring
-            return ClosedPieceSet(self.pieces + [diff], self.core)
-        return ClosedPieceSet([diff], base=self)
+        return ClosedPieceSet([DifferencePiece(w, self)], base=self)
 
     def decomposition(self, cap: int = 20_000) -> list[BitString]:
         """Canonical (breadth-first maximal-cylinder) antichain of the
-        complement.  Requires a core-free set — i.e. a denotationally clopen
-        one — so the walk terminates exactly.  `cap` bounds the number of
-        cylinders the walk may *examine*, not just yield: a complement that
-        keeps splitting at every depth (e.g. fill slivers hugging a
-        measure-zero boundary) fails fast instead of marching forever."""
-        if self.core is not None:
-            raise ValueError(
-                "infinite decomposition: the set has a core, so its complement is not clopen"
-            )
-        return list(_decompose(self, None, work_cap=cap))
+        complement; the set is denotationally clopen, so the walk terminates
+        exactly.  `cap` bounds the number of cylinders the walk may
+        *examine*, not just yield: a complement that keeps splitting at every
+        depth (e.g. fill slivers hugging a measure-zero boundary) fails fast
+        instead of marching forever."""
+        return list(_decompose(self, cap))
 
 
-def _decompose(
-    pieces: ClosedPieceSet,
-    core: Optional[GDeltaSet],
-    work_cap: Optional[int] = None,
-) -> Iterator[BitString]:
-    """Breadth-first maximal cylinders of the complement of core ∪ pieces."""
+def _decompose(pieces: ClosedPieceSet, work_cap: int) -> Iterator[BitString]:
+    """Breadth-first maximal cylinders of the complement of the pieces."""
     examined = 0
     queue = [EMPTY]
     while queue:
         next_queue = []
         for t in queue:
             examined += 1
-            if work_cap is not None and examined > work_cap:
+            if examined > work_cap:
                 raise HorizonExhausted(
                     "complement decomposition work",
                     f"examined more than {work_cap} cylinders without closing "
@@ -249,8 +222,7 @@ def _decompose(
                     f"tractable",
                 )
             m = pieces.measure_in(t)
-            core_meets = core is not None and core.meets_target(t)
-            if m == 0 and not core_meets:
+            if m == 0:
                 yield t
             elif m == Dyadic.pow2(-len(t)):
                 continue  # cylinder entirely inside the set
@@ -271,10 +243,6 @@ class OpenSetStream:
 
     def __init__(self, complement_of: GDeltaSet) -> None:
         self.complement_of = complement_of
-
-    @staticmethod
-    def complement_of_target(g: GDeltaSet) -> "OpenSetStream":
-        return OpenSetStream(g)
 
 
 # ---------------------------------------------------------------------------
@@ -311,17 +279,15 @@ def lusin_menchoff(
     over untouched.  The n = 0 requirement is vacuous for the default budget.
     """
     fs = ClosedPieceSet.from_clopen(f) if isinstance(f, ClopenSet) else f
-    if fs.core is None:
-        new_pieces: list[Piece] = []
-        fills: list[FillRecord] = []
-        for n, s in enumerate(fs.decomposition()):
-            got, m_hi = _inner_approx(m, s, budget(n))
-            new_pieces.extend(got)
-            fills.append(_fill_record(n, s, got, m_hi))
-        out = ClosedPieceSet(new_pieces, base=fs)
-        out.fills = fills
-        return out
-    return GrowingClosedSet(fs, m, budget)
+    new_pieces: list[Piece] = []
+    fills: list[FillRecord] = []
+    for n, s in enumerate(fs.decomposition()):
+        got, m_hi = _inner_approx(m, s, budget(n))
+        new_pieces.extend(got)
+        fills.append(_fill_record(n, s, got, m_hi))
+    out = ClosedPieceSet(new_pieces, base=fs)
+    out.fills = fills
+    return out
 
 
 def _fill_record(n: int, s: BitString, got: Sequence[Piece], m_hi: Dyadic) -> FillRecord:
@@ -374,80 +340,12 @@ def _stage_complement_approx(
     return [chunk], full
 
 
-class GrowingClosedSet(ClosedPieceSet):
-    """Interpolation output when the complement of F decomposes into
-    infinitely many cylinders (F has a genuine measure-zero core).  Pieces
-    are generated on demand in breadth-first order; measure queries come
-    back as exact brackets whose upper slack is the measure of the
-    not-yet-decomposed frontier."""
-
-    def __init__(
-        self,
-        fs: ClosedPieceSet,
-        m: MHandle,
-        budget: Callable[[int], Dyadic],
-    ) -> None:
-        super().__init__(list(fs.pieces), fs.core)
-        self._m = m
-        self._budget = budget
-        self._stream = _decompose(ClosedPieceSet(fs.pieces), fs.core)
-        self._next_index = 0
-        self._generated: list[BitString] = []
-
-    def extend_to_depth(self, depth: int) -> None:
-        """Generate all pieces whose decomposition cylinder has length
-        ≤ depth (breadth-first order makes this a finite prefix)."""
-        while not self._generated or len(self._generated[-1]) <= depth:
-            s = next(self._stream, None)
-            if s is None:
-                return
-            self._generated.append(s)
-            got, m_hi = _inner_approx(self._m, s, self._budget(self._next_index))
-            self.pieces.extend(got)
-            self.fills.append(_fill_record(self._next_index, s, got, m_hi))
-            self._next_index += 1
-            self._measure_cache.clear()
-            if len(s) > depth:
-                return
-
-    def generated_cylinders(self) -> list[BitString]:
-        return list(self._generated)
-
-    def measure_in_bracket(self, t: BitString, depth: int) -> tuple[Dyadic, Dyadic]:
-        """Exact [lo, hi] for λ(C ∩ N_t): lo from generated pieces, slack
-        from the complement-of-F region deeper than `depth` that future
-        pieces could still land in."""
-        self.extend_to_depth(depth)
-        lo = self.measure_in(t)
-        done = ClopenSet.from_cylinders(
-            [c for c in self._generated if len(c) <= depth]
-        )
-        # Future pieces land inside complement-of-F cylinders not yet
-        # generated, i.e. inside N_t minus the resolved region.
-        hi = lo + Dyadic.pow2(-len(t)) - done.measure_in(t)
-        cap = Dyadic.pow2(-len(t))
-        return lo, cap if hi > cap else hi
-
-    def membership(self, beta: Point, depth: int) -> Membership:
-        if self.core is not None and self.core.exit_stage(beta) is None:
-            return Membership.IN
-        self.extend_to_depth(depth)
-        if any(p.contains_point(beta) for p in self.pieces):
-            return Membership.IN
-        # Outside every generated piece; decided only if beta's cylinder at
-        # `depth` lies in an already-resolved region.
-        for c in self._generated:
-            if len(c) <= depth and beta.starts_with(c):
-                return Membership.OUT  # fully resolved cylinder, not in pieces
-        return Membership.UNDECIDED
-
-
 # ---------------------------------------------------------------------------
 # finite-horizon verification of the interpolation conditions
 
 
 class InterpolationReport(NamedTuple):
-    f_carried: bool          # (1a) F's pieces and core appear in C untouched
+    f_carried: bool          # (1a) F (its cylinders or its pieces) lies in C untouched
     fills_inside_m: bool     # (1b) every added piece sits inside M (measure-exact)
     margins_ok: bool         # (2) λ(fill_n) ≥ (1 - budget(n))·λ(M ∩ N_{s_n})
     density_ok: bool         # (3) density of C ≥ threshold at sampled F-points
@@ -472,28 +370,24 @@ def check_interpolation(
     density_threshold: Dyadic = None,
 ) -> InterpolationReport:
     """Re-verify, at a finite horizon, that C = lusin_menchoff(F, M, budget)
-    satisfies the three interpolation conditions: F ⊆ C ⊆ M, the fill inside
-    each complement cylinder s_n captures a (1-budget(n)) fraction of
-    λ(M ∩ N_{s_n}), and C has density ≥ 1 - density_threshold at sampled
-    points of F (exact 1 for points interior to clopen pieces; bracketed
-    from generated pieces when F carries a measure-zero core)."""
+    satisfies the three interpolation conditions for F a clopen set or a
+    clopen-piece set: F ⊆ C ⊆ F ∪ M (C covers every cylinder of a clopen F,
+    or holds every piece of a piece set F), the fill inside each complement
+    cylinder s_n captures a (1-budget(n)) fraction of λ(M ∩ N_{s_n}), and C
+    has density ≥ 1 - density_threshold at sampled points of F, certified
+    from C's exact cylinder measures up to `depth`."""
     if density_threshold is None:
         density_threshold = Dyadic(1, 4)
     fs = ClosedPieceSet.from_clopen(f) if isinstance(f, ClopenSet) else f
     failures: list[str] = []
-
-    if isinstance(c, GrowingClosedSet):
-        c.extend_to_depth(depth)
 
     if isinstance(f, ClopenSet):
         # Exact containment: C must cover every cylinder of F.
         f_carried = all(c.covers(cyl) for cyl in f.cylinders)
     else:
         f_carried = all(any(q is p for q in c.pieces) for p in fs.pieces)
-        if fs.core is not None and c.core is not fs.core:
-            f_carried = False
     if not f_carried:
-        failures.append("a piece or core of F is missing from C")
+        failures.append("a piece of F is missing from C")
 
     fills_inside_m = True
     margins_ok = True
@@ -514,8 +408,7 @@ def check_interpolation(
     density_ok = True
     floor = Dyadic.one() - density_threshold
     for beta in _sample_f_points(fs):
-        # Best certified lower bound on λ(C ∩ N_{β|l})·2^l over l ≤ depth,
-        # from the pieces generated within the horizon.
+        # Best certified lower bound on λ(C ∩ N_{β|l})·2^l over l ≤ depth.
         best = Dyadic.zero()
         for l in range(depth, 0, -1):
             ratio = c.measure_in(beta.prefix(l)).mul_pow2(l)
@@ -554,10 +447,6 @@ def _piece_inside_m(p: Piece, m: MHandle, s: BitString) -> bool:
 
 def _sample_f_points(fs: ClosedPieceSet, cap: int = 8) -> list[Point]:
     pts: list[Point] = []
-    if fs.core is not None:
-        beta = getattr(fs.core, "point", None)
-        if isinstance(beta, Point):
-            pts.append(beta)
     for p in fs.pieces:
         if len(pts) >= cap:
             break
@@ -580,28 +469,15 @@ def _sample_f_points(fs: ClosedPieceSet, cap: int = 8) -> list[Point]:
 # graded separators
 
 
-class TauFunction:
-    """A density-continuous [0,1] function presented by evaluator and exact
-    cylinder means.  Both return closed dyadic intervals [lo, hi] with
-    hi - lo ≤ precision (often exact, lo == hi)."""
-
-    def evaluate(self, beta: Point, precision: Dyadic) -> tuple[Dyadic, Dyadic]:
-        raise NotImplementedError
-
-    def mean_in(self, s: BitString, precision: Dyadic) -> tuple[Dyadic, Dyadic]:
-        raise NotImplementedError
-
-
 def _precision_exponent(precision: Dyadic) -> int:
+    """The least n ≥ 0 with 2^-n ≤ precision: num/2^exp ≥ 2^-n exactly when
+    2^(exp-n) ≤ num, i.e. exp - n ≤ num.bit_length() - 1."""
     if precision <= 0:
         raise ValueError("precision must be positive")
-    n = 0
-    while Dyadic.pow2(-n) > precision:
-        n += 1
-    return n
+    return max(0, precision.exp - precision.num.bit_length() + 1)
 
 
-class SeparatorFunction(TauFunction):
+class SeparatorFunction:
     """h = 1 on the target G, 0 on the closed set C, graded in between by
     the dyadic level family: h(β) = 1 - sup{ζ : β ∈ C_ζ}.
 
@@ -611,6 +487,9 @@ class SeparatorFunction(TauFunction):
     the coarser denominator.  Every level is denotationally clopen, so
     membership and level measures are exact; the only inexactness in h is
     the grading granularity 2^(-n) itself.
+
+    `evaluate` and `mean_in` return closed dyadic intervals [lo, hi] with
+    hi - lo ≤ precision, as `StepFunction`'s do.
     """
 
     def __init__(
@@ -621,7 +500,7 @@ class SeparatorFunction(TauFunction):
     ) -> None:
         self.c = ClosedPieceSet.from_clopen(c) if isinstance(c, ClopenSet) else c
         self.g = g
-        self._m = OpenSetStream.complement_of_target(g)
+        self._m = OpenSetStream(g)
         self._exhaustion = exhaustion
         self._levels: dict[tuple[int, int], ClosedPieceSet] = {}
         self._backbone: list[ClosedPieceSet] = []
@@ -643,13 +522,8 @@ class SeparatorFunction(TauFunction):
             self._backbone.append(lusin_menchoff(f, self._m))
         return self._backbone[m]
 
-    def level(self, num, denom_exp: Optional[int] = None) -> ClosedPieceSet:
-        """C_ζ for ζ = num / 2^denom_exp ∈ (0, 1]; also accepts a single
-        Dyadic argument level(p)."""
-        if denom_exp is None:
-            if not isinstance(num, Dyadic):
-                raise TypeError("level(p) expects a Dyadic or (num, denom_exp)")
-            num, denom_exp = num.num, num.exp
+    def level(self, num: int, denom_exp: int) -> ClosedPieceSet:
+        """C_ζ for ζ = num / 2^denom_exp ∈ (0, 1]."""
         if not 0 < num <= (1 << denom_exp):
             raise ValueError(f"level {num}/2^{denom_exp} outside (0,1]")
         while num % 2 == 0:
@@ -731,7 +605,7 @@ def urysohn(
     return SeparatorFunction(c, g, exhaustion)
 
 
-class StepFunction(TauFunction):
+class StepFunction:
     """Depth-d step function: constant on each length-d cylinder.  All
     means are exact dyadics (averages of 2^k dyadic values)."""
 
@@ -769,15 +643,11 @@ class StepFunction(TauFunction):
         return total.mul_pow2(-shift)
 
 
-def mean_value(
-    h: TauFunction, s: BitString, precision: Dyadic
-) -> tuple[Dyadic, Dyadic]:
-    """Cylinder mean of h over N_s as a closed interval of width ≤ precision."""
-    return h.mean_in(s, precision)
-
-
 def mean_trace(
-    h: TauFunction, beta: Point, depth: int, precision: Dyadic
+    h: Union[SeparatorFunction, StepFunction],
+    beta: Point,
+    depth: int,
+    precision: Dyadic,
 ) -> list[tuple[int, Dyadic, Dyadic]]:
     """Means along the branch: rows (l, lo, hi) for l = 0..depth."""
     return [

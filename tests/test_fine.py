@@ -19,18 +19,17 @@ from divmart.errors import HorizonExhausted
 from divmart.fine import (
     ClosedPieceSet,
     FillRecord,
-    GrowingClosedSet,
     OpenSetStream,
     SeparatorFunction,
     StepFunction,
     check_interpolation,
     default_budget,
     lusin_menchoff,
+    _precision_exponent,
     mean_trace,
-    mean_value,
     urysohn,
 )
-from divmart.sets import EvenZeros, Membership, Singleton
+from divmart.sets import EvenZeros, Singleton
 
 
 def tight_budget(n: int) -> Dyadic:
@@ -69,7 +68,7 @@ def test_interpolate_clopen_into_target_complement():
     # measure exactly (1 - 1/8)·λ(N_0) = 3/8.
     target = EvenZeros()
     f = target.stage(1).complement()
-    m = OpenSetStream.complement_of_target(target)
+    m = OpenSetStream(target)
     c = lusin_menchoff(f, m, tight_budget)
     assert type(c) is ClosedPieceSet
     assert c.measure == Dyadic(7, 3)
@@ -87,7 +86,7 @@ def test_interpolate_clopen_into_target_complement():
 def test_interpolation_check_flags_short_fill():
     target = EvenZeros()
     f = target.stage(1).complement()
-    m = OpenSetStream.complement_of_target(target)
+    m = OpenSetStream(target)
     c = lusin_menchoff(f, m, tight_budget)
     c.fills[0] = c.fills[0]._replace(fill_measure=Dyadic(1, 5))
     rep = check_interpolation(c, f, m, depth=12, budget=tight_budget)
@@ -113,61 +112,6 @@ def test_interpolation_check_flags_missing_f():
     assert not rep.ok
     assert not rep.f_carried
     assert any("missing" in msg for msg in rep.failures)
-
-
-# ---------------------------------------------------------------------------
-# the interpolation lemma with a measure-zero core (growing output)
-
-
-def core_setup():
-    target = EvenZeros()
-    m = OpenSetStream.complement_of_target(target)
-    f = ClosedPieceSet([], core=Singleton(Point.parse("(0)")))
-    return f, m, lusin_menchoff(f, m)
-
-
-def test_core_interpolation_grows_and_verifies():
-    f, m, c = core_setup()
-    assert isinstance(c, GrowingClosedSet)
-    rep = check_interpolation(c, f, m, depth=14)
-    assert rep.ok
-    # Density at the core point is bracketed from the generated pieces.
-    assert rep.density_samples == (("(0)", Dyadic(126959, 17)),)
-    gen = [str(s) for s in c.generated_cylinders()]
-    assert gen[:6] == ["1", "01", "001", "0001", "00001", "000001"]
-    # Exact measure brackets: the slack is exactly the unresolved frontier.
-    lo, hi = c.measure_in_bracket(EMPTY, 10)
-    assert (lo, hi) == (Dyadic(49209071, 27), Dyadic(49340143, 27))
-    assert hi - lo == Dyadic.pow2(-10)
-    lo0, hi0 = c.measure_in_bracket(BitString("0"), 12)
-    assert (lo0, hi0) == (Dyadic(49209071, 27), Dyadic(49241839, 27))
-    assert hi0 - lo0 == Dyadic.pow2(-12)
-
-
-def test_core_interpolation_membership_resolves_with_depth():
-    _, _, c = core_setup()
-    in_target = Point.parse("000000000001(0)")  # 1 at odd position: in target
-    escapes = Point.parse("0000000000001(0)")  # 1 at even position 12
-    assert c.membership(in_target, 6) is Membership.UNDECIDED
-    assert c.membership(escapes, 6) is Membership.UNDECIDED
-    assert c.membership(in_target, 12) is Membership.OUT
-    assert c.membership(escapes, 13) is Membership.IN
-    assert c.membership(Point.parse("(0)"), 0) is Membership.IN  # the core
-    assert c.membership(Point.parse("(1)"), 1) is Membership.OUT
-
-
-def test_core_decomposition_requires_stream():
-    f, _, _ = core_setup()
-    with pytest.raises(ValueError):
-        f.decomposition()
-
-
-def test_extend_to_depth_is_idempotent():
-    _, _, c = core_setup()
-    c.extend_to_depth(8)
-    count = len(c.generated_cylinders())
-    c.extend_to_depth(8)
-    assert len(c.generated_cylinders()) == count
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +145,6 @@ def test_backbone_measures_and_shapes(sep):
 def test_level_normalizes_to_backbone(sep):
     assert sep.level(1, 2) is sep.backbone(2)
     assert sep.level(4, 4) is sep.backbone(2)
-    assert sep.level(Dyadic(1, 2)) is sep.backbone(2)
-    assert sep.level(Dyadic(1, 0)) is sep.backbone(0)
 
 
 def test_level_argument_validation(sep):
@@ -210,8 +152,6 @@ def test_level_argument_validation(sep):
         sep.level(0, 3)
     with pytest.raises(ValueError):
         sep.level(9, 3)
-    with pytest.raises(TypeError):
-        sep.level(0.5)
 
 
 def test_levels_shrink_as_the_level_rises(sep):
@@ -293,11 +233,6 @@ def test_mean_brackets_are_consistent_with_averaging(sep):
         assert max(plo, alo) <= min(phi, ahi), name
 
 
-def test_mean_value_is_the_cylinder_mean(sep):
-    s = BitString("01")
-    assert mean_value(sep, s, Dyadic(1, 4)) == sep.mean_in(s, Dyadic(1, 4))
-
-
 def test_mean_trace_along_branches(sep):
     rows = mean_trace(sep, Point.parse("0(01)"), 24, Dyadic(1, 4))
     assert len(rows) == 25
@@ -313,6 +248,20 @@ def test_precision_must_be_positive(sep):
         sep.evaluate(Point.parse("0(1)"), Dyadic.zero())
     with pytest.raises(ValueError):
         sep.mean_in(EMPTY, Dyadic(-1, 2))
+
+
+def _precision_exponent_by_search(precision: Dyadic) -> int:
+    n = 0
+    while Dyadic.pow2(-n) > precision:
+        n += 1
+    return n
+
+
+@settings(max_examples=200)
+@given(st.integers(min_value=1, max_value=1 << 70), st.integers(min_value=0, max_value=80))
+def test_precision_exponent_matches_the_search(num, exp):
+    precision = Dyadic(num, exp)
+    assert _precision_exponent(precision) == _precision_exponent_by_search(precision)
 
 
 def test_finer_grading_exhausts_the_work_cap():
