@@ -618,12 +618,6 @@ class StepFunction:
         self.depth = depth
         self.values = list(values)
 
-    def value_at_leaf(self, t: BitString) -> Dyadic:
-        if len(t) < self.depth:
-            raise ValueError("below step resolution")
-        p = t.prefix(self.depth)
-        return self.values[p.v]
-
     def evaluate(self, beta: Point, precision: Dyadic) -> tuple[Dyadic, Dyadic]:
         v = self.values[beta.prefix(self.depth).v]
         return v, v

@@ -10,25 +10,36 @@ hundreds occur routinely, so values never fit machine words.
 ``FULL`` is the single empty-string cylinder; the empty tuple is the empty
 set.  All ops take and return canonical tuples.
 
-Queries against one cylinder (n, v) bisect instead of recursing.  Sorted
-breadth-first, the members of one length m that meet the cylinder form a
-contiguous run: the single member holding it when m <= n, the members inside
-it when m > n.  `covers`, `meets` and `intersect` with a one-cylinder
-argument walk the distinct lengths of the antichain and find each run by
-bisection.  The members inside a cylinder are already canonical, so the
-intersection is their concatenation.  `measure_intersect` walks the same
-runs but only counts them: λ(a ∩ N_(n,v)) comes back as (num, exp) without
-building the intersection.  `normalize`, `union`, `complement` and the
-general `intersect` split on the first bit and recurse.
+Queries against one cylinder (n, v) bisect.  Sorted breadth-first, the
+members of one length m that meet the cylinder form a contiguous slice: the
+single member holding it when m <= n, the members inside it when m > n.
+`covers`, `meets` and `intersect` with a one-cylinder argument walk the
+distinct lengths of the antichain and find each slice by bisection.  The
+members inside a cylinder are already canonical, so the intersection is
+their concatenation.  `measure_intersect` walks the same slices but only
+counts them: λ(a ∩ N_(n,v)) comes back as (num, exp) without building the
+intersection.
 
-Recursion goes through private names only, so a wrapper put around a public
-op (a tracer, say) sees each outside call once.
+`normalize`, `union`, `complement` and the general `intersect` read their
+arguments left to right, as points of the interval [0, 1): with L the
+length of the deepest member, the cylinder (n, v) is the integer interval
+[v·2^(L−n), (v+1)·2^(L−n)) in units of 2^-L.  Sorting these intervals and
+merging the overlapping or touching ones gives sorted, disjoint runs.  A
+union is the merge of both arguments' intervals, an intersection a
+two-pointer walk over both lists of runs, and a complement the gaps between
+the runs of [0, 2^L).  One helper turns runs back into the canonical tuple:
+the maximal cylinders inside a run are its maximal aligned blocks, found
+greedily from the left.  No op recurses, so the cost is the number of
+members times the cost of one L-bit integer operation, at any depth.
+
+Public ops never call each other, only private helpers, so a wrapper put
+around a public op (a tracer, say) sees each outside call once.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Iterable, Tuple
+from typing import Iterable, Sequence, Tuple
 
 Cyl = Tuple[int, int]
 Antichain = Tuple[Cyl, ...]
@@ -39,34 +50,10 @@ EMPTY: Antichain = ()
 KERNEL_NAME = "python"
 
 
-def _split(a: Antichain) -> tuple[Antichain, Antichain]:
-    """Split a canonical, non-full, non-empty antichain by first bit."""
-    a0 = []
-    a1 = []
-    for n, v in a:
-        m = n - 1
-        tail = (m, v & ((1 << m) - 1))
-        if (v >> m) & 1:
-            a1.append(tail)
-        else:
-            a0.append(tail)
-    return tuple(a0), tuple(a1)
-
-
-def _join(r0: Antichain, r1: Antichain) -> Antichain:
-    """Inverse of _split; merges to FULL when both halves are full."""
-    if r0 == FULL and r1 == FULL:
-        return FULL
-    out = [(n + 1, v) for n, v in r0]
-    out += [(n + 1, (1 << n) | v) for n, v in r1]
-    out.sort()
-    return tuple(out)
-
-
 def _restrict(a: Antichain, n: int, v: int) -> Antichain:
     """a ∩ N_(n,v) by a bisect walk over the distinct lengths m of a: the
-    cylinder itself when a member of length m <= n holds it, else the runs of
-    members of each length m > n that lie inside it."""
+    cylinder itself when a member of length m <= n holds it, else the slices
+    of members of each length m > n that lie inside it."""
     if len(a) == 1:  # most queries meet one cylinder with another
         m, u = a[0]
         if m <= n:
@@ -90,64 +77,48 @@ def _restrict(a: Antichain, n: int, v: int) -> Antichain:
     return tuple(out)
 
 
-def _intersect(a: Antichain, b: Antichain) -> Antichain:
-    if not a or not b:
-        return EMPTY
-    if a == FULL:
-        return b
-    if b == FULL:
-        return a
-    a0, a1 = _split(a)
-    b0, b1 = _split(b)
-    return _join(_intersect(a0, b0), _intersect(a1, b1))
-
-
-def _union(a: Antichain, b: Antichain) -> Antichain:
-    if a == FULL or b == FULL:
-        return FULL
-    if not a:
-        return b
-    if not b:
-        return a
-    a0, a1 = _split(a)
-    b0, b1 = _split(b)
-    return _join(_union(a0, b0), _union(a1, b1))
-
-
-def _complement(a: Antichain) -> Antichain:
-    if not a:
-        return FULL
-    if a == FULL:
-        return EMPTY
-    a0, a1 = _split(a)
-    return _join(_complement(a0), _complement(a1))
-
-
-def _normalize(items: list[Cyl]) -> Antichain:
-    if not items:
-        return EMPTY
-    i0 = []
-    i1 = []
-    for n, v in items:
-        if n == 0:
-            return FULL
-        m = n - 1
-        tail = (m, v & ((1 << m) - 1))
-        if (v >> m) & 1:
-            i1.append(tail)
+def _runs(cyls: Iterable[Cyl], depth: int) -> list[list[int]]:
+    """The points the cylinders cover, as sorted, disjoint, non-adjacent runs
+    [lo, hi) in units of 2^-depth (depth at least every cylinder's length)."""
+    runs: list[list[int]] = []
+    for lo, hi in sorted((v << (depth - n), (v + 1) << (depth - n)) for n, v in cyls):
+        if runs and lo <= runs[-1][1]:
+            if hi > runs[-1][1]:
+                runs[-1][1] = hi
         else:
-            i0.append(tail)
-    return _join(_normalize(i0), _normalize(i1))
+            runs.append([lo, hi])
+    return runs
+
+
+def _antichain(runs: Iterable[Sequence[int]], depth: int) -> Antichain:
+    """The canonical antichain of disjoint, non-adjacent runs in units of
+    2^-depth: each run splits greedily into maximal aligned blocks, a block
+    at lo of size 2^min(trailing zeros of lo, ⌊log₂(hi − lo)⌋)."""
+    out = []
+    for lo, hi in runs:
+        while lo < hi:
+            k = (hi - lo).bit_length() - 1
+            if lo:
+                k = min(k, (lo & -lo).bit_length() - 1)
+            out.append((depth - k, lo >> k))
+            lo += 1 << k
+    out.sort()
+    return tuple(out)
+
+
+def _canonical(cyls: list[Cyl]) -> Antichain:
+    depth = max((n for n, _ in cyls), default=0)
+    return _antichain(_runs(cyls, depth), depth)
 
 
 def normalize(cyls: Iterable[Cyl]) -> Antichain:
     """Canonicalize an arbitrary iterable of cylinders (drop covered ones,
     merge sibling pairs, sort breadth-first)."""
-    return _normalize(list(cyls))
+    return _canonical(list(cyls))
 
 
 def union(a: Antichain, b: Antichain) -> Antichain:
-    return _union(a, b)
+    return _canonical(a + b)
 
 
 def intersect(a: Antichain, b: Antichain) -> Antichain:
@@ -155,17 +126,41 @@ def intersect(a: Antichain, b: Antichain) -> Antichain:
         return _restrict(a, *b[0])
     if len(a) == 1:
         return _restrict(b, *a[0])
-    return _intersect(a, b)
+    depth = max(a[-1][0] if a else 0, b[-1][0] if b else 0)
+    ra = _runs(a, depth)
+    rb = _runs(b, depth)
+    out = []
+    i = j = 0
+    while i < len(ra) and j < len(rb):
+        (alo, ahi), (blo, bhi) = ra[i], rb[j]
+        lo = max(alo, blo)
+        hi = min(ahi, bhi)
+        if lo < hi:
+            out.append((lo, hi))
+        if ahi < bhi:
+            i += 1
+        else:
+            j += 1
+    return _antichain(out, depth)
 
 
 def complement(a: Antichain) -> Antichain:
-    return _complement(a)
+    depth = a[-1][0] if a else 0
+    gaps = []
+    prev = 0
+    for lo, hi in _runs(a, depth):
+        if lo > prev:
+            gaps.append((prev, lo))
+        prev = hi
+    if prev < 1 << depth:
+        gaps.append((prev, 1 << depth))
+    return _antichain(gaps, depth)
 
 
 def measure_intersect(a: Antichain, n: int, v: int) -> Cyl:
     """Measure of a ∩ N_(n,v) as an unreduced pair (numerator, exponent),
-    equal to measure(intersect(a, ((n, v),))) but counted run by run
-    instead of sliced into a tuple."""
+    equal to measure(intersect(a, ((n, v),))) but counted slice by slice
+    instead of copied into a tuple."""
     if len(a) == 1:
         m, u = a[0]
         if m <= n:

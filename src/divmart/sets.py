@@ -256,10 +256,12 @@ class Singleton(GDeltaSet):
 class ExplicitGDelta(GDeltaSet):
     """Finitely listed stages, the last one repeating.
 
-    The repeating tail means the denoted set is the last listed stage; a
-    nonempty tail therefore cannot actually have measure zero and will make
-    synthesis budgets fail — that failure surfaces as HorizonExhausted at
-    build time, by design.  Decreasingness and the declared rate are checked
+    The repeating tail means the denoted set is the last listed stage, so
+    the set is null only when that stage is empty; `component_from_spec`
+    refuses a spec whose last stage is not.  Built directly, the stages may
+    also be a truncated presentation with a nonempty last stage, on which
+    the synthesis stage budgets run out (HorizonExhausted) once the listed
+    stages are used up.  Decreasingness and the declared rate are checked
     on the listed stages up front (stage(0) must be full; rate is checked
     from stage 1 on, since λ(stage(0)) = 1 always).
     """
@@ -398,9 +400,9 @@ def parse_rate(text: str) -> Callable[[int], Dyadic]:
     raise ParseError(f"unsupported rate {text!r}; accepted forms: {_RATE_FORMS}")
 
 
-# Longest bit string an explicit stage may list.  The kernel's normalize,
-# union and complement recurse once per bit, so this keeps every cylinder
-# well inside the interpreter's recursion limit (1000 by default).
+# Longest bit string an explicit stage may list: a named limit on input
+# size.  Every query on an explicit stage costs at least the bit length of
+# its cylinders, so a spec may not make that cost unbounded.
 EXPLICIT_BITS_LIMIT = 512
 
 
@@ -430,6 +432,12 @@ def component_from_spec(doc: dict) -> GDeltaSet:
                         f"explicit stage string of {len(c)} bits is longer than "
                         f"the limit of {EXPLICIT_BITS_LIMIT} bits"
                     )
+        if stages and stages[-1]:
+            raise ParseError(
+                "explicit component's last stage is not empty: the last stage "
+                "repeats forever, so the component would be that nonempty "
+                "clopen set, which is not null"
+            )
         rate_text = doc.get("rate", "2^-n")
         return ExplicitGDelta(
             [ClopenSet.from_strings(st) for st in stages],

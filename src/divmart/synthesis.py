@@ -153,9 +153,9 @@ class WitnessFamily:
 
 @dataclass(repr=False)
 class StageCertificate:
-    """Stage n of the construction: the open region G*_n, its witness
-    antichain (union = G**_n), and the sign this stage contributes to the
-    alternating sum S_n.  Certificates chain through `prev`, so the whole
+    """Stage n of the construction: the open region G*_n and its witness
+    antichain (union = G**_n); G*_n enters the alternating sum S_n with
+    sign (-1)^n.  Certificates chain through `prev`, so the whole
     region sequence G*_0 ⊇ … ⊇ G*_n is reachable from the newest one.
 
     `verified` holds the witness cylinders at which the certificate was
@@ -173,15 +173,6 @@ class StageCertificate:
         """Does w extend a verified witness?  Then N_w lies inside every
         region of the chain."""
         return any(v.is_prefix_of(w) for v in self.verified)
-
-    @property
-    def sign(self) -> int:
-        return -1 if self.index % 2 else 1
-
-    @property
-    def signed_combination(self) -> tuple[int, ...]:
-        """Signs of S_n = Σ_{j≤n} (-1)^j g_j."""
-        return tuple(1 if j % 2 == 0 else -1 for j in range(self.index + 1))
 
     def chain_region(self, j: int) -> Region:
         cert = self

@@ -81,10 +81,6 @@ class MartingaleTable:
             frontier = live
         return MartingaleTable(depth, values)
 
-    @staticmethod
-    def from_function(depth: int, fn: Callable[[BitString], Dyadic]) -> "MartingaleTable":
-        return MartingaleTable.from_entries(depth, lambda s: (fn(s), False))
-
     def value(self, s: BitString) -> Dyadic:
         if len(s) > self.depth:
             raise KeyError(f"node {s!r} deeper than table depth {self.depth}")
@@ -131,11 +127,13 @@ class MartingaleTable:
     def from_document(doc: dict) -> tuple["MartingaleTable", Optional[dict], Optional[int]]:
         if not isinstance(doc, dict) or doc.get("kind") != DOCUMENT_KIND:
             raise ParseError("not a martingale-table document")
-        if doc.get("version") != FORMAT_VERSION:
-            raise ParseError(f"unsupported table version {doc.get('version')!r}")
+        version = doc.get("version")
+        # bool is an int subclass: true == 1, so it must be refused by type
+        if isinstance(version, bool) or version != FORMAT_VERSION:
+            raise ParseError(f"unsupported table version {version!r}")
         depth = doc.get("depth")
         raw = doc.get("values")
-        if not isinstance(depth, int) or not isinstance(raw, list):
+        if not isinstance(depth, int) or isinstance(depth, bool) or not isinstance(raw, list):
             raise ParseError("table document needs integer depth and a values array")
         if depth < 0:
             raise ParseError(f"table depth must be ≥ 0, got {depth}")

@@ -20,7 +20,7 @@ UNION = {
     "kind": "sigma3",
     "components": [{"kind": "even-zeros"}, {"kind": "singleton", "point": "(1)"}],
 }
-STUCK = {
+NOT_NULL = {
     "kind": "sigma3",
     "components": [{"kind": "explicit", "stages": [[""], ["0"], ["00"]]}],
 }
@@ -278,12 +278,15 @@ def test_verify_rejects_unknown_suite(runner, tmp_path):
 # failure modes
 
 
-def test_exhausted_budget_exits_three(runner, tmp_path):
-    spec = write_spec(tmp_path, STUCK)
+def test_nonempty_last_stage_exits_two(runner, tmp_path):
+    # A last stage that is not empty repeats forever, so the component is
+    # not null: refused at parse time, before any stage budget is spent.
+    spec = write_spec(tmp_path, NOT_NULL)
     res = runner.invoke(main, ["synthesize", "--spec", spec])
-    assert res.exit_code == 3
-    assert "horizon exhausted" in res.stderr
-    assert "stage budget" in res.stderr
+    assert res.exit_code == 2, res.output
+    assert "parse error" in res.stderr and "last stage is not empty" in res.stderr
+    assert "repeats forever" in res.stderr and "not null" in res.stderr
+    assert isinstance(res.exception, SystemExit) and "Traceback" not in res.stderr
 
 
 @pytest.mark.parametrize(
@@ -352,8 +355,8 @@ def test_unknown_component_exits_two(runner, tmp_path):
 
 
 def test_overlong_explicit_cylinder_exits_two(runner, tmp_path):
-    # The kernel recurses once per bit, so a 1,200-bit cylinder would
-    # overflow the stack; it is refused at parse time.  The limit parses.
+    # EXPLICIT_BITS_LIMIT bounds the input size: a 1,200-bit cylinder is
+    # refused at parse time, and a cylinder at the limit parses.
     def spec(bits):
         return write_spec(tmp_path, {"kind": "sigma3", "components": [
             {"kind": "explicit", "stages": [["0" * bits], []]}]})
@@ -366,6 +369,25 @@ def test_overlong_explicit_cylinder_exits_two(runner, tmp_path):
     assert res.exit_code == 0, res.output
 
 
+def test_moy_on_a_cylinder_at_the_bits_limit(runner, tmp_path):
+    # The separator's clopen pieces here have 512-bit members, so the time
+    # bound fails for any kernel op whose cost grows as members × depth.
+    spec = write_spec(tmp_path, {"kind": "sigma3", "components": [
+        {"kind": "explicit", "stages": [["0" * EXPLICIT_BITS_LIMIT], []]}]})
+    start = time.perf_counter()
+    res = runner.invoke(main, ["verify", "--suite", "moy", "--spec", spec])
+    elapsed = time.perf_counter() - start
+    assert res.exit_code == 1, res.output
+    assert res.stdout.splitlines() == [
+        "FAIL moy (0) h=1/2^1..9/2^4 never-stabilizes",
+        "PASS moy 0(01) h=0..0 stays-within-2^-4-from-depth=0",
+        "PASS moy (1) h=0..0 stays-within-2^-4-from-depth=0",
+        "PASS moy (10) h=0..0 stays-within-2^-4-from-depth=0",
+        "PASS moy 1(0) h=0..0 stays-within-2^-4-from-depth=0",
+    ]
+    assert elapsed < 15
+
+
 @pytest.mark.parametrize(
     "doc, message",
     [
@@ -376,8 +398,14 @@ def test_overlong_explicit_cylinder_exits_two(runner, tmp_path):
         ({"kind": "martingale-table", "version": 1, "depth": 0,
           "values": [{"num": 1.5, "exp": 0}]},
          "bad dyadic numerator: 1.5"),
+        ({"kind": "martingale-table", "version": 1, "depth": True,
+          "values": [{"num": "1", "exp": 0}] * 3},
+         "integer depth"),
+        ({"kind": "martingale-table", "version": True, "depth": 0,
+          "values": [{"num": "1", "exp": 0}]},
+         "unsupported table version True"),
     ],
-    ids=["wrong-length", "dyadic-without-num", "float-numerator"],
+    ids=["wrong-length", "dyadic-without-num", "float-numerator", "bool-depth", "bool-version"],
 )
 def test_malformed_table_documents_exit_two(runner, tmp_path, doc, message):
     spec = write_spec(tmp_path, doc)

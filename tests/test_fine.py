@@ -349,9 +349,6 @@ def test_step_function_validation():
         StepFunction(2, [Dyadic.zero()] * 3)
     with pytest.raises(ValueError):
         StepFunction(1, [Dyadic.zero(), Dyadic(3, 1)])
-    f = StepFunction(2, [Dyadic.one()] + [Dyadic.zero()] * 3)
-    with pytest.raises(ValueError):
-        f.value_at_leaf(BitString("0"))
 
 
 def test_step_function_indicator_means():

@@ -1,6 +1,9 @@
-"""The antichain kernel's bisect queries against the recursive first-bit
-split they replace, which is kept here as the reference.  The count-only
-measure query is checked against the measure of the built intersection."""
+"""The antichain kernel against a reference kept here that splits on the
+first bit and recurses: the bisect queries, and the run merges behind
+normalize, union, intersect and complement.  The count-only measure query
+is checked against the measure of the built intersection."""
+
+import sys
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -49,6 +52,33 @@ def ref_intersect(a, b):
     return _join(ref_intersect(a0, b0), ref_intersect(a1, b1))
 
 
+def ref_union(a, b):
+    if a == kernel.FULL or b == kernel.FULL:
+        return kernel.FULL
+    if not a or not b:
+        return a or b
+    (a0, a1), (b0, b1) = _split(a), _split(b)
+    return _join(ref_union(a0, b0), ref_union(a1, b1))
+
+
+def ref_complement(a):
+    if not a:
+        return kernel.FULL
+    if a == kernel.FULL:
+        return kernel.EMPTY
+    a0, a1 = _split(a)
+    return _join(ref_complement(a0), ref_complement(a1))
+
+
+def ref_normalize(items):
+    if not items:
+        return kernel.EMPTY
+    if any(n == 0 for n, _ in items):
+        return kernel.FULL
+    i0, i1 = _split(items)
+    return _join(ref_normalize(list(i0)), ref_normalize(list(i1)))
+
+
 def ref_covers(a, n, v):
     if a == kernel.FULL:
         return True
@@ -80,6 +110,14 @@ def _check_queries(a, c):
     assert kernel.measure_intersect(a, n, v) == kernel.measure(expected)
 
 
+def _check_algebra(raw, a, b):
+    assert kernel.normalize(raw) == ref_normalize(raw)
+    u, i = ref_union(a, b), ref_intersect(a, b)
+    assert kernel.union(a, b) == kernel.union(b, a) == u
+    assert kernel.intersect(a, b) == kernel.intersect(b, a) == i
+    assert kernel.complement(a) == ref_complement(a)
+
+
 def test_kernel_names():
     assert divmart.KERNEL_NAME == kernel.KERNEL_NAME == "python"
     assert kernel.normalize([(2, 1), (2, 0)]) == ((1, 0),)
@@ -97,8 +135,18 @@ def test_cylinder_queries_match_the_recursion(a, c):
         _check_queries(a, (n + 1, 2 * v + 1))
 
 
-@given(antichains, queries, st.integers(min_value=0, max_value=80))
-def test_deep_values(a, c, cut):
+@given(cylinder_lists, antichains)
+def test_set_algebra_matches_the_recursion(raw, b):
+    a = ref_normalize(raw)
+    _check_algebra(raw, a, b)
+    _check_algebra(raw, a, kernel.EMPTY)
+    _check_algebra(raw, a, kernel.FULL)
+    _check_algebra(raw, a, a)
+    _check_algebra(raw, a, ref_complement(a))
+
+
+@given(antichains, antichains, queries, st.integers(min_value=0, max_value=80))
+def test_deep_values(a, b, c, cut):
     # Values exceed machine words past depth 63: shift everything under a
     # path of 80 zeros and query at every length along it.
     shifted = tuple((n + 80, v << 80) for n, v in a)
@@ -107,6 +155,38 @@ def test_deep_values(a, c, cut):
     _check_queries(shifted, (n + 80, v << 80))
     _check_queries(shifted, (cut, 0))
     _check_queries(shifted, (cut + 1, 1))
+    # the set algebra on the same shifted values, against a second shifted
+    # set and against one whose members leave the 80-zero path at depth cut
+    other = tuple((n + 80, v << 80) for n, v in b)
+    off = ((cut + 1, 1),) + shifted
+    _check_algebra(list(off), shifted, other)
+    _check_algebra(list(off), ref_normalize(list(off)), shifted)
+
+
+def test_ops_on_cylinders_deeper_than_the_recursion_limit():
+    # A 1,200-bit cylinder 0^n, its sibling and its nephew 0^(n-2)10, deeper
+    # than the recursion limit: an op that recursed per bit would overflow.
+    n = 1200
+    assert n > sys.getrecursionlimit()
+    deep = ((n, 0),)
+    raw = [(n, 0), (n, 1), (n, 2)]
+    trio = kernel.normalize(raw)
+    assert trio == ((n - 1, 0), (n, 2))
+    other = kernel.normalize([(n, 1), (n, 2), (n, 5)])
+    comp = kernel.complement(deep)
+    # the complement of N_(0^n) is one cylinder 0^i 1 for each i < n
+    assert comp == tuple((i + 1, 1) for i in range(n))
+    assert kernel.complement(comp) == deep
+    assert kernel.union(comp, deep) == kernel.FULL
+    assert kernel.intersect(comp, trio) == ((n, 1), (n, 2))
+    # the reference needs a stack deeper than the bit length
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(4 * n)
+    try:
+        _check_algebra(raw, trio, other)
+        _check_algebra(raw + [(1, 1)], deep, comp)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_recursion_stays_behind_the_public_names(monkeypatch):

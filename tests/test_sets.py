@@ -288,7 +288,7 @@ def test_spec_round_trip():
         "components": [
             {"kind": "even-zeros"},
             {"kind": "singleton", "point": "01(10)"},
-            {"kind": "explicit", "stages": [[""], ["0"]], "rate": "2^-n"},
+            {"kind": "explicit", "stages": [[""], ["0"], []], "rate": "2^-n"},
         ],
     }
     b = SigmaThreeSet.from_spec(doc)

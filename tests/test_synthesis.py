@@ -79,7 +79,6 @@ def test_stage_zero_is_the_full_space(even):
     cert = even.stage(0)
     assert cert.gstar.covers(EMPTY)
     assert [str(w) for w in cert.witnesses.sample(4)] == [""]
-    assert cert.sign == 1 and cert.signed_combination == (1,)
 
 
 def test_witness_geometry(even):
@@ -108,7 +107,6 @@ def test_certificate_chain_access(even):
         assert cert.chain_region(j) is even.stage(j).gstar
     with pytest.raises(ValueError):
         cert.chain_region(7)
-    assert cert.signed_combination == (1, -1, 1, -1)
 
 
 def partial_mean_reference(cert, w):

@@ -53,11 +53,6 @@ def test_construction_validation():
         t.value(BitString("000"))
 
 
-def test_from_function_layout():
-    t = MartingaleTable.from_function(1, lambda s: Dyadic(s.v, 2))
-    assert t.values == [Dyadic.zero(), Dyadic.zero(), Dyadic(1, 2)]
-
-
 @settings(max_examples=60)
 @given(
     depth=st.integers(min_value=0, max_value=7),
@@ -92,7 +87,7 @@ def test_table_size_budget():
     assert f"table-size budget of {TABLE_NODE_CAP} nodes" in str(exc.value)
     assert f"needs {(1 << 22) - 1} nodes" in str(exc.value)
     with pytest.raises(HorizonExhausted):
-        MartingaleTable.from_function(40, lambda s: Dyadic.zero())
+        MartingaleTable.from_entries(40, lambda s: (Dyadic.zero(), False))
     # The cap itself is allowed: a settled root fills depth 20 by slices.
     t = MartingaleTable.from_entries(20, lambda s: (Dyadic(1, 1), True))
     assert len(t.values) == TABLE_NODE_CAP
@@ -145,6 +140,12 @@ def test_document_parsing_rejections():
         MartingaleTable.from_document({**good, "version": 99})
     with pytest.raises(ParseError):
         MartingaleTable.from_document({**good, "depth": "2"})
+    # bool is an int subclass, but true is neither depth 1 nor version 1
+    depth_one = MartingaleTable(1, [Dyadic.one()] * 3).to_document()
+    with pytest.raises(ParseError, match="integer depth"):
+        MartingaleTable.from_document({**depth_one, "depth": True})
+    with pytest.raises(ParseError, match="unsupported table version True"):
+        MartingaleTable.from_document({**good, "version": True})
     with pytest.raises(ParseError):
         MartingaleTable.from_document({**good, "values": [["1", 2, 3]] * 7})
 
