@@ -92,6 +92,11 @@ class ClopenSet:
         num, exp = kernel.measure_intersect(self._ac, t.n, t.v)
         return Dyadic(num, exp)
 
+    def measure_pair_in(self, n: int, v: int) -> tuple[int, int]:
+        """λ(self ∩ N_(n,v)) as an unreduced pair (num, exp), the form in
+        which separator pieces answer one-cylinder queries."""
+        return kernel.measure_intersect(self._ac, n, v)
+
     def measure_within_clopen(self, k: "ClopenSet") -> Dyadic:
         if len(k._ac) == 1:
             num, exp = kernel.measure_intersect(self._ac, *k._ac[0])

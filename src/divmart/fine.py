@@ -22,12 +22,22 @@ chunks, and "clopen minus earlier level" differences — each answering
 exact measure queries against arbitrary clopen constraints.  Measure zero
 is emptiness for such sets, so covers/membership reduce to exact dyadic
 comparisons.
+
+Queries are branch-local.  A level C = lusin_menchoff(F, M) keeps F as its
+base and indexes its fills by gap: the gaps are F's complement cylinders,
+already computed in breadth-first order, kept as a sorted (n, v) antichain
+beside the fill pieces of each gap.  `kernel.locate` finds the gap holding a
+cylinder N_t (or the gaps inside it), so a measure, membership or
+restriction query asks only the pieces that can meet N_t: the holding gap's
+fills, or F's read-through answer plus the fills of the gaps inside N_t.
+Pieces answer one cylinder at a time with exact (num, exp) integer pairs.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
+from . import kernel
 from .bits import EMPTY, BitString, Point
 from .clopen import ClopenSet
 from .dyadic import Dyadic
@@ -39,26 +49,56 @@ _SEARCH_CAP = 100_000
 
 # ---------------------------------------------------------------------------
 # pieces
+#
+# Every piece answers a one-cylinder query λ(piece ∩ N_(n,v)) through
+# `measure_pair_in(n, v)` as an exact, unreduced (num, exp) pair; a query on
+# a clopen k with several cylinders is the sum over k's disjoint cylinders.
+
+
+def _add_pair(num: int, exp: int, num2: int, exp2: int) -> tuple[int, int]:
+    """num/2^exp + num2/2^exp2 as an unreduced pair, so a sum of many terms
+    builds no Dyadic until the end (a negative num2 subtracts)."""
+    if exp2 > exp:
+        return (num << (exp2 - exp)) + num2, exp2
+    return num + (num2 << (exp - exp2)), exp
+
+
+def _pair_over(piece, ac: tuple) -> tuple[int, int]:
+    """λ(piece ∩ k) for k given by its antichain: the sum over its cylinders."""
+    num = exp = 0
+    for n, v in ac:
+        num, exp = _add_pair(num, exp, *piece.measure_pair_in(n, v))
+    return num, exp
 
 
 class StageComplementChunk:
     """N_support minus stage(k) of a target — clopen, never materialized."""
 
-    __slots__ = ("support", "gdelta", "k")
+    __slots__ = ("support", "gdelta", "k", "_size")
 
     def __init__(self, support: BitString, gdelta: GDeltaSet, k: int) -> None:
         self.support = support
         self.gdelta = gdelta
         self.k = k
+        self._size = self._rest(support)  # λ of the whole chunk
+
+    def _rest(self, t: BitString) -> tuple[int, int]:
+        """λ(N_t \\ stage(k)) as a pair."""
+        d = self.gdelta.measure_stage_in(self.k, t)
+        return _add_pair(1, t.n, -d.num, d.exp)
+
+    def measure_pair_in(self, n: int, v: int) -> tuple[int, int]:
+        # One shift decides it: N_(n,v) lies inside the support, holds it,
+        # or misses it.
+        s = self.support
+        if n >= s.n:
+            if v >> (n - s.n) != s.v:
+                return 0, 0
+            return self._rest(BitString.raw(n, v))
+        return self._size if s.v >> (s.n - n) == v else (0, 0)
 
     def measure_within_clopen(self, k: ClopenSet) -> Dyadic:
-        inside = k.intersect(ClopenSet.cylinder(self.support))
-        total = Dyadic.zero()
-        for c in inside.cylinders:
-            total = total + Dyadic.pow2(-len(c)) - self.gdelta.measure_stage_in(
-                self.k, c
-            )
-        return total
+        return Dyadic(*_pair_over(self, k._ac))
 
     def contains_point(self, beta: Point) -> bool:
         return beta.starts_with(self.support) and (
@@ -68,9 +108,7 @@ class StageComplementChunk:
     def restrict(self, t: BitString) -> Optional["StageComplementChunk"]:
         if self.support.is_prefix_of(t):
             chunk = StageComplementChunk(t, self.gdelta, self.k)
-            if chunk.measure_within_clopen(ClopenSet.full()) == 0:
-                return None
-            return chunk
+            return None if chunk._size[0] == 0 else chunk
         if t.is_prefix_of(self.support):
             return self
         return None
@@ -89,11 +127,16 @@ class DifferencePiece:
         self.positive = positive
         self.minus = minus
 
+    def measure_pair_in(self, n: int, v: int) -> tuple[int, int]:
+        inside = kernel.intersect(self.positive._ac, ((n, v),))
+        if not inside:
+            return 0, 0
+        num, exp = kernel.measure(inside)
+        d = self.minus._measure_ac(inside)
+        return _add_pair(num, exp, -d.num, d.exp)
+
     def measure_within_clopen(self, k: ClopenSet) -> Dyadic:
-        inside = self.positive.intersect(k)
-        if inside.is_empty:
-            return Dyadic.zero()
-        return inside.measure - self.minus.measure_within_clopen(inside)
+        return Dyadic(*_pair_over(self, k._ac))
 
     def contains_point(self, beta: Point) -> bool:
         return self.positive.contains_point(beta) and not self.minus.contains_point(
@@ -101,13 +144,11 @@ class DifferencePiece:
         )
 
     def restrict(self, t: BitString) -> Optional["DifferencePiece"]:
-        c = self.positive.intersect(ClopenSet.cylinder(t))
-        if c.is_empty:
+        c = self.positive.restrict(t)
+        if c is None:
             return None
         piece = DifferencePiece(c, self.minus)
-        if piece.measure_within_clopen(ClopenSet.full()) == 0:
-            return None
-        return piece
+        return None if piece.measure_pair_in(0, 0)[0] == 0 else piece
 
     def __repr__(self) -> str:
         return f"DifferencePiece({self.positive!r} \\ ...)"
@@ -120,62 +161,102 @@ Piece = Union[ClopenSet, StageComplementChunk, DifferencePiece]
 # closed piece sets
 
 
-def _add_exact(num: int, exp: int, d: Dyadic) -> tuple[int, int]:
-    """num/2^exp + d as an unreduced pair, so a sum builds one Dyadic."""
-    if d.exp > exp:
-        return (num << (d.exp - exp)) + d.num, d.exp
-    return num + (d.num << (exp - d.exp)), exp
-
-
 class ClosedPieceSet:
     """A union of disjoint pieces.  The pieces are denotationally clopen, so
     all measure queries are exact and measure-positivity equals nonemptiness.
 
     A set built from another as "its pieces + new pieces" keeps that set as
     its *base* and passes only the new pieces: `pieces` is the base's pieces
-    followed by its own.  `measure_within_clopen(k)` is then the base's
-    answer plus the sum over its own pieces.  The base's answer is read
-    through: from the base's cache when it holds k, else by walking the base
-    (and its own base) without storing anything.  Only the set that was
-    asked stores the result.  Separator levels are built from coarser ones,
-    so a level queried after its base costs its own pieces and one lookup,
-    and bases fill their caches only with what they were asked directly."""
+    followed by its own.  Its own pieces are *loose* (the `pieces` argument)
+    or indexed by gap (the `fills` argument, which also becomes `fills`).
+    A level made by `lusin_menchoff` has only indexed ones:
+    one `FillRecord` per gap of its base, a gap being a maximal cylinder of
+    the base's complement, kept in breadth-first order.  Its gap index is
+    those cylinders as a sorted (n, v) antichain beside each gap's fill
+    pieces.
+
+    Every per-cylinder operation takes one path (`_local`): `kernel.locate`
+    finds the gap holding N_t, or the gaps inside it.  When a gap g holds
+    N_t, the base misses N_t and every other fill lies in a disjoint gap, so
+    only g's fills (and the loose pieces) can meet it.  Otherwise the base
+    can, and so can the fills of the gaps inside N_t.  So:
+
+    - `measure_within_clopen(k)` sums the candidates' answers over k's
+      cylinders, plus the base's answer when the base can meet the
+      cylinder.  The base's answer is read through: from the base's cache
+      when it holds the cylinder, else by walking the base (and its own
+      base) without storing anything.  Only the set that was asked stores
+      the result, under k's key;
+    - `contains_point(β)` tests the candidates at β's cylinder at the depth
+      of the deepest gap, and the base when no gap holds β;
+    - `_restricted(t)` restricts the candidates to N_t, base first, which is
+      `p.restrict(t)` over all of `pieces` with the empty answers left out:
+      a piece that cannot meet N_t restricts to nothing.
+
+    Sets with no index (`from_clopen`, `union_with_clopen`) keep their
+    pieces loose, so every own piece is a candidate everywhere."""
 
     def __init__(
-        self, pieces: Sequence[Piece], base: Optional["ClosedPieceSet"] = None
+        self,
+        pieces: Sequence[Piece],
+        base: Optional["ClosedPieceSet"] = None,
+        fills: Sequence["FillRecord"] = (),
     ) -> None:
-        self._own = list(pieces)
-        self.pieces = self._own if base is None else base.pieces + self._own
+        self._loose = tuple(pieces)
+        self.fills = list(fills)
+        self._gaps = tuple((r.cylinder.n, r.cylinder.v) for r in self.fills)
+        self._gap_pieces = tuple(r.pieces for r in self.fills)
+        own = list(self._loose)
+        for r in self.fills:
+            own.extend(r.pieces)
+        self.pieces = own if base is None else base.pieces + own
         self._base = base
         self._measure_cache: dict = {}
-        # Populated by lusin_menchoff: one record per complement cylinder,
-        # so the interpolation conditions can be re-verified afterwards.
-        self.fills: list["FillRecord"] = []
 
     @staticmethod
     def from_clopen(c: ClopenSet) -> "ClosedPieceSet":
         return ClosedPieceSet([] if c.is_empty else [c])
 
+    def _local(self, n: int, v: int) -> tuple[bool, tuple]:
+        """Whether the base can meet N_(n,v), and the own pieces that can."""
+        holder, slices = kernel.locate(self._gaps, n, v)
+        if holder is not None:
+            return False, self._loose + self._gap_pieces[holder]
+        if not slices:
+            return True, self._loose
+        fills = self._gap_pieces
+        return True, self._loose + tuple(
+            p for lo, hi in slices for i in range(lo, hi) for p in fills[i]
+        )
+
     def measure_within_clopen(self, k: ClopenSet) -> Dyadic:
-        key = k._ac
-        hit = self._measure_cache.get(key)
+        return self._measure_ac(k._ac)
+
+    def _measure_ac(self, ac: tuple) -> Dyadic:
+        hit = self._measure_cache.get(ac)
         if hit is None:
-            hit = self._measure_cache[key] = Dyadic(*self._measure_pair(k))
+            # Inline, not through _pair_over: this runs once per uncached
+            # level query, and the extra call costs the separator workload
+            # a few percent.
+            num = exp = 0
+            for n, v in ac:
+                num, exp = _add_pair(num, exp, *self._measure_pair(n, v))
+            hit = self._measure_cache[ac] = Dyadic(num, exp)
         return hit
 
-    def _measure_pair(self, k: ClopenSet) -> tuple[int, int]:
-        """λ(self ∩ k) as (num, exp), not stored: the base's cached or
-        walked answer plus the own pieces, summed as exact integers."""
+    def _measure_pair(self, n: int, v: int) -> tuple[int, int]:
+        """λ(self ∩ N_(n,v)) as (num, exp), not stored."""
+        use_base, candidates = self._local(n, v)
         num = exp = 0
         base = self._base
-        if base is not None:
-            hit = base._measure_cache.get(k._ac)
+        if use_base and base is not None:
+            hit = base._measure_cache.get(((n, v),))
             if hit is None:
-                num, exp = base._measure_pair(k)
+                num, exp = base._measure_pair(n, v)
             else:
                 num, exp = hit.num, hit.exp
-        for p in self._own:
-            num, exp = _add_exact(num, exp, p.measure_within_clopen(k))
+        for p in candidates:
+            num, exp = _add_pair(num, exp, *p.measure_pair_in(n, v))
         return num, exp
 
     def measure_in(self, t: BitString) -> Dyadic:
@@ -189,7 +270,20 @@ class ClosedPieceSet:
         return self.measure_in(t) == Dyadic.pow2(-len(t))
 
     def contains_point(self, beta: Point) -> bool:
-        return any(p.contains_point(beta) for p in self.pieces)
+        t = beta.prefix(kernel.max_len(self._gaps))
+        use_base, candidates = self._local(t.n, t.v)
+        if use_base and self._base is not None and self._base.contains_point(beta):
+            return True
+        return any(p.contains_point(beta) for p in candidates)
+
+    def _restricted(self, t: BitString) -> list[Piece]:
+        use_base, candidates = self._local(t.n, t.v)
+        out = self._base._restricted(t) if use_base and self._base is not None else []
+        for p in candidates:
+            r = p.restrict(t)
+            if r is not None:
+                out.append(r)
+        return out
 
     def union_with_clopen(self, w: ClopenSet) -> "ClosedPieceSet":
         if w.is_empty:
@@ -207,8 +301,11 @@ class ClosedPieceSet:
 
 
 def _decompose(pieces: ClosedPieceSet, work_cap: int) -> Iterator[BitString]:
-    """Breadth-first maximal cylinders of the complement of the pieces."""
+    """Breadth-first maximal cylinders of the complement of the pieces.
+    Measures are canonical dyadics, so "empty" is num == 0 and "full" is
+    exactly (1, len(t))."""
     examined = 0
+    found = 0
     queue = [EMPTY]
     while queue:
         next_queue = []
@@ -217,18 +314,20 @@ def _decompose(pieces: ClosedPieceSet, work_cap: int) -> Iterator[BitString]:
             if examined > work_cap:
                 raise HorizonExhausted(
                     "complement decomposition work",
-                    f"examined more than {work_cap} cylinders without closing "
-                    f"the antichain; the interpolation at this level is not "
+                    f"examined {examined} cylinders, more than the cap of "
+                    f"{work_cap}, without closing the antichain: {found} "
+                    f"complement cylinders found, breadth-first depth {t.n} "
+                    f"reached; the interpolation at this level is not "
                     f"tractable",
                 )
             m = pieces.measure_in(t)
-            if m == 0:
+            if m.num == 0:
+                found += 1
                 yield t
-            elif m == Dyadic.pow2(-len(t)):
-                continue  # cylinder entirely inside the set
-            else:
+            elif m.num != 1 or m.exp != t.n:
                 next_queue.append(t.child(0))
                 next_queue.append(t.child(1))
+            # else the cylinder lies entirely inside the set
         queue = next_queue
 
 
@@ -279,22 +378,19 @@ def lusin_menchoff(
     over untouched.  The n = 0 requirement is vacuous for the default budget.
     """
     fs = ClosedPieceSet.from_clopen(f) if isinstance(f, ClopenSet) else f
-    new_pieces: list[Piece] = []
     fills: list[FillRecord] = []
     for n, s in enumerate(fs.decomposition()):
         got, m_hi = _inner_approx(m, s, budget(n))
-        new_pieces.extend(got)
         fills.append(_fill_record(n, s, got, m_hi))
-    out = ClosedPieceSet(new_pieces, base=fs)
-    out.fills = fills
-    return out
+    # The decomposition is breadth-first, so the fills index C by gap.
+    return ClosedPieceSet((), base=fs, fills=fills)
 
 
 def _fill_record(n: int, s: BitString, got: Sequence[Piece], m_hi: Dyadic) -> FillRecord:
-    total = Dyadic.zero()
+    num = exp = 0
     for p in got:
-        total = total + p.measure_within_clopen(ClopenSet.cylinder(s))
-    return FillRecord(n, s, tuple(got), total, m_hi)
+        num, exp = _add_pair(num, exp, *p.measure_pair_in(s.n, s.v))
+    return FillRecord(n, s, tuple(got), Dyadic(num, exp), m_hi)
 
 
 def _inner_approx(m: MHandle, s: BitString, eps: Dyadic) -> tuple[list[Piece], Dyadic]:
@@ -305,12 +401,7 @@ def _inner_approx(m: MHandle, s: BitString, eps: Dyadic) -> tuple[list[Piece], D
         return ([] if c.is_empty else [c]), c.measure
     if isinstance(m, ClosedPieceSet):
         # Denotationally clopen: restriction is exact, no measure is lost.
-        out = []
-        for p in m.pieces:
-            r = p.restrict(s)
-            if r is not None:
-                out.append(r)
-        return out, m.measure_in(s)
+        return m._restricted(s), m.measure_in(s)
     if isinstance(m, OpenSetStream):
         return _stage_complement_approx(m.complement_of, s, eps)
     raise TypeError(f"unsupported M handle {type(m).__name__}")
@@ -335,9 +426,7 @@ def _stage_complement_approx(
                 f"needed λ(stage(k) ∩ N_s) ≤ {bound}",
             )
     chunk = StageComplementChunk(s, g, k)
-    if chunk.measure_within_clopen(ClopenSet.full()) == 0:
-        return [], full
-    return [chunk], full
+    return ([] if chunk._size[0] == 0 else [chunk]), full
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +674,8 @@ class SeparatorFunction:
         n = _precision_exponent(precision)
         num = exp = 0
         for j in range(1 << n, 0, -1):
-            num, exp = _add_exact(num, exp, self.level(j, n).measure_in(s))
+            d = self.level(j, n).measure_in(s)
+            num, exp = _add_pair(num, exp, d.num, d.exp)
         rel = Dyadic(num, exp)
         profile_lo = rel.mul_pow2(len(s) - n)  # lower bound on mean of sup-level
         hi = Dyadic.one() - profile_lo

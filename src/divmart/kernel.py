@@ -13,12 +13,15 @@ set.  All ops take and return canonical tuples.
 Queries against one cylinder (n, v) bisect.  Sorted breadth-first, the
 members of one length m that meet the cylinder form a contiguous slice: the
 single member holding it when m <= n, the members inside it when m > n.
-`covers`, `meets` and `intersect` with a one-cylinder argument walk the
-distinct lengths of the antichain and find each slice by bisection.  The
-members inside a cylinder are already canonical, so the intersection is
-their concatenation.  `measure_intersect` walks the same slices but only
-counts them: λ(a ∩ N_(n,v)) comes back as (num, exp) without building the
-intersection.
+One walk, `locate`, visits the distinct lengths of the antichain and finds
+each slice by bisection; it returns the index of the holding member or the
+index slices of the members inside.  `covers` and `meets` read their answer
+off that walk (siblings are merged, so only a holding member covers a
+cylinder).  `intersect` with a one-cylinder argument concatenates the
+slices: the members inside a cylinder are already canonical.
+`measure_intersect` only counts them: λ(a ∩ N_(n,v)) comes back as
+(num, exp) without building the intersection.  Separator levels in
+`fine.py` use `locate` on their own index of gaps.
 
 `normalize`, `union`, `complement` and the general `intersect` read their
 arguments left to right, as points of the interval [0, 1): with L the
@@ -50,16 +53,17 @@ EMPTY: Antichain = ()
 KERNEL_NAME = "python"
 
 
-def _restrict(a: Antichain, n: int, v: int) -> Antichain:
-    """a ∩ N_(n,v) by a bisect walk over the distinct lengths m of a: the
-    cylinder itself when a member of length m <= n holds it, else the slices
-    of members of each length m > n that lie inside it."""
+def _locate(a: Antichain, n: int, v: int) -> tuple:
+    """Where the cylinder (n, v) sits in a, by a bisect walk over the
+    distinct lengths m of a: (i, None) when the member a[i] (length m <= n)
+    holds it, else (None, slices) with the (lo, hi) index slices, one per
+    length m > n in increasing order, of the members inside it."""
     if len(a) == 1:  # most queries meet one cylinder with another
         m, u = a[0]
         if m <= n:
-            return ((n, v),) if v >> (n - m) == u else EMPTY
-        return a if u >> (m - n) == v else EMPTY
-    out = []
+            return (0, None) if v >> (n - m) == u else (None, ())
+        return (None, ((0, 1),)) if u >> (m - n) == v else (None, ())
+    slices = []
     i = 0
     end = len(a)
     while i < end:
@@ -68,12 +72,33 @@ def _restrict(a: Antichain, n: int, v: int) -> Antichain:
             holder = (m, v >> (n - m))
             i = bisect_left(a, holder, i)
             if i < end and a[i] == holder:
-                return ((n, v),)
+                return i, None
         else:
             lo = bisect_left(a, (m, v << (m - n)), i)
             i = bisect_left(a, (m, (v + 1) << (m - n)), lo)
-            out += a[lo:i]
+            if i > lo:
+                slices.append((lo, i))
         i = bisect_left(a, (m + 1,), i)
+    return None, slices
+
+
+# The walk is public under this name for indexes kept outside the kernel
+# (the gaps of a separator level); the ops below call `_locate` itself.
+locate = _locate
+
+
+def _restrict(a: Antichain, n: int, v: int) -> Antichain:
+    """a ∩ N_(n,v): the cylinder itself when a member holds it, else the
+    members inside it."""
+    holder, slices = _locate(a, n, v)
+    if holder is not None:
+        return ((n, v),)
+    if len(slices) == 1:
+        lo, hi = slices[0]
+        return a[lo:hi]
+    out = []
+    for lo, hi in slices:
+        out += a[lo:hi]
     return tuple(out)
 
 
@@ -161,29 +186,15 @@ def measure_intersect(a: Antichain, n: int, v: int) -> Cyl:
     """Measure of a ∩ N_(n,v) as an unreduced pair (numerator, exponent),
     equal to measure(intersect(a, ((n, v),))) but counted slice by slice
     instead of copied into a tuple."""
-    if len(a) == 1:
-        m, u = a[0]
-        if m <= n:
-            return (1, n) if v >> (n - m) == u else (0, 0)
-        return (1, m) if u >> (m - n) == v else (0, 0)
+    holder, slices = _locate(a, n, v)
+    if holder is not None:
+        return (1, n)
     num = 0
     e = 0
-    i = 0
-    end = len(a)
-    while i < end:
-        m = a[i][0]
-        if m <= n:
-            holder = (m, v >> (n - m))
-            i = bisect_left(a, holder, i)
-            if i < end and a[i] == holder:
-                return (1, n)
-        else:
-            lo = bisect_left(a, (m, v << (m - n)), i)
-            i = bisect_left(a, (m, (v + 1) << (m - n)), lo)
-            if i > lo:
-                num = (num << (m - e)) + (i - lo)
-                e = m
-        i = bisect_left(a, (m + 1,), i)
+    for lo, hi in slices:
+        m = a[lo][0]
+        num = (num << (m - e)) + (hi - lo)
+        e = m
     return (num, e)
 
 
@@ -200,13 +211,15 @@ def measure(a: Antichain) -> Cyl:
 
 
 def covers(a: Antichain, n: int, v: int) -> bool:
-    """Is the cylinder (n, v) entirely inside the set?"""
-    return _restrict(a, n, v) == ((n, v),)
+    """Is the cylinder (n, v) entirely inside the set?  Siblings are merged,
+    so only a member holding it can cover it."""
+    return _locate(a, n, v)[0] is not None
 
 
 def meets(a: Antichain, n: int, v: int) -> bool:
     """Does the cylinder (n, v) intersect the set?"""
-    return bool(_restrict(a, n, v))
+    holder, slices = _locate(a, n, v)
+    return holder is not None or bool(slices)
 
 
 def max_len(a: Antichain) -> int:

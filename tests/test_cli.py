@@ -239,7 +239,33 @@ def test_verify_suites_pass(runner, tmp_path, suite):
     if suite == "convergence":
         assert len(lines) == 10
     if suite == "moy":
-        assert len(lines) == 5
+        assert lines == MOY_EVEN_ZEROS
+
+
+# Pinned so that any change to a separator bracket or to a stabilization
+# depth fails here, not only a change of verdict.
+MOY_EVEN_ZEROS = [
+    "PASS moy 0(01) h=1/2^1..9/2^4 stays-within-2^-4-from-depth=3",
+    "PASS moy (1) h=0..0 stays-within-2^-4-from-depth=1",
+    "PASS moy (10) h=0..0 stays-within-2^-4-from-depth=1",
+    "PASS moy 1(0) h=0..0 stays-within-2^-4-from-depth=1",
+    "PASS moy 0(1) h=1/2^1..9/2^4 stays-within-2^-4-from-depth=1",
+]
+MOY_SINGLETON = [
+    "PASS moy (0) h=1/2^1..9/2^4 stays-within-2^-4-from-depth=2",
+    "PASS moy 0(01) h=1/2^1..9/2^4 stays-within-2^-4-from-depth=2",
+    "PASS moy (1) h=0..0 stays-within-2^-4-from-depth=1",
+    "PASS moy (10) h=0..0 stays-within-2^-4-from-depth=1",
+    "PASS moy 1(0) h=0..0 stays-within-2^-4-from-depth=1",
+]
+
+
+def test_verify_moy_on_a_singleton(runner, tmp_path):
+    spec = write_spec(tmp_path, {"kind": "sigma3", "components": [
+        {"kind": "singleton", "point": "01(011)"}]})
+    res = runner.invoke(main, ["verify", "--spec", spec, "--suite", "moy"])
+    assert res.exit_code == 0, res.output
+    assert res.stdout.splitlines() == MOY_SINGLETON
 
 
 def test_verify_union_divergence_includes_the_singleton(runner, tmp_path):

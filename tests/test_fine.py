@@ -9,6 +9,8 @@ are frozen so that any drift in the construction order or the measure
 arithmetic shows up as an exact mismatch.
 """
 
+import inspect
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,10 +20,13 @@ from divmart.dyadic import Dyadic
 from divmart.errors import HorizonExhausted
 from divmart.fine import (
     ClosedPieceSet,
+    DifferencePiece,
     FillRecord,
     OpenSetStream,
     SeparatorFunction,
+    StageComplementChunk,
     StepFunction,
+    _inner_approx,
     check_interpolation,
     default_budget,
     lusin_menchoff,
@@ -264,18 +269,50 @@ def test_precision_exponent_matches_the_search(num, exp):
     assert _precision_exponent(precision) == _precision_exponent_by_search(precision)
 
 
-def test_finer_grading_exhausts_the_work_cap():
+def test_finer_grading_exhausts_the_work_cap(monkeypatch):
     # Backbone level 5 has an infinite complement antichain (the level-4
     # fills leave slivers along the target boundary at every depth), so the
     # decomposition must give up after its examination budget.
+    counts = {"piece": 0, "measure_in": 0}
+
+    def count(cls, name, key):
+        raw = getattr(cls, name)
+
+        def counted(*args):
+            counts[key] += 1
+            return raw(*args)
+
+        monkeypatch.setattr(cls, name, counted)
+
+    for cls in (StageComplementChunk, DifferencePiece):
+        count(cls, "measure_pair_in", "piece")
+        count(cls, "measure_within_clopen", "piece")
+    count(ClopenSet, "measure_pair_in", "piece")
+    count(ClosedPieceSet, "measure_in", "measure_in")
     target = EvenZeros()
     h = urysohn(target.stage(1).complement(), target)
+    cap = inspect.signature(ClosedPieceSet.decomposition).parameters["cap"].default
     with pytest.raises(HorizonExhausted) as exc:
         h.evaluate(Point.parse("0(1)"), Dyadic(1, 5))
-    assert "complement decomposition work" in str(exc.value)
-    # The decomposition asks about some 20,000 cylinders.  The backbone
-    # levels under it are read through, not filled: their caches (and their
-    # bases') keep only what was asked of them directly, 238 entries here.
+    assert exc.value.budget == "complement decomposition work"
+    # The detail reports the spend: the cylinder that tripped the cap, the
+    # complement cylinders found before it and the depth reached.
+    assert cap == 20_000
+    assert (
+        "examined 20001 cylinders, more than the cap of 20000, without "
+        "closing the antichain: 1024 complement cylinders found, "
+        "breadth-first depth 29 reached" in str(exc.value)
+    )
+    # One measure per examined cylinder: 129 for the decompositions of
+    # backbone levels 0-4, and the cap for level 5's before it gives up.
+    assert counts["measure_in"] == 129 + cap
+    # Inside a gap a level asks only that gap's fills: about two piece
+    # queries per examined cylinder, where walking every piece of the
+    # level's chain made over 500,000.
+    assert counts["piece"] < 100_000
+    # The backbone levels under the decomposition are read through, not
+    # filled: their caches (and their bases') keep only what was asked of
+    # them directly, 238 entries here.
     chain = h._backbone + [b._base for b in h._backbone]
     assert sum(len(b._measure_cache) for b in chain) < 1000
 
@@ -338,6 +375,139 @@ def test_even_zeros_levels_match_the_reference_sums():
     h = urysohn(target.stage(1).complement(), target)
     for cold, warm in [("", "0"), ("001", "01"), ("0001", "")]:
         _check_shared_levels(h, 4, BitString(cold), BitString(warm))
+
+
+# ---------------------------------------------------------------------------
+# gap-local queries equal the all-pieces references
+
+
+def _same_piece(a, b) -> bool:
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, ClopenSet):
+        return a == b
+    if isinstance(a, StageComplementChunk):
+        return (a.support, a.gdelta, a.k) == (b.support, b.gdelta, b.k)
+    return a.positive == b.positive and a.minus is b.minus
+
+
+def _reference_restricted(level: ClosedPieceSet, s: BitString) -> list:
+    """Every piece of the level restricted to N_s, empty answers left out."""
+    return [r for r in (p.restrict(s) for p in level.pieces) if r is not None]
+
+
+def _check_gap_local(level: ClosedPieceSet, t: BitString, beta: Point):
+    assert level.measure_in(t) == _reference_measure(level, t)
+    assert level.contains_point(beta) == any(p.contains_point(beta) for p in level.pieces)
+    got, m_hi = _inner_approx(level, t, Dyadic.one())
+    want = _reference_restricted(level, t)
+    assert len(got) == len(want)
+    assert all(_same_piece(a, b) for a, b in zip(got, want))
+    assert m_hi == _reference_measure(level, t)
+
+
+# Even-zeros gradings past these exhaust the decomposition work cap.
+GAP_LOCAL_CASES = (
+    [("singleton", j, n) for j in (1, 2, 3) for n in range(1, 7)]
+    + [("even-zeros", 1, n) for n in range(1, 5)]
+    + [("even-zeros", 2, n) for n in range(1, 4)]
+    + [("even-zeros", 3, 1)]
+)
+bit_strings = st.text(alphabet="01", max_size=4)
+
+
+@pytest.mark.parametrize("kind, j, n", GAP_LOCAL_CASES)
+@settings(max_examples=8, deadline=None)
+@given(
+    odd_bits=st.text(alphabet="01", min_size=16, max_size=16),
+    prefix=bit_strings,
+    period=st.text(alphabet="01", min_size=1, max_size=4),
+    near=st.lists(st.tuples(st.integers(0, 12), bit_strings), min_size=2, max_size=2),
+    tail_period=st.text(alphabet="01", min_size=1, max_size=3),
+)
+def test_gap_local_answers_match_the_all_pieces_references(
+    kind, j, n, odd_bits, prefix, period, near, tail_period
+):
+    # t and β leave the target after a random number of bits, so they fall
+    # inside gaps, hold gaps and straddle the levels' boundaries.
+    if kind == "singleton":
+        target = Singleton(Point.parse(f"{prefix}({period})"))
+        bits = str(target.point.prefix(32))
+    else:
+        target = EvenZeros()
+        bits = "".join("0" + b for b in odd_bits)
+    (a, tail), (b, beta_tail) = near
+    t = BitString(bits[:a] + tail)
+    beta = Point(BitString(bits[:b] + beta_tail), BitString(tail_period))
+    h = urysohn(target.stage(j).complement(), target)
+    levels = [h.level(i, n) for i in range(1, (1 << n) + 1)]
+    for _ in ("cold", "warm"):
+        for level in levels:
+            _check_gap_local(level, t, beta)
+
+
+# ---------------------------------------------------------------------------
+# one-cylinder piece answers equal the materialized clopen algebra
+
+
+def _materialize(p) -> ClopenSet:
+    if isinstance(p, ClopenSet):
+        return p
+    if isinstance(p, StageComplementChunk):
+        return ClopenSet.cylinder(p.support).minus(p.gdelta.stage(p.k))
+    minus = ClopenSet.empty()
+    for q in p.minus.pieces:
+        minus = minus.union(_materialize(q))
+    return p.positive.minus(minus)
+
+
+def _pieces_under_test():
+    even = EvenZeros()
+    singleton = Singleton(Point.parse("01(011)"))
+    level = lusin_menchoff(even.stage(1).complement(), OpenSetStream(even), tight_budget)
+    return [
+        # (piece, cylinders inside its support, holding it, disjoint from it)
+        (StageComplementChunk(BitString("0"), even, 3), ["01", "0010", "00101"], ["", "0"], ["1", "11"]),
+        (StageComplementChunk(BitString("01"), even, 4), ["010", "0111"], ["", "0"], ["00", "1"]),
+        (StageComplementChunk(BitString("01"), singleton, 5), ["010", "01011", "0100"], ["", "0"], ["1", "00"]),
+        (DifferencePiece(ClopenSet.from_strings(["0", "11"]), level), ["00", "011", "110"], [""], ["10", "101"]),
+        (DifferencePiece(ClopenSet.from_strings(["001"]), level), ["0010"], ["", "00"], ["01", "1"]),
+    ]
+
+
+PIECES = _pieces_under_test()
+
+
+@pytest.mark.parametrize("index", range(len(PIECES)))
+def test_piece_cylinder_answers_at_the_three_positions(index):
+    piece, inside, holding, disjoint = PIECES[index]
+    ref = _materialize(piece)
+    for name in inside + holding + disjoint:
+        t = BitString(name)
+        assert Dyadic(*piece.measure_pair_in(t.n, t.v)) == ref.measure_in(t), name
+    for name in disjoint:
+        t = BitString(name)
+        assert piece.measure_pair_in(t.n, t.v) == (0, 0), name
+    for name in holding:
+        t = BitString(name)
+        assert Dyadic(*piece.measure_pair_in(t.n, t.v)) == ref.measure, name
+
+
+@settings(max_examples=100)
+@given(
+    st.integers(min_value=0, max_value=len(PIECES) - 1),
+    st.lists(st.integers(min_value=0, max_value=10).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(min_value=0, max_value=(1 << n) - 1))
+    ), min_size=1, max_size=4),
+)
+def test_piece_answers_at_random_cylinders(index, cyls):
+    piece = PIECES[index][0]
+    ref = _materialize(piece)
+    n, v = cyls[0]
+    assert Dyadic(*piece.measure_pair_in(n, v)) == ref.measure_in(BitString.raw(n, v))
+    # A clopen k with several cylinders: the sum over its cylinders.
+    k = ClopenSet.from_cylinders(BitString.raw(n, v) for n, v in cyls)
+    assert piece.measure_within_clopen(k) == ref.intersect(k).measure
 
 
 # ---------------------------------------------------------------------------
