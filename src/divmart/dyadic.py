@@ -228,7 +228,3 @@ class Dyadic:
         if d.num != num or d.exp != exp:
             raise ValueError(f"dyadic not in canonical form: {obj!r}")
         return d
-
-
-ZERO = Dyadic(0)
-ONE = Dyadic(1)

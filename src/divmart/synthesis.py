@@ -27,7 +27,7 @@ budget, never a silent wrong answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Any, Callable, Optional, Sequence, Union
 
 from .bits import EMPTY, BitString, Point
 from .clopen import ClopenSet
@@ -82,6 +82,36 @@ class StageRegion:
 
 
 Region = Union[StageRegion, ClopenSet]
+
+
+# ---------------------------------------------------------------------------
+# table descent
+
+# The state a descent entry hands down to a node's children: the sum of the
+# terms that settled at or above the node, and each live term's index with
+# the state of its own descent (None for a term without one).
+DescentState = tuple[Dyadic, tuple[tuple[int, Any], ...]]
+
+
+def _descend_sum(
+    up: DescentState, term: Callable[[int, Any], tuple[Dyadic, bool, Any]]
+) -> tuple[Dyadic, bool, DescentState]:
+    """(Σ of the terms at s, settled, state for s's children), given `up`,
+    the state at s's parent.  term(i, sub) gives term i's value at s, whether
+    it is settled (the same at every node below s), and its own state.  A
+    settled term moves into the sum and is never asked again below s; the
+    node is settled when every term is."""
+    settled_sum, live = up
+    total = settled_sum
+    still = []
+    for i, sub in live:
+        value, settled, down = term(i, sub)
+        total = total + value
+        if settled:
+            settled_sum = settled_sum + value
+        else:
+            still.append((i, down))
+    return total, not still, (settled_sum, tuple(still))
 
 
 # ---------------------------------------------------------------------------
@@ -358,30 +388,35 @@ class SynthesizedMartingale:
         """λ(G*_j ∩ N_s) / λ(N_s), exact."""
         return self.stage(j).gstar.measure_in(s).mul_pow2(len(s))
 
-    def _mean_and_settled(self, k: int, s: BitString) -> tuple[Dyadic, bool]:
-        """⨍_{N_s} S_k dλ = Σ_{j≤k} (-1)^j · relative_measure(j, s), and
-        whether every relative measure is 0 or 1.  Measure is monotone, so
-        r_j(s) = 0 gives r_j(t) = 0 and r_j(s) = 1 gives r_j(t) = 1 for every
-        t extending s: the mean is then the same at every node below s."""
-        total = Dyadic.zero()
-        settled = True
-        for j in range(k + 1):
-            r = self.relative_measure(j, s)
-            settled = settled and r.exp == 0
-            total = total + r if j % 2 == 0 else total - r
-        return total, settled
-
     def partial_mean(self, k: int, s: BitString) -> Dyadic:
         """⨍_{N_s} S_k dλ = Σ_{j≤k} (-1)^j · relative_measure(j, s)."""
-        return self._mean_and_settled(k, s)[0]
-
-    def table_entry(self, k: int, s: BitString) -> tuple[Dyadic, bool]:
-        """(M_k(s), settled): M_k is constant below s when settled."""
-        return self._mean_and_settled(k + 1, s)
+        total = Dyadic.zero()
+        for j in range(k + 1):
+            r = self.relative_measure(j, s)
+            total = total - r if j % 2 else total + r
+        return total
 
     def table_value(self, k: int, s: BitString) -> Dyadic:
         """M_k(s) = ⨍_{N_s} S_{k+1} dλ, the exact truncated table."""
-        return self.table_entry(k, s)[0]
+        return self.partial_mean(k + 1, s)
+
+    def descend(
+        self, k: int, s: BitString, up: Optional[DescentState]
+    ) -> tuple[Dyadic, bool, DescentState]:
+        """(M_k(s), settled, state) given the state at s's parent (None at
+        the root), as a descent entry (see _descend_sum).  The terms are
+        the signed relative measures (-1)^j · r_j(s), j ≤ k+1, that
+        table_value adds up.  Term j is settled when r_j(s) is 0 or 1:
+        measure is monotone, so r_j(t) is then the same for every t
+        extending s, and region j is not asked again below s."""
+
+        def term(j: int, _: None) -> tuple[Dyadic, bool, None]:
+            r = self.relative_measure(j, s)
+            return (-r if j % 2 else r), r.exp == 0, None
+
+        if up is None:
+            up = Dyadic.zero(), tuple((j, None) for j in range(k + 2))
+        return _descend_sum(up, term)
 
     def eval(self, s: BitString, precision: Dyadic) -> tuple[Dyadic, Dyadic]:
         """Certified interval for f(s), width ≤ precision (exact when the
@@ -399,7 +434,7 @@ class SynthesizedMartingale:
         stops at settled nodes: where every region G*_j, j ≤ k+1, covers N_s
         or misses it, M_k is constant on the whole subtree below s (see
         MartingaleTable.from_entries)."""
-        return MartingaleTable.from_entries(depth, lambda s: self.table_entry(k, s))
+        return MartingaleTable.from_entries(depth, lambda s, up: self.descend(k, s, up))
 
     # -- witness-level checks -------------------------------------------
 
@@ -462,8 +497,8 @@ class ConstantPart:
     def eval(self, s: BitString, precision: Dyadic) -> tuple[Dyadic, Dyadic]:
         return self.c, self.c
 
-    def table_entry(self, k: int, s: BitString) -> tuple[Dyadic, bool]:
-        return self.c, True
+    def descend(self, k: int, s: BitString, up: None) -> tuple[Dyadic, bool, None]:
+        return self.c, True, None
 
     def table_value(self, k: int, s: BitString) -> Dyadic:
         return self.c
@@ -505,24 +540,32 @@ class CombinedMartingale:
             hi = hi + (phi * SCALE).mul_pow2(-2 * n)
         return lo, hi
 
-    def table_entry(self, k: int, s: BitString) -> tuple[Dyadic, bool]:
-        """(M_k(s), settled): the scaled sum of the parts' values, settled
-        when every part is."""
-        total = self._tail_value()
-        settled = True
-        for n, part in enumerate(self.parts):
-            value, part_settled = part.table_entry(k, s)
-            settled = settled and part_settled
-            total = total + (value * SCALE).mul_pow2(-2 * n)
-        return total, settled
+    def descend(
+        self, k: int, s: BitString, up: Optional[DescentState]
+    ) -> tuple[Dyadic, bool, DescentState]:
+        """(M_k(s), settled, state): the scaled sum of the tail and of the
+        parts' values, settled when every part is (see _descend_sum).  A
+        part settled at an ancestor is never asked again, and a live part
+        gets back the state it gave at s's parent."""
+
+        def term(n: int, part_up: Any) -> tuple[Dyadic, bool, Any]:
+            value, settled, down = self.parts[n].descend(k, s, part_up)
+            return (value * SCALE).mul_pow2(-2 * n), settled, down
+
+        if up is None:
+            up = self._tail_value(), tuple((n, None) for n in range(len(self.parts)))
+        return _descend_sum(up, term)
 
     def table_value(self, k: int, s: BitString) -> Dyadic:
-        return self.table_entry(k, s)[0]
+        total = self._tail_value()
+        for n, part in enumerate(self.parts):
+            total = total + (part.table_value(k, s) * SCALE).mul_pow2(-2 * n)
+        return total
 
     def truncated_table(self, k: int, depth: int) -> MartingaleTable:
         """The table of M_k, descending only below nodes where some part is
         not yet settled (see SynthesizedMartingale.truncated_table)."""
-        return MartingaleTable.from_entries(depth, lambda s: self.table_entry(k, s))
+        return MartingaleTable.from_entries(depth, lambda s, up: self.descend(k, s, up))
 
 
 def union_combine(
@@ -559,9 +602,10 @@ class EmbeddedMartingale:
         v = self.value(s)
         return v, v
 
-    def table_entry(self, k: int, s: BitString) -> tuple[Dyadic, bool]:
-        """(φ(h)(s), settled): h is constant on N_s once len(s) ≥ its depth."""
-        return self.value(s), len(s) >= self.depth
+    def descend(self, k: int, s: BitString, up: None) -> tuple[Dyadic, bool, None]:
+        """(φ(h)(s), settled, None): h is constant on N_s once len(s) ≥ its
+        depth."""
+        return self.value(s), len(s) >= self.depth, None
 
     def table_value(self, k: int, s: BitString) -> Dyadic:
         return self.value(s)
@@ -570,7 +614,7 @@ class EmbeddedMartingale:
         return self.table(depth)
 
     def table(self, depth: int) -> MartingaleTable:
-        return MartingaleTable.from_entries(depth, lambda s: self.table_entry(0, s))
+        return MartingaleTable.from_entries(depth, lambda s, up: self.descend(0, s, up))
 
 
 def embed_continuous(h: StepFunction) -> EmbeddedMartingale:

@@ -4,12 +4,20 @@ A table stores one dyadic value per node of the binary tree up to a fixed
 depth, flat in breadth-first order (index 2^l - 1 + v for the node of
 length l and value v).  Everything here is exact: identity checks compare
 dyadics with zero tolerance, and serialization round-trips losslessly.
+
+Document I/O costs scale with the number of distinct values, not with the
+number of nodes.  A settled subtree shares its root's value object, so a
+depth-20 table of 2,097,151 nodes holds a few thousand value objects.
+`to_document` converts each value object once and `dumps_document`
+encodes each distinct element of `values` once; only C-level passes
+(`map`, `zip`, `str.join`) touch every node.  `from_document` still visits
+every node, but parses each distinct (num, exp) pair once.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Callable, Iterator, Optional
+from typing import Any, Callable, Iterator, Optional
 
 from .bits import BitString
 from .dyadic import Dyadic
@@ -42,16 +50,19 @@ class MartingaleTable:
 
     @staticmethod
     def from_entries(
-        depth: int, entry: Callable[[BitString], tuple[Dyadic, bool]]
+        depth: int, entry: Callable[[BitString, Any], tuple[Dyadic, bool, Any]]
     ) -> "MartingaleTable":
         """Build the table by one top-down descent over the live nodes.
 
-        entry(s) gives the value at s and whether s is *settled*: every node
-        below s carries the same value.  A settled node's value is written
-        over its whole subtree, one slice per deeper level, and entry is
-        never asked below it; a live node's two children join the next
-        level's frontier.  The table is therefore exactly the one that
-        entry gives at every node, whenever the settled claims are true.
+        entry(s, up) gives the value at s, whether s is *settled* (every
+        node below s carries the same value), and a state handed down as
+        `up` to both children of s; the root gets up = None.  The state
+        lets an entry skip work that an ancestor already settled.  A
+        settled node's value is written over its whole subtree, one slice
+        per deeper level, and entry is never asked below it; a live node's
+        two children join the next level's frontier.  The table is
+        therefore exactly the one that entry gives at every node, whenever
+        the settled claims are true.
 
         Raises HorizonExhausted, before allocating anything, when the table
         would have more than TABLE_NODE_CAP nodes."""
@@ -65,15 +76,15 @@ class MartingaleTable:
                 f"depth {depth} needs {size} nodes",
             )
         values: list = [None] * size
-        frontier = [0]
+        frontier = [(0, None)]
         for l in range(depth + 1):
             base = (1 << l) - 1
             live = []
-            for v in frontier:
-                value, settled = entry(BitString.raw(l, v))
+            for v, up in frontier:
+                value, settled, down = entry(BitString.raw(l, v), up)
                 values[base + v] = value
                 if not settled:
-                    live += (2 * v, 2 * v + 1)
+                    live += ((2 * v, down), (2 * v + 1, down))
                     continue
                 for below in range(1, depth - l + 1):
                     start = (1 << (l + below)) - 1 + (v << below)
@@ -101,26 +112,18 @@ class MartingaleTable:
     def leaf_values(self) -> list:
         return self.values[(1 << self.depth) - 1 :]
 
-    def leaf_average_below(self, s: BitString) -> Dyadic:
-        """Mean of the depth-level leaves under N_s — the value a martingale
-        table must carry at s, recomputed the slow way."""
-        l = len(s)
-        total = Dyadic.zero()
-        count = 1 << (self.depth - l)
-        base = s.v << (self.depth - l)
-        leaves = self.leaf_values()
-        for i in range(count):
-            total = total + leaves[base + i]
-        return total.mul_pow2(-(self.depth - l))
-
     def to_document(self, spec_echo: Optional[dict] = None, truncation: Optional[int] = None) -> dict:
+        """The table as a document.  Nodes that share a value object share
+        one `values` entry dict, converted once."""
+        values = self.values
+        as_json = {i: v.to_json() for i, v in _distinct(values).items()}
         return {
             "version": FORMAT_VERSION,
             "kind": DOCUMENT_KIND,
             "spec": spec_echo,
             "truncation": truncation,
             "depth": self.depth,
-            "values": [v.to_json() for v in self.values],
+            "values": list(map(as_json.__getitem__, map(id, values))),
         }
 
     @staticmethod
@@ -144,17 +147,67 @@ class MartingaleTable:
                 f"a table of depth {depth} needs 2^{depth + 1} - 1 values, got {len(raw)}"
             )
         try:
-            values = [Dyadic.from_json(x) for x in raw]
+            values = _parse_values(raw)
         except (ValueError, TypeError, OverflowError) as e:  # int(inf) overflows
             raise ParseError(f"bad dyadic in table values: {e}") from None
         table = MartingaleTable(depth, values)
         return table, doc.get("spec"), doc.get("truncation")
 
 
+def _distinct(items: list) -> dict:
+    """id → object for each distinct object of items, in first-seen order."""
+    return dict(zip(map(id, items), items))
+
+
+def _parse_values(raw: list) -> list:
+    """[Dyadic.from_json(x) for x in raw], parsing each distinct (num, exp)
+    pair once.  Only a dict whose num is exactly a str and whose exp is
+    exactly an int is looked up in the memo: the key then cannot equal a
+    pair of other types (exponents 1, 1.0 and true are equal as keys).
+    Every other entry, and the first entry of each pair, goes through
+    Dyadic.from_json itself, so each error keeps its message and the first
+    bad entry in document order is the one reported."""
+    memo: dict = {}
+    get = memo.get
+    values = []
+    append = values.append
+    for x in raw:
+        if type(x) is dict:
+            num, exp = x.get("num"), x.get("exp")
+            if type(num) is str and type(exp) is int:
+                d = get((num, exp))
+                if d is None:
+                    d = memo[num, exp] = Dyadic.from_json(x)
+                append(d)
+                continue
+        append(Dyadic.from_json(x))
+    return values
+
+
+_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def dumps_document(doc: dict) -> str:
     """Canonical serialization: sorted keys, no whitespace drift, newline
-    terminated.  Byte-identical for identical documents."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    terminated.  Byte-identical for identical documents, and to
+    json.dumps(doc, sort_keys=True, separators=(",", ":")) plus a newline.
+
+    A top-level `values` list is written by encoding each distinct element
+    object once and joining the texts, so the shared entry dicts of
+    to_document cost one encoding each; every other key is encoded whole."""
+    values = doc.get("values") if type(doc) is dict else None
+    if type(values) is not list or not all(type(key) is str for key in doc):
+        return _canonical(doc) + "\n"
+    texts = {i: _canonical(x) for i, x in _distinct(values).items()}
+    pieces = []
+    for key in sorted(doc):
+        pieces.append(("," if pieces else "{") + _canonical(key) + ":")
+        if key == "values":
+            pieces += ("[", ",".join(map(texts.__getitem__, map(id, values))), "]")
+        else:
+            pieces.append(_canonical(doc[key]))
+    pieces.append("}\n")
+    return "".join(pieces)
 
 
 def loads_document(text: str) -> dict:

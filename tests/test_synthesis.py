@@ -34,11 +34,13 @@ from divmart.synthesis import (
     EmbeddedMartingale,
     StageCertificate,
     StageRegion,
+    SynthesizedMartingale,
     embed_continuous,
     gdelta_martingale,
     sigma3_pipeline,
     union_combine,
 )
+from divmart.table import MartingaleTable
 
 M_CHAIN = [0, 4, 9, 15, 22, 30, 39, 49, 60, 72, 85, 99, 114, 130, 147]
 
@@ -269,11 +271,19 @@ def test_table_value_golden(even):
     assert even.table_value(0, EMPTY) == Dyadic(15, 4)
 
 
+def leaf_average_below(table, s):
+    """Mean of the depth-level leaves under N_s, recomputed the slow way:
+    the value a martingale table must carry at s."""
+    below = table.depth - len(s)
+    leaves = table.leaf_values()[s.v << below : (s.v + 1) << below]
+    return sum(leaves, Dyadic.zero()).mul_pow2(-below)
+
+
 def test_truncated_table_is_a_martingale(even):
     table = even.truncated_table(1, 6)
     assert first_identity_violation(table) is None
     for s, v in table.interior_nodes():
-        assert v == table.leaf_average_below(s)
+        assert v == leaf_average_below(table, s)
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +534,7 @@ def test_descent_matches_the_per_node_table(singletons, explicit, tail, step, k,
         assert part.truncated_table(k, depth).values == reference_table(part, k, depth)
     # A settled node's value holds on its whole subtree.
     for s in all_nodes(depth):
-        value, settled = f.table_entry(k, s)
+        value, settled, _ = f.descend(k, s, None)
         if not settled:
             continue
         for below in range(depth - len(s) + 1):
@@ -532,9 +542,84 @@ def test_descent_matches_the_per_node_table(singletons, explicit, tail, step, k,
             assert set(want[start : start + (1 << below)]) == {value}, (s, below)
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    singletons=st.lists(points, max_size=2),
+    explicit=explicit_paths,
+    step=st.none() | step_functions,
+    k=st.integers(min_value=0, max_value=5),
+    depth=st.integers(min_value=0, max_value=9),
+)
+def test_masked_descent_never_asks_a_settled_term(singletons, explicit, step, k, depth):
+    parts = [gdelta_martingale(EvenZeros())]
+    parts += [gdelta_martingale(Singleton(p)) for p in singletons]
+    parts.append(gdelta_martingale(explicit))
+    if step is not None:
+        parts.append(embed_continuous(step))
+    f = union_combine(parts)
+    # The descent without the mask: every node starts from no state, so
+    # every part and region is asked at every live node.
+    unmasked = MartingaleTable.from_entries(depth, lambda s, up: f.descend(k, s, None))
+    # (term, node) asked, and those found settled: term n is part n, and
+    # term (n, j) is region j of part n.
+    asked, settled_at = [], set()
+
+    def record(term, name, settled):
+        asked.append((term, name))
+        if settled:
+            settled_at.add((term, name))
+
+    for n, part in enumerate(parts):
+        def descend(k, s, up, part=part, n=n):
+            value, settled, down = type(part).descend(part, k, s, up)
+            record(n, str(s), settled)
+            return value, settled, down
+
+        def relative_measure(j, s, part=part, n=n):
+            r = type(part).relative_measure(part, j, s)
+            record((n, j), str(s), r.exp == 0)
+            return r
+
+        part.descend = descend
+        if isinstance(part, SynthesizedMartingale):
+            part.relative_measure = relative_measure
+    assert f.truncated_table(k, depth).values == unmasked.values
+    for term, name in asked:
+        assert not any((term, name[:l]) in settled_at for l in range(len(name))), (term, name)
+
+
+def test_masked_descent_query_counts():
+    parts = [gdelta_martingale(EvenZeros())] + [
+        gdelta_martingale(Singleton(Point.parse(p))) for p in ("01(011)", "(1)")
+    ]
+    f = union_combine(parts)
+    spies = [patch.object(part, "descend", wraps=part.descend) for part in parts]
+    with patch.object(
+        StageRegion, "measure_in", autospec=True, side_effect=StageRegion.measure_in
+    ) as regions:
+        mocks = [spy.start() for spy in spies]
+        try:
+            table = f.truncated_table(3, 12)
+            masked = [m.call_count for m in mocks] + [regions.call_count]
+            for m in mocks + [regions]:
+                m.reset_mock()
+            unmasked = MartingaleTable.from_entries(12, lambda s, up: f.descend(3, s, None))
+            plain = [m.call_count for m in mocks] + [regions.call_count]
+        finally:
+            for spy in spies:
+                spy.stop()
+    assert table.values == unmasked.values
+    # Unmasked, each part is asked at each of the 289 live nodes, and each
+    # asks its 5 regions (j ≤ k + 1): 4,335 region queries.  Masked, the
+    # singletons settle near the root and are asked 25 times each, and a
+    # region that covers or misses a node is not asked below it.
+    assert plain == [289, 289, 289, 4335]
+    assert masked == [253, 25, 25, 975]
+
+
 def test_constant_tail_and_empty_union_settle_at_the_root():
     for f in (union_combine([]), union_combine([ConstantPart(Dyadic(5, 3))], Dyadic(1, 1))):
-        assert f.table_entry(4, EMPTY)[1]
+        assert f.descend(4, EMPTY, None)[1]
         assert f.truncated_table(4, 6).values == reference_table(f, 4, 6)
 
 

@@ -1,12 +1,19 @@
 """Martingale tables: layout, slow-path recomputation, and the document
 format (canonical JSON, lossless round-trips, strict parsing)."""
 
+import json
+from unittest.mock import patch
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from divmart import table as table_module
 from divmart.bits import BitString
+from divmart.cli import _stage_metadata
 from divmart.dyadic import Dyadic
 from divmart.errors import HorizonExhausted, ParseError
+from divmart.sets import SigmaThreeSet
+from divmart.synthesis import sigma3_pipeline
 from divmart.table import (
     DOCUMENT_KIND,
     FORMAT_VERSION,
@@ -37,10 +44,18 @@ def test_breadth_first_layout():
     assert t.leaf_values() == [Dyadic.zero(), Dyadic(1, 1), Dyadic(1, 1), Dyadic.one()]
 
 
+def leaf_average_below(table: MartingaleTable, s: BitString) -> Dyadic:
+    """Mean of the depth-level leaves under N_s, recomputed the slow way:
+    the value a martingale table must carry at s."""
+    below = table.depth - len(s)
+    leaves = table.leaf_values()[s.v << below : (s.v + 1) << below]
+    return sum(leaves, Dyadic.zero()).mul_pow2(-below)
+
+
 def test_leaf_average_matches_interior_values():
     t = small_table()
     for s, v in t.interior_nodes():
-        assert t.leaf_average_below(s) == v
+        assert leaf_average_below(t, s) == v
 
 
 def test_construction_validation():
@@ -70,9 +85,11 @@ def test_from_entries_fills_settled_subtrees(depth, cuts):
 
     asked = []
 
-    def entry(s):
+    def entry(s, up):
+        # Each entry is handed the state its parent returned (None at the root).
+        assert up == (str(s)[:-1] if len(s) else None)
         asked.append(str(s))
-        return value(s), any(str(s)[:l] in cuts for l in range(len(s) + 1))
+        return value(s), any(str(s)[:l] in cuts for l in range(len(s) + 1)), str(s)
 
     t = MartingaleTable.from_entries(depth, entry)
     assert t.values == [value(s) for s, _ in t.nodes()]
@@ -83,13 +100,13 @@ def test_from_entries_fills_settled_subtrees(depth, cuts):
 
 def test_table_size_budget():
     with pytest.raises(HorizonExhausted) as exc:
-        MartingaleTable.from_entries(21, lambda s: (Dyadic.zero(), True))
+        MartingaleTable.from_entries(21, lambda s, up: (Dyadic.zero(), True, None))
     assert f"table-size budget of {TABLE_NODE_CAP} nodes" in str(exc.value)
     assert f"needs {(1 << 22) - 1} nodes" in str(exc.value)
     with pytest.raises(HorizonExhausted):
-        MartingaleTable.from_entries(40, lambda s: (Dyadic.zero(), False))
+        MartingaleTable.from_entries(40, lambda s, up: (Dyadic.zero(), False, None))
     # The cap itself is allowed: a settled root fills depth 20 by slices.
-    t = MartingaleTable.from_entries(20, lambda s: (Dyadic(1, 1), True))
+    t = MartingaleTable.from_entries(20, lambda s, up: (Dyadic(1, 1), True, None))
     assert len(t.values) == TABLE_NODE_CAP
     assert t.leaf_values()[-1] == Dyadic(1, 1)
 
@@ -181,3 +198,199 @@ def test_malformed_dyadic_is_a_parse_error(entry):
     doc = {"kind": DOCUMENT_KIND, "version": FORMAT_VERSION, "depth": 0, "values": [entry]}
     with pytest.raises(ParseError, match="bad dyadic"):
         MartingaleTable.from_document(doc)
+
+
+# ---------------------------------------------------------------------------
+# The writer and the reader work per distinct value; their output must not
+# differ from encoding and parsing every node on its own.
+
+
+def plain_dumps(doc) -> str:
+    """The per-node writer: one json.dumps over the whole document."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def per_value_read(doc):
+    """The per-node reader: every value through Dyadic.from_json, the first
+    bad one in document order giving the error text."""
+    try:
+        values = [Dyadic.from_json(x) for x in doc["values"]]
+    except (ValueError, TypeError, OverflowError) as e:
+        return f"bad dyadic in table values: {e}"
+    return values
+
+
+def shared_values(pool: list, picks: list) -> list:
+    # Nodes drawn from a pool of value objects share them, as settled
+    # subtrees do; equal but distinct objects occur too.
+    return [pool[i % len(pool)] if i >= 0 else Dyadic(-i, 3) for i in picks]
+
+
+dyadics = st.builds(Dyadic, st.integers(-(1 << 70), 1 << 70), st.integers(0, 80))
+spec_echoes = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["values", "kind", "é", "x ", ""]) | st.text(),
+                      inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    depth=st.integers(min_value=0, max_value=6),
+    pool=st.lists(dyadics, min_size=1, max_size=6),
+    picks=st.lists(st.integers(-4, 20), min_size=127, max_size=127),
+    spec=spec_echoes,
+    truncation=st.none() | st.integers(0, 9),
+)
+def test_writer_matches_json_dumps_on_random_tables(depth, pool, picks, spec, truncation):
+    t = MartingaleTable(depth, shared_values(pool, picks)[: (2 << depth) - 1])
+    doc = t.to_document(spec_echo=spec, truncation=truncation)
+    assert dumps_document(doc) == plain_dumps(doc)
+    # The shared entry dicts are the values' own JSON forms.
+    assert doc["values"] == [v.to_json() for v in t.values]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"kind": "sigma3", "components": [{"kind": "even-zeros"}]},
+        {"kind": "sigma3", "components": [{"kind": "singleton", "point": "01(011)"}]},
+        {"kind": "sigma3", "components": [
+            {"kind": "explicit", "stages": [["00"], ["000"], []], "rate": "2^-n"}]},
+    ],
+    ids=["even-zeros", "singleton", "explicit"],
+)
+def test_writer_matches_json_dumps_at_depths_0_to_12(spec):
+    pipeline = sigma3_pipeline(SigmaThreeSet.from_spec(spec))
+    for depth in range(13):
+        doc = pipeline.truncated_table(3, depth).to_document(spec_echo=spec, truncation=3)
+        doc["stages"] = _stage_metadata(pipeline)
+        assert dumps_document(doc) == plain_dumps(doc), depth
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        # a spec echo holding its own "values" key, text and all
+        {**small_table().to_document(spec_echo={"values": None, "kind": "x\"values\":null"}),
+         "stages": [{"part": 0, "kind": "constant"}]},
+        small_table().to_document(spec_echo={"kind": "sigma3", "note": "λ ∈ [0,1]   \x00 é"}),
+        {"values": [], "a": 1},
+        {"values": [{"b": 1, "a": [1.5, True, None]}, "ü", 3, [], {}], "z": "é"},
+        {"values": "not a list", "kind": DOCUMENT_KIND},
+        {"values": (1, 2), "v": 0},
+        {"no values": [1, 2]},
+        {2: "int key", 1: []},
+        {"values": [{2: "int key", 1: []}], "": 0},
+        {},
+    ],
+    ids=["values-in-spec", "non-ascii-spec", "empty-values", "mixed-values",
+         "string-values", "tuple-values", "no-values", "int-keys", "int-keys-in-values",
+         "empty"],
+)
+def test_writer_matches_json_dumps_on_other_documents(doc):
+    assert dumps_document(doc) == plain_dumps(doc)
+
+
+class SortsWithStrings:
+    """A key that sorts among strings but is not one: json refuses it by type."""
+
+    def __lt__(self, other):
+        return True
+
+    def __gt__(self, other):
+        return False
+
+
+def test_writer_keeps_json_dumps_errors():
+    for doc in ({"values": [object()]}, {1: 0, "a": 0, "values": []},
+                {SortsWithStrings(): 0, "values": []}):
+        with pytest.raises(TypeError) as want:
+            plain_dumps(doc)
+        with pytest.raises(TypeError) as got:
+            dumps_document(doc)
+        assert str(got.value) == str(want.value)
+
+
+def test_writer_encodes_each_distinct_value_once():
+    # 7 live nodes above depth 3, then 8 settled ones whose subtrees share
+    # their value objects: 15 objects for 8,191 nodes.
+    t = MartingaleTable.from_entries(12, lambda s, up: (Dyadic(len(s), 4), len(s) >= 3, None))
+    doc = t.to_document()
+    assert len({id(x) for x in t.values}) == len({id(x) for x in doc["values"]}) == 15
+    with patch("divmart.table._canonical", wraps=table_module._canonical) as spy:
+        text = dumps_document(doc)
+    assert text == plain_dumps(doc)
+    # one call per key name and per key other than values, one per distinct value
+    assert spy.call_count == 2 * len(doc) - 1 + 15
+
+
+good = Dyadic(1, 1).to_json()
+bad_after_good = [
+    {"num": "1", "exp": True},
+    {"num": "1", "exp": 1.0},
+    {"num": 1.0, "exp": 1},
+    {"num": True, "exp": 1},
+    {"num": "1", "exp": "1"},
+    {"num": "1", "exp": -1},
+    {"num": "2", "exp": 1},
+    {"exp": 1, "num": "2"},
+    {"num": "4", "exp": 2, "extra": 0},
+    {"num": "0", "exp": 1},
+    {"num": " 1", "exp": 0, "note": "accepted: int() strips blanks"},
+    {"num": float("inf"), "exp": 1},
+    {"num": "1" * 600 + "x", "exp": 1},
+    {"num": "2" * 5000, "exp": 1},
+    {"num": "1", "exp": 1 << 80},
+    {"num": "1"},
+    ["1", 1],
+    "1",
+    None,
+]
+
+
+@pytest.mark.parametrize("entry", bad_after_good, ids=[repr(e)[:30] for e in bad_after_good])
+def test_reader_matches_per_value_parsing(entry):
+    # The bad entry shares its num with the good ones before it, so a memo
+    # keyed by equal-comparing fields alone would hide it.
+    doc = {"kind": DOCUMENT_KIND, "version": FORMAT_VERSION, "depth": 1,
+           "values": [good, dict(good), entry]}
+    want = per_value_read(doc)
+    if isinstance(want, str):
+        with pytest.raises(ParseError) as exc:
+            MartingaleTable.from_document(doc)
+        assert str(exc.value) == want
+    else:
+        got = MartingaleTable.from_document(doc)[0].values
+        assert [(d.num, d.exp) for d in got] == [(d.num, d.exp) for d in want]
+
+
+raw_values = st.one_of(
+    dyadics.map(Dyadic.to_json),
+    st.sampled_from(bad_after_good[:5] + [good]),
+    st.builds(lambda n, e: {"num": n, "exp": e},
+              st.sampled_from(["1", "3", "-1", "0", "2", 1, True, 1.0]),
+              st.sampled_from([0, 1, 2, True, 1.0, "1"])),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    depth=st.integers(min_value=0, max_value=4),
+    raw=st.lists(raw_values, min_size=1, max_size=8),
+    picks=st.lists(st.integers(0, 7), min_size=31, max_size=31),
+)
+def test_reader_matches_per_value_parsing_on_random_documents(depth, raw, picks):
+    values = [raw[i % len(raw)] for i in picks][: (2 << depth) - 1]
+    text = json.dumps({"kind": DOCUMENT_KIND, "version": FORMAT_VERSION,
+                       "depth": depth, "values": values})
+    doc = loads_document(text)
+    want = per_value_read(doc)
+    try:
+        got = MartingaleTable.from_document(doc)[0].values
+    except ParseError as e:
+        assert str(e) == want
+        return
+    assert [(d.num, d.exp) for d in got] == [(d.num, d.exp) for d in want]
