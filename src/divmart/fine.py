@@ -35,6 +35,7 @@ Pieces answer one cylinder at a time with exact (num, exp) integer pairs.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from . import kernel
@@ -332,19 +333,6 @@ def _decompose(pieces: ClosedPieceSet, work_cap: int) -> Iterator[BitString]:
 
 
 # ---------------------------------------------------------------------------
-# open-set streams
-
-
-class OpenSetStream:
-    """The complement of a measure-zero target, as an open set M for the
-    interpolation.  It is never enumerated: the fill inside a complement
-    cylinder N_s is N_s minus a deep enough target stage."""
-
-    def __init__(self, complement_of: GDeltaSet) -> None:
-        self.complement_of = complement_of
-
-
-# ---------------------------------------------------------------------------
 # the interpolation lemma
 
 
@@ -352,7 +340,10 @@ def default_budget(n: int) -> Dyadic:
     return Dyadic.pow2(-n)
 
 
-MHandle = Union[ClopenSet, ClosedPieceSet, OpenSetStream]
+# An open M for the interpolation.  A GDeltaSet stands for its complement,
+# the complement of a measure-zero target: it is never enumerated, and the
+# fill inside a complement cylinder N_s is N_s minus a deep enough stage.
+MHandle = Union[ClopenSet, ClosedPieceSet, GDeltaSet]
 
 
 class FillRecord(NamedTuple):
@@ -372,6 +363,9 @@ def lusin_menchoff(
 ) -> ClosedPieceSet:
     """Closed C with F ⊆ C ⊆ F ∪ M such that for the n-th maximal cylinder
     s_n of the complement of F, λ(C ∩ N_{s_n}) ≥ (1-budget(n))·λ(M ∩ N_{s_n}).
+
+    M is a clopen set, a clopen-piece set, or a GDeltaSet standing for its
+    complement (the open complement of a measure-zero target).
 
     Every point added to C lies inside a clopen piece of M, so C has full
     density inside M at each of its new points; F's own structure is carried
@@ -402,8 +396,8 @@ def _inner_approx(m: MHandle, s: BitString, eps: Dyadic) -> tuple[list[Piece], D
     if isinstance(m, ClosedPieceSet):
         # Denotationally clopen: restriction is exact, no measure is lost.
         return m._restricted(s), m.measure_in(s)
-    if isinstance(m, OpenSetStream):
-        return _stage_complement_approx(m.complement_of, s, eps)
+    if isinstance(m, GDeltaSet):
+        return _stage_complement_approx(m, s, eps)
     raise TypeError(f"unsupported M handle {type(m).__name__}")
 
 
@@ -415,18 +409,38 @@ def _stage_complement_approx(
     λ(M ∩ N_s) = λ(N_s) since the target has measure zero, so the budget
     becomes λ(stage(k) ∩ N_s) ≤ eps·λ(N_s); the certified rate guarantees a
     finite k."""
-    full = Dyadic.pow2(-len(s))
+    chunk = StageComplementChunk(s, g, _fill_stage_index(g, s, eps))
+    return ([] if chunk._size[0] == 0 else [chunk]), Dyadic.pow2(-len(s))
+
+
+def _fill_stage_index(g: GDeltaSet, s: BitString, eps: Dyadic) -> int:
+    """Minimal k ≤ _SEARCH_CAP with λ(stage(k) ∩ N_s) ≤ eps·λ(N_s).
+
+    Stages are nested, so the measure is nonincreasing in k and the budget,
+    once met, stays met.  Gallop over 0, 2, 6, 14, … to bracket the first k
+    meeting it, then bisect the bracket, as `synthesis._find_stage_index`
+    does: O(log k) measure queries instead of k + 1."""
     bound = eps.mul_pow2(-len(s))
-    k = 0
-    while g.measure_stage_in(k, s) > bound:
-        k += 1
-        if k > _SEARCH_CAP:
+
+    def meets(k: int) -> bool:
+        return g.measure_stage_in(k, s) <= bound
+
+    lo, hi, step = -1, 0, 1  # lo misses the budget (or is below 0)
+    while not meets(hi):
+        if hi == _SEARCH_CAP:
             raise HorizonExhausted(
                 f"inner approximation stage index at {s!r}",
                 f"needed λ(stage(k) ∩ N_s) ≤ {bound}",
             )
-    chunk = StageComplementChunk(s, g, k)
-    return ([] if chunk._size[0] == 0 else [chunk]), full
+        step *= 2
+        lo, hi = hi, min(hi + step, _SEARCH_CAP)
+    while hi - lo > 1:  # lo misses the budget, hi meets it
+        mid = (lo + hi) // 2
+        if meets(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +478,8 @@ def check_interpolation(
     or holds every piece of a piece set F), the fill inside each complement
     cylinder s_n captures a (1-budget(n)) fraction of λ(M ∩ N_{s_n}), and C
     has density ≥ 1 - density_threshold at sampled points of F, certified
-    from C's exact cylinder measures up to `depth`."""
+    from C's exact cylinder measures up to `depth`.  M is given as to
+    `lusin_menchoff`: a GDeltaSet stands for its complement."""
     if density_threshold is None:
         density_threshold = Dyadic(1, 4)
     fs = ClosedPieceSet.from_clopen(f) if isinstance(f, ClopenSet) else f
@@ -524,13 +539,13 @@ def _piece_inside_m(p: Piece, m: MHandle, s: BitString) -> bool:
         # Fill pieces are restrictions of M's own pieces; necessary exact
         # check: they cannot outweigh M inside their cylinder.
         return size <= m.measure_in(s)
-    if isinstance(m, OpenSetStream):
+    if isinstance(m, GDeltaSet):
         # M = complement of the target; a stage-complement chunk misses
         # stage(k) ⊇ target by construction.  Anything else must avoid
         # the target's stages, checked against the deepest cheap stage.
-        if isinstance(p, StageComplementChunk) and p.gdelta is m.complement_of:
+        if isinstance(p, StageComplementChunk) and p.gdelta is m:
             return True
-        return p.measure_within_clopen(m.complement_of.stage(3)) == 0
+        return p.measure_within_clopen(m.stage(3)) == 0
     return False
 
 
@@ -589,9 +604,9 @@ class SeparatorFunction:
     ) -> None:
         self.c = ClosedPieceSet.from_clopen(c) if isinstance(c, ClopenSet) else c
         self.g = g
-        self._m = OpenSetStream(g)
         self._exhaustion = exhaustion
         self._levels: dict[tuple[int, int], ClosedPieceSet] = {}
+        self._gradings: dict[int, tuple[ClosedPieceSet, ...]] = {}
         self._backbone: list[ClosedPieceSet] = []
 
     def _exhaustion_clopen(self, n: int) -> ClopenSet:
@@ -608,7 +623,7 @@ class SeparatorFunction:
                 f: ClosedPieceSet = self.c  # ¬stage(0) is empty
             else:
                 f = self._backbone[i - 1].union_with_clopen(self._exhaustion_clopen(i))
-            self._backbone.append(lusin_menchoff(f, self._m))
+            self._backbone.append(lusin_menchoff(f, self.g))
         return self._backbone[m]
 
     def level(self, num: int, denom_exp: int) -> ClosedPieceSet:
@@ -661,20 +676,41 @@ class SeparatorFunction:
             lo = Dyadic.zero()
         return lo, hi
 
+    def _grading(self, n: int) -> tuple[ClosedPieceSet, ...]:
+        """The levels C_(j/2^n) for j = 2^n down to 1, all built up front in
+        that order (so a budget that runs out does so at the same level as
+        building them one by one)."""
+        hit = self._gradings.get(n)
+        if hit is None:
+            hit = self._gradings[n] = tuple(self.level(j, n) for j in range(1 << n, 0, -1))
+        return hit
+
     def mean_in(self, s: BitString, precision: Dyadic) -> tuple[Dyadic, Dyadic]:
         """Exact layer-cake bracketing of the cylinder mean: summing the
         (exact) relative measures of the 2^n levels pins the mean of the
         level profile to within one grading step 2^(-n).
 
-        The sum runs from j = 2^n down to 1.  Level j is built on a higher
-        level (j + 1, or through one union on the backbone) as its base, so
-        by the time level j is asked, its base holds the answer in its cache
-        and level j adds only its own pieces.  The terms are exact dyadics,
-        so the order does not change the result."""
+        The levels are nested.  Level j is lusin_menchoff(F, M) with F the
+        higher neighbour and M the lower one at the coarser grid, and
+        F ⊆ C ⊆ F ∪ M ⊆ M; a backbone level contains the one before it.  So
+        along the grading (j = 2^n down to 1) the answers λ(C_j ∩ N_s) never
+        decrease: a run of exact zeros, a band strictly between 0 and
+        λ(N_s), then a run of exactly full answers.  Only the band needs
+        asking.  A bisection finds its first level, the sum runs along the
+        grading to the first full answer, and that level and the ones after
+        it add 2^-|s| each.
+        Every skipped answer is exactly 0 or exactly full, so the sum is the
+        one over all 2^n levels."""
         n = _precision_exponent(precision)
+        levels = self._grading(n)
+        key = ((s.n, s.v),)
         num = exp = 0
-        for j in range(1 << n, 0, -1):
-            d = self.level(j, n).measure_in(s)
+        first = bisect_left(levels, True, key=lambda c: c._measure_ac(key).num != 0)
+        for i in range(first, len(levels)):
+            d = levels[i]._measure_ac(key)
+            if d.num == 1 and d.exp == s.n:
+                num, exp = _add_pair(num, exp, len(levels) - i, s.n)
+                break
             num, exp = _add_pair(num, exp, d.num, d.exp)
         rel = Dyadic(num, exp)
         profile_lo = rel.mul_pow2(len(s) - n)  # lower bound on mean of sup-level

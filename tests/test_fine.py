@@ -10,10 +10,12 @@ arithmetic shows up as an exact mismatch.
 """
 
 import inspect
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from divmart import fine
 from divmart.bits import BitString, Point, EMPTY
 from divmart.clopen import ClopenSet
 from divmart.dyadic import Dyadic
@@ -22,10 +24,10 @@ from divmart.fine import (
     ClosedPieceSet,
     DifferencePiece,
     FillRecord,
-    OpenSetStream,
     SeparatorFunction,
     StageComplementChunk,
     StepFunction,
+    _fill_stage_index,
     _inner_approx,
     check_interpolation,
     default_budget,
@@ -34,7 +36,7 @@ from divmart.fine import (
     mean_trace,
     urysohn,
 )
-from divmart.sets import EvenZeros, Singleton
+from divmart.sets import EvenZeros, ExplicitGDelta, Singleton, parse_rate
 
 
 def tight_budget(n: int) -> Dyadic:
@@ -73,7 +75,7 @@ def test_interpolate_clopen_into_target_complement():
     # measure exactly (1 - 1/8)·λ(N_0) = 3/8.
     target = EvenZeros()
     f = target.stage(1).complement()
-    m = OpenSetStream(target)
+    m = target  # the open complement of the target
     c = lusin_menchoff(f, m, tight_budget)
     assert type(c) is ClosedPieceSet
     assert c.measure == Dyadic(7, 3)
@@ -91,7 +93,7 @@ def test_interpolate_clopen_into_target_complement():
 def test_interpolation_check_flags_short_fill():
     target = EvenZeros()
     f = target.stage(1).complement()
-    m = OpenSetStream(target)
+    m = target  # the open complement of the target
     c = lusin_menchoff(f, m, tight_budget)
     c.fills[0] = c.fills[0]._replace(fill_measure=Dyadic(1, 5))
     rep = check_interpolation(c, f, m, depth=12, budget=tight_budget)
@@ -110,6 +112,18 @@ def test_interpolation_check_flags_escaping_fill():
     assert not rep.fills_inside_m
 
 
+def test_interpolation_check_flags_a_chunk_of_another_target():
+    # Against M = the complement of even-zeros, only a chunk of that target
+    # is inside M by construction; a chunk of another target must miss the
+    # target's stages, and N_ε minus N_11 does not.
+    chunk = StageComplementChunk(EMPTY, Singleton(Point.parse("(1)")), 2)
+    c = ClosedPieceSet([chunk])
+    c.fills = [FillRecord(0, EMPTY, (chunk,), Dyadic(3, 2), Dyadic.one())]
+    rep = check_interpolation(c, ClopenSet.empty(), EvenZeros())
+    assert not rep.fills_inside_m
+    assert rep.margins_ok
+
+
 def test_interpolation_check_flags_missing_f():
     m = ClopenSet.from_strings(["11"])
     c = lusin_menchoff(ClopenSet.from_strings(["1"]), m)
@@ -117,6 +131,90 @@ def test_interpolation_check_flags_missing_f():
     assert not rep.ok
     assert not rep.f_carried
     assert any("missing" in msg for msg in rep.failures)
+
+
+# ---------------------------------------------------------------------------
+# the fill-stage search
+
+
+def fill_stage_index_reference(g, s: BitString, eps: Dyadic) -> int:
+    """The linear scan: k = 0, 1, 2, ... until the stage meets the budget."""
+    bound = eps.mul_pow2(-len(s))
+    k = 0
+    while g.measure_stage_in(k, s) > bound:
+        k += 1
+        if k > fine._SEARCH_CAP:
+            raise HorizonExhausted(
+                f"inner approximation stage index at {s!r}",
+                f"needed λ(stage(k) ∩ N_s) ≤ {bound}",
+            )
+    return k
+
+
+def _search_outcome(search, g, s: BitString, eps: Dyadic):
+    try:
+        return search(g, s, eps)
+    except HorizonExhausted as e:
+        return e.budget, str(e)
+
+
+def _explicit_path(w: str, null: bool) -> ExplicitGDelta:
+    """Stages N_(w|1) ⊇ ... ⊇ N_w, then the empty stage when `null`; without
+    it the last cylinder repeats and small budgets are never met."""
+    stages = [ClopenSet.from_strings([w[:i]]) for i in range(1, len(w) + 1)]
+    return ExplicitGDelta(stages + [ClopenSet.empty()] * null, parse_rate("2^-n"), "2^-n")
+
+
+search_targets = st.one_of(
+    st.builds(
+        lambda pre, per: Singleton(Point.parse(f"{pre}({per})")),
+        st.text(alphabet="01", max_size=4),
+        st.text(alphabet="01", min_size=1, max_size=4),
+    ),
+    st.builds(EvenZeros),
+    st.builds(_explicit_path, st.text(alphabet="01", min_size=1, max_size=6), st.booleans()),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    target=search_targets,
+    s=st.text(alphabet="01", max_size=12),
+    eps=st.integers(0, 24).flatmap(
+        lambda e: st.builds(Dyadic, st.integers(1, 1 << e), st.just(e))
+    ),
+    cap=st.integers(0, 64),
+)
+def test_fill_stage_search_matches_the_linear_scan(target, s, eps, cap):
+    t = BitString(s)
+    with patch.object(fine, "_SEARCH_CAP", cap):
+        want = _search_outcome(fill_stage_index_reference, target, t, eps)
+        probes = []
+        raw = target.measure_stage_in
+
+        def probe(k, u):
+            assert k <= cap, "the search went past its cap"
+            probes.append(k)
+            return raw(k, u)
+
+        target.measure_stage_in = probe
+        got = _search_outcome(_fill_stage_index, target, t, eps)
+    assert got == want
+    # Gallop then bisect: logarithmic in the answer, or in the cap.
+    last = got if isinstance(got, int) else cap
+    assert len(probes) <= 2 * (last + 2).bit_length()
+
+
+def test_fill_stage_search_on_the_backbone_fills():
+    # Backbone levels 0-4 of the even-zeros separator fill 24 gaps.
+    target = EvenZeros()
+    h = urysohn(target.stage(1).complement(), target)
+    for m in range(5):
+        for rec in h.backbone(m).fills:
+            eps = default_budget(rec.index)
+            k = fill_stage_index_reference(target, rec.cylinder, eps)
+            assert _fill_stage_index(target, rec.cylinder, eps) == k
+            assert all(p.k == k for p in rec.pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +443,8 @@ def _check_shared_levels(h: SeparatorFunction, n: int, cold: BitString, warm: Bi
     # Ascending from level 1: each base is asked before it holds an answer.
     for level in levels:
         assert level.measure_in(cold) == _reference_measure(level, cold)
-    # mean_in sums downward, so every base is cached when its level asks.
+    # mean_in asks only the band of levels that partly meet the cylinder, so
+    # some bases are read through and others were cached by the bisection.
     assert h.mean_in(warm, Dyadic.pow2(-n)) == _reference_mean(h, warm, n)
     for level in levels:
         assert level.measure_in(warm) == _reference_measure(level, warm)
@@ -375,6 +474,106 @@ def test_even_zeros_levels_match_the_reference_sums():
     h = urysohn(target.stage(1).complement(), target)
     for cold, warm in [("", "0"), ("001", "01"), ("0001", "")]:
         _check_shared_levels(h, 4, BitString(cold), BitString(warm))
+
+
+# ---------------------------------------------------------------------------
+# mean_in asks only the band of levels that partly meet the cylinder
+
+
+def _target_and_bits(kind: str, odd_bits: str, prefix: str, period: str):
+    """A target and the first 32 bits of a point on it."""
+    if kind == "singleton":
+        target = Singleton(Point.parse(f"{prefix}({period})"))
+        return target, str(target.point.prefix(32))
+    return EvenZeros(), "".join("0" + b for b in odd_bits)
+
+
+def _leave(bits: str, a: int, tail: str) -> BitString:
+    """The cylinder that follows `bits` for a bits, flips bit a, then goes
+    on with `tail`, cut to depth 12."""
+    flipped = "1" if bits[a] == "0" else "0"
+    return BitString((bits[:a] + flipped + tail)[:12])
+
+
+@pytest.mark.parametrize("kind, j", [("singleton", 1), ("singleton", 2), ("singleton", 3), ("even-zeros", 1)])
+@settings(max_examples=25, deadline=None)
+@given(
+    prefix=st.text(alphabet="01", max_size=4),
+    period=st.text(alphabet="01", min_size=1, max_size=4),
+    odd_bits=st.text(alphabet="01", min_size=16, max_size=16),
+    n=st.integers(0, 7),
+    places=st.lists(
+        st.tuples(st.sampled_from(["inside C", "on", "off"]), st.integers(0, 11),
+                  st.text(alphabet="01", max_size=11)),
+        min_size=2, max_size=2,
+    ),
+)
+def test_band_walk_matches_the_all_levels_sum(kind, j, prefix, period, odd_bits, n, places):
+    target, bits = _target_and_bits(kind, odd_bits, prefix, period)
+    if kind == "singleton":
+        inside_c = range(j)  # leaving here lands outside stage(j)
+    else:
+        inside_c = range(0, 2 * j, 2)  # the first j even positions
+        n = min(n, 4)  # finer even-zeros gradings exhaust the work cap
+    cyls = []
+    for where, a, tail in places:
+        if where == "inside C":
+            cyls.append(_leave(bits, inside_c[a % len(inside_c)], tail))
+        elif where == "on":
+            cyls.append(BitString(bits[:a + 1]))
+        else:
+            cyls.append(_leave(bits, max(a, inside_c[-1] + 1), tail))
+    h = urysohn(target.stage(j).complement(), target)
+    precision = Dyadic.pow2(-n)
+    # The first query is cold; the second finds the first one's answers
+    # cached, and the repeat finds its own.
+    asked = cyls + cyls[:1]
+    got = [h.mean_in(t, precision) for t in asked]
+    for t, mean in zip(asked, got):
+        assert mean == _reference_mean(h, t, n), str(t)
+    for (where, _, _), mean in zip(places, got):
+        if where == "inside C":
+            assert mean == (Dyadic.zero(), Dyadic.zero())
+
+
+def test_mean_in_beyond_the_work_cap_fails_as_building_the_levels_does():
+    target = EvenZeros()
+    h = urysohn(target.stage(1).complement(), target)
+    with pytest.raises(HorizonExhausted) as exc:
+        h.mean_in(EMPTY, Dyadic.pow2(-5))
+    assert exc.value.budget == "complement decomposition work"
+    assert str(exc.value) == (
+        "horizon exhausted: complement decomposition work (examined 20001 "
+        "cylinders, more than the cap of 20000, without closing the antichain: "
+        "1024 complement cylinders found, breadth-first depth 29 reached; the "
+        "interpolation at this level is not tractable)"
+    )
+
+
+def test_mean_trace_asks_the_band_only(monkeypatch):
+    target = Singleton(Point.parse("01(011)"))
+    h = urysohn(target.stage(2).complement(), target)
+    for j in range(1, 513):
+        h.level(j, 9)
+    # Count the level queries mean_in makes, not the ones a level makes of
+    # its base or of a difference piece's minuend while answering.
+    raw = ClosedPieceSet._measure_ac
+    calls = {"outer": 0, "depth": 0}
+
+    def counted(self, ac):
+        calls["outer"] += calls["depth"] == 0
+        calls["depth"] += 1
+        try:
+            return raw(self, ac)
+        finally:
+            calls["depth"] -= 1
+
+    monkeypatch.setattr(ClosedPieceSet, "_measure_ac", counted)
+    rows = mean_trace(h, Point.parse("0101101(1)"), 12, Dyadic.pow2(-9))
+    assert rows[5] == (5, Dyadic(8021, 13), Dyadic(8037, 13))
+    assert rows[-1] == (12, Dyadic(255, 8), Dyadic(511, 9))
+    # Asking all 512 levels at each of the 13 depths makes 6,656 queries.
+    assert calls["outer"] == 1394
 
 
 # ---------------------------------------------------------------------------
@@ -430,12 +629,7 @@ def test_gap_local_answers_match_the_all_pieces_references(
 ):
     # t and β leave the target after a random number of bits, so they fall
     # inside gaps, hold gaps and straddle the levels' boundaries.
-    if kind == "singleton":
-        target = Singleton(Point.parse(f"{prefix}({period})"))
-        bits = str(target.point.prefix(32))
-    else:
-        target = EvenZeros()
-        bits = "".join("0" + b for b in odd_bits)
+    target, bits = _target_and_bits(kind, odd_bits, prefix, period)
     (a, tail), (b, beta_tail) = near
     t = BitString(bits[:a] + tail)
     beta = Point(BitString(bits[:b] + beta_tail), BitString(tail_period))
@@ -444,6 +638,27 @@ def test_gap_local_answers_match_the_all_pieces_references(
     for _ in ("cold", "warm"):
         for level in levels:
             _check_gap_local(level, t, beta)
+
+
+@pytest.mark.parametrize("kind, j, n", GAP_LOCAL_CASES)
+@settings(max_examples=8, deadline=None)
+@given(
+    odd_bits=st.text(alphabet="01", min_size=16, max_size=16),
+    prefix=bit_strings,
+    period=st.text(alphabet="01", min_size=1, max_size=4),
+    near=st.tuples(st.integers(0, 12), bit_strings),
+)
+def test_levels_are_nested_along_each_grading(kind, j, n, odd_bits, prefix, period, near):
+    # mean_in's bisection rests on this: λ(C_(i/2^n) ∩ N_s) never increases
+    # as i grows.
+    target, bits = _target_and_bits(kind, odd_bits, prefix, period)
+    a, tail = near
+    t = BitString(bits[:a] + tail)
+    h = urysohn(target.stage(j).complement(), target)
+    column = [h.level(i, n).measure_in(t) for i in range(1, (1 << n) + 1)]
+    assert column[0] <= Dyadic.pow2(-len(t))
+    for lower, higher in zip(column, column[1:]):
+        assert higher <= lower
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +679,7 @@ def _materialize(p) -> ClopenSet:
 def _pieces_under_test():
     even = EvenZeros()
     singleton = Singleton(Point.parse("01(011)"))
-    level = lusin_menchoff(even.stage(1).complement(), OpenSetStream(even), tight_budget)
+    level = lusin_menchoff(even.stage(1).complement(), even, tight_budget)
     return [
         # (piece, cylinders inside its support, holding it, disjoint from it)
         (StageComplementChunk(BitString("0"), even, 3), ["01", "0010", "00101"], ["", "0"], ["1", "11"]),
