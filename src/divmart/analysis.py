@@ -166,21 +166,16 @@ def osc_window(
 ) -> Dyadic:
     """Certified lower bound on the value spread along β between depths n
     and l: the maximum pairwise distance of the evaluation intervals (width
-    already subtracted by taking interval gaps)."""
+    already subtracted by taking interval gaps).  The gap between intervals
+    i and j is max(0, lo_i - hi_j, lo_j - hi_i), so the largest one is
+    max(0, max lo - min hi)."""
     if n > l:
         raise ValueError("window needs n ≤ l")
     if precision is None:
         precision = Dyadic.pow2(-l - 4)
     ivs = [f.eval(beta.prefix(i), precision) for i in range(n, l + 1)]
-    best = Dyadic.zero()
-    for i in range(len(ivs)):
-        lo_i, hi_i = ivs[i]
-        for j in range(i + 1, len(ivs)):
-            lo_j, hi_j = ivs[j]
-            gap = lo_i - hi_j if lo_i > hi_j else lo_j - hi_i
-            if gap > best:
-                best = gap
-    return best
+    gap = max(lo for lo, _ in ivs) - min(hi for _, hi in ivs)
+    return gap if gap > 0 else Dyadic.zero()
 
 
 # ---------------------------------------------------------------------------

@@ -67,9 +67,6 @@ class BitString:
             raise ValueError(f"prefix length {l} out of range")
         return BitString.raw(l, self.v >> (self.n - l))
 
-    def concat(self, other: "BitString") -> "BitString":
-        return BitString.raw(self.n + other.n, (self.v << other.n) | other.v)
-
     def is_prefix_of(self, other: "BitString") -> bool:
         return self.n <= other.n and (other.v >> (other.n - self.n)) == self.v
 
@@ -119,12 +116,6 @@ class Point:
                 f"bad point syntax {text!r}: expected prefix(period), e.g. '01(10)'"
             )
         return Point(BitString(m.group(1)), BitString(m.group(2)))
-
-    def bit_at(self, i: int) -> int:
-        p = len(self.prefix_bits)
-        if i < p:
-            return self.prefix_bits.bit(i)
-        return self.period_bits.bit((i - p) % len(self.period_bits))
 
     def prefix(self, l: int) -> BitString:
         # Preamble shifted into place, then q whole periods (a geometric

@@ -97,15 +97,6 @@ class ClopenSet:
         which separator pieces answer one-cylinder queries."""
         return kernel.measure_intersect(self._ac, n, v)
 
-    def measure_within_clopen(self, k: "ClopenSet") -> Dyadic:
-        if len(k._ac) == 1:
-            num, exp = kernel.measure_intersect(self._ac, *k._ac[0])
-        elif len(self._ac) == 1:
-            num, exp = kernel.measure_intersect(k._ac, *self._ac[0])
-        else:
-            num, exp = kernel.measure(kernel.intersect(self._ac, k._ac))
-        return Dyadic(num, exp)
-
     def restrict(self, t: BitString) -> "ClopenSet | None":
         """The intersection with N_t, or None when it is empty."""
         c = self.intersect(ClopenSet.cylinder(t))

@@ -18,19 +18,20 @@ Representation note: every set built along the pipeline is *denotationally
 clopen* but may be far too large to materialize (its description involves
 complements of deep target stages).  Sets are therefore unions of disjoint
 lazy *pieces* — materialized clopen sets, "cylinder minus target-stage"
-chunks, and "clopen minus earlier level" differences — each answering
-exact measure queries against arbitrary clopen constraints.  Measure zero
-is emptiness for such sets, so covers/membership reduce to exact dyadic
+chunks, and "clopen minus earlier level" differences — each answering exact
+one-cylinder measure queries as (num, exp) integer pairs.  Measure zero is
+emptiness for such sets, so covers/membership reduce to exact dyadic
 comparisons.
 
-Queries are branch-local.  A level C = lusin_menchoff(F, M) keeps F as its
-base and indexes its fills by gap: the gaps are F's complement cylinders,
-already computed in breadth-first order, kept as a sorted (n, v) antichain
-beside the fill pieces of each gap.  `kernel.locate` finds the gap holding a
-cylinder N_t (or the gaps inside it), so a measure, membership or
-restriction query asks only the pieces that can meet N_t: the holding gap's
-fills, or F's read-through answer plus the fills of the gaps inside N_t.
-Pieces answer one cylinder at a time with exact (num, exp) integer pairs.
+Queries are branch-local.  A level C = lusin_menchoff(F, M) is F, kept as
+its base, plus a gap index: the gaps are F's complement cylinders, already
+computed in breadth-first order, each beside its fill pieces, and the same
+cylinders as a sorted (n, v) antichain.
+`kernel.locate` finds the gap holding a cylinder N_t (or the gaps inside
+it), so a measure, membership or restriction query asks only the pieces
+that can meet N_t: the holding gap's fills, or F's read-through answer plus
+the fills of the gaps inside N_t.  `check_interpolation` re-verifies a
+level from the set itself: it measures C and M in every gap.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .bits import EMPTY, BitString, Point
 from .clopen import ClopenSet
 from .dyadic import Dyadic
 from .errors import HorizonExhausted
-from .sets import GDeltaSet
+from .sets import GDeltaSet, _least_index
 
 _SEARCH_CAP = 100_000
 
@@ -98,9 +99,6 @@ class StageComplementChunk:
             return self._rest(BitString.raw(n, v))
         return self._size if s.v >> (s.n - n) == v else (0, 0)
 
-    def measure_within_clopen(self, k: ClopenSet) -> Dyadic:
-        return Dyadic(*_pair_over(self, k._ac))
-
     def contains_point(self, beta: Point) -> bool:
         return beta.starts_with(self.support) and (
             self.gdelta.stage_cylinder_containing(self.k, beta) is None
@@ -136,9 +134,6 @@ class DifferencePiece:
         d = self.minus._measure_ac(inside)
         return _add_pair(num, exp, -d.num, d.exp)
 
-    def measure_within_clopen(self, k: ClopenSet) -> Dyadic:
-        return Dyadic(*_pair_over(self, k._ac))
-
     def contains_point(self, beta: Point) -> bool:
         return self.positive.contains_point(beta) and not self.minus.contains_point(
             beta
@@ -169,12 +164,11 @@ class ClosedPieceSet:
     A set built from another as "its pieces + new pieces" keeps that set as
     its *base* and passes only the new pieces: `pieces` is the base's pieces
     followed by its own.  Its own pieces are *loose* (the `pieces` argument)
-    or indexed by gap (the `fills` argument, which also becomes `fills`).
-    A level made by `lusin_menchoff` has only indexed ones:
-    one `FillRecord` per gap of its base, a gap being a maximal cylinder of
-    the base's complement, kept in breadth-first order.  Its gap index is
-    those cylinders as a sorted (n, v) antichain beside each gap's fill
-    pieces.
+    or indexed by gap (the `gaps` argument, kept as `gaps`).  A level made
+    by `lusin_menchoff` has only indexed ones: `gaps` holds one
+    (cylinder, fill pieces) pair per gap of its base, a gap being a maximal
+    cylinder of the base's complement, in breadth-first order, and the same
+    cylinders as a sorted (n, v) antichain are what `kernel.locate` reads.
 
     Every per-cylinder operation takes one path (`_local`): `kernel.locate`
     finds the gap holding N_t, or the gaps inside it.  When a gap g holds
@@ -182,12 +176,12 @@ class ClosedPieceSet:
     only g's fills (and the loose pieces) can meet it.  Otherwise the base
     can, and so can the fills of the gaps inside N_t.  So:
 
-    - `measure_within_clopen(k)` sums the candidates' answers over k's
-      cylinders, plus the base's answer when the base can meet the
-      cylinder.  The base's answer is read through: from the base's cache
-      when it holds the cylinder, else by walking the base (and its own
-      base) without storing anything.  Only the set that was asked stores
-      the result, under k's key;
+    - `measure_in(t)` (and `_measure_ac`, for an antichain k) sums the
+      candidates' answers over k's cylinders, plus the base's answer when
+      the base can meet the cylinder.  The base's answer is read through:
+      from the base's cache when it holds the cylinder, else by walking the
+      base (and its own base) without storing anything.  Only the set that
+      was asked stores the result, under k's key;
     - `contains_point(β)` tests the candidates at β's cylinder at the depth
       of the deepest gap, and the base when no gap holds β;
     - `_restricted(t)` restricts the candidates to N_t, base first, which is
@@ -201,15 +195,14 @@ class ClosedPieceSet:
         self,
         pieces: Sequence[Piece],
         base: Optional["ClosedPieceSet"] = None,
-        fills: Sequence["FillRecord"] = (),
+        gaps: Sequence[tuple[BitString, tuple]] = (),
     ) -> None:
         self._loose = tuple(pieces)
-        self.fills = list(fills)
-        self._gaps = tuple((r.cylinder.n, r.cylinder.v) for r in self.fills)
-        self._gap_pieces = tuple(r.pieces for r in self.fills)
+        self.gaps = tuple(gaps)
+        self._gap_ac = tuple((s.n, s.v) for s, _ in self.gaps)
         own = list(self._loose)
-        for r in self.fills:
-            own.extend(r.pieces)
+        for _, fill in self.gaps:
+            own.extend(fill)
         self.pieces = own if base is None else base.pieces + own
         self._base = base
         self._measure_cache: dict = {}
@@ -220,18 +213,15 @@ class ClosedPieceSet:
 
     def _local(self, n: int, v: int) -> tuple[bool, tuple]:
         """Whether the base can meet N_(n,v), and the own pieces that can."""
-        holder, slices = kernel.locate(self._gaps, n, v)
+        holder, slices = kernel.locate(self._gap_ac, n, v)
         if holder is not None:
-            return False, self._loose + self._gap_pieces[holder]
+            return False, self._loose + self.gaps[holder][1]
         if not slices:
             return True, self._loose
-        fills = self._gap_pieces
+        gaps = self.gaps
         return True, self._loose + tuple(
-            p for lo, hi in slices for i in range(lo, hi) for p in fills[i]
+            p for lo, hi in slices for i in range(lo, hi) for p in gaps[i][1]
         )
-
-    def measure_within_clopen(self, k: ClopenSet) -> Dyadic:
-        return self._measure_ac(k._ac)
 
     def _measure_ac(self, ac: tuple) -> Dyadic:
         hit = self._measure_cache.get(ac)
@@ -261,7 +251,7 @@ class ClosedPieceSet:
         return num, exp
 
     def measure_in(self, t: BitString) -> Dyadic:
-        return self.measure_within_clopen(ClopenSet.cylinder(t))
+        return self._measure_ac(((t.n, t.v),))
 
     @property
     def measure(self) -> Dyadic:
@@ -271,7 +261,7 @@ class ClosedPieceSet:
         return self.measure_in(t) == Dyadic.pow2(-len(t))
 
     def contains_point(self, beta: Point) -> bool:
-        t = beta.prefix(kernel.max_len(self._gaps))
+        t = beta.prefix(kernel.max_len(self._gap_ac))
         use_base, candidates = self._local(t.n, t.v)
         if use_base and self._base is not None and self._base.contains_point(beta):
             return True
@@ -346,16 +336,6 @@ def default_budget(n: int) -> Dyadic:
 MHandle = Union[ClopenSet, ClosedPieceSet, GDeltaSet]
 
 
-class FillRecord(NamedTuple):
-    """What the interpolation put inside the n-th complement cylinder."""
-
-    index: int
-    cylinder: BitString
-    pieces: tuple  # Piece tuple
-    fill_measure: Dyadic
-    m_measure_hi: Dyadic  # upper bound on λ(M ∩ N_s) valid at build time
-
-
 def lusin_menchoff(
     f: Union[ClopenSet, ClosedPieceSet],
     m: MHandle,
@@ -372,75 +352,48 @@ def lusin_menchoff(
     over untouched.  The n = 0 requirement is vacuous for the default budget.
     """
     fs = ClosedPieceSet.from_clopen(f) if isinstance(f, ClopenSet) else f
-    fills: list[FillRecord] = []
-    for n, s in enumerate(fs.decomposition()):
-        got, m_hi = _inner_approx(m, s, budget(n))
-        fills.append(_fill_record(n, s, got, m_hi))
     # The decomposition is breadth-first, so the fills index C by gap.
-    return ClosedPieceSet((), base=fs, fills=fills)
+    gaps = [(s, _inner_approx(m, s, budget(n))) for n, s in enumerate(fs.decomposition())]
+    return ClosedPieceSet((), base=fs, gaps=gaps)
 
 
-def _fill_record(n: int, s: BitString, got: Sequence[Piece], m_hi: Dyadic) -> FillRecord:
-    num = exp = 0
-    for p in got:
-        num, exp = _add_pair(num, exp, *p.measure_pair_in(s.n, s.v))
-    return FillRecord(n, s, tuple(got), Dyadic(num, exp), m_hi)
-
-
-def _inner_approx(m: MHandle, s: BitString, eps: Dyadic) -> tuple[list[Piece], Dyadic]:
-    """Clopen pieces inside M ∩ N_s of total measure ≥ (1-eps)·λ(M ∩ N_s),
-    together with an upper bound on λ(M ∩ N_s) itself."""
+def _inner_approx(m: MHandle, s: BitString, eps: Dyadic) -> tuple[Piece, ...]:
+    """Clopen pieces inside M ∩ N_s of total measure ≥ (1-eps)·λ(M ∩ N_s)."""
     if isinstance(m, ClopenSet):
-        c = m.intersect(ClopenSet.cylinder(s))
-        return ([] if c.is_empty else [c]), c.measure
+        c = m.restrict(s)
+        return () if c is None else (c,)
     if isinstance(m, ClosedPieceSet):
         # Denotationally clopen: restriction is exact, no measure is lost.
-        return m._restricted(s), m.measure_in(s)
+        return tuple(m._restricted(s))
     if isinstance(m, GDeltaSet):
         return _stage_complement_approx(m, s, eps)
     raise TypeError(f"unsupported M handle {type(m).__name__}")
 
 
-def _stage_complement_approx(
-    g: GDeltaSet, s: BitString, eps: Dyadic
-) -> tuple[list[Piece], Dyadic]:
+def _stage_complement_approx(g: GDeltaSet, s: BitString, eps: Dyadic) -> tuple[Piece, ...]:
     """Inner-approximate (complement of target) ∩ N_s by N_s \\ stage(k).
 
     λ(M ∩ N_s) = λ(N_s) since the target has measure zero, so the budget
     becomes λ(stage(k) ∩ N_s) ≤ eps·λ(N_s); the certified rate guarantees a
     finite k."""
     chunk = StageComplementChunk(s, g, _fill_stage_index(g, s, eps))
-    return ([] if chunk._size[0] == 0 else [chunk]), Dyadic.pow2(-len(s))
+    return () if chunk._size[0] == 0 else (chunk,)
 
 
 def _fill_stage_index(g: GDeltaSet, s: BitString, eps: Dyadic) -> int:
     """Minimal k ≤ _SEARCH_CAP with λ(stage(k) ∩ N_s) ≤ eps·λ(N_s).
 
     Stages are nested, so the measure is nonincreasing in k and the budget,
-    once met, stays met.  Gallop over 0, 2, 6, 14, … to bracket the first k
-    meeting it, then bisect the bracket, as `synthesis._find_stage_index`
-    does: O(log k) measure queries instead of k + 1."""
+    once met, stays met: `sets._least_index` gallops then bisects, in
+    O(log k) measure queries instead of k + 1."""
     bound = eps.mul_pow2(-len(s))
-
-    def meets(k: int) -> bool:
-        return g.measure_stage_in(k, s) <= bound
-
-    lo, hi, step = -1, 0, 1  # lo misses the budget (or is below 0)
-    while not meets(hi):
-        if hi == _SEARCH_CAP:
-            raise HorizonExhausted(
-                f"inner approximation stage index at {s!r}",
-                f"needed λ(stage(k) ∩ N_s) ≤ {bound}",
-            )
-        step *= 2
-        lo, hi = hi, min(hi + step, _SEARCH_CAP)
-    while hi - lo > 1:  # lo misses the budget, hi meets it
-        mid = (lo + hi) // 2
-        if meets(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    k = _least_index(lambda k: g.measure_stage_in(k, s) <= bound, 0, _SEARCH_CAP)
+    if k is None:
+        raise HorizonExhausted(
+            f"inner approximation stage index at {s!r}",
+            f"needed λ(stage(k) ∩ N_s) ≤ {bound}",
+        )
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +432,12 @@ def check_interpolation(
     cylinder s_n captures a (1-budget(n)) fraction of λ(M ∩ N_{s_n}), and C
     has density ≥ 1 - density_threshold at sampled points of F, certified
     from C's exact cylinder measures up to `depth`.  M is given as to
-    `lusin_menchoff`: a GDeltaSet stands for its complement."""
+    `lusin_menchoff`: a GDeltaSet stands for its complement.
+
+    The margins are measured, not read from the build: for each gap s_n of
+    C's index the fill is λ(C ∩ N_{s_n}) (F misses its own gap), and
+    λ(M ∩ N_{s_n}) is M's answer, or λ(N_{s_n}) when M is the complement
+    of a null target."""
     if density_threshold is None:
         density_threshold = Dyadic(1, 4)
     fs = ClosedPieceSet.from_clopen(f) if isinstance(f, ClopenSet) else f
@@ -495,17 +453,19 @@ def check_interpolation(
 
     fills_inside_m = True
     margins_ok = True
-    for rec in c.fills:
-        for p in rec.pieces:
-            if not _piece_inside_m(p, m, rec.cylinder):
+    for index, (s, fill) in enumerate(c.gaps):
+        for p in fill:
+            if not _piece_inside_m(p, m, s):
                 fills_inside_m = False
-                failures.append(f"fill {rec.index} at {rec.cylinder!r} escapes M")
-        want = (Dyadic.one() - budget(rec.index)) * rec.m_measure_hi
-        if rec.fill_measure < want:
+                failures.append(f"fill {index} at {s!r} escapes M")
+        got = c.measure_in(s)
+        m_in_s = Dyadic.pow2(-len(s)) if isinstance(m, GDeltaSet) else m.measure_in(s)
+        want = (Dyadic.one() - budget(index)) * m_in_s
+        if got < want:
             margins_ok = False
             failures.append(
-                f"fill {rec.index} at {rec.cylinder!r}: measure "
-                f"{rec.fill_measure} < (1-budget)·λ(M∩N_s) = {want}"
+                f"fill {index} at {s!r}: measure "
+                f"{got} < (1-budget)·λ(M∩N_s) = {want}"
             )
 
     samples: list[tuple[str, Dyadic]] = []
@@ -532,9 +492,9 @@ def check_interpolation(
 
 
 def _piece_inside_m(p: Piece, m: MHandle, s: BitString) -> bool:
-    size = p.measure_within_clopen(ClopenSet.full())
+    size = Dyadic(*p.measure_pair_in(0, 0))
     if isinstance(m, ClopenSet):
-        return p.measure_within_clopen(m) == size
+        return Dyadic(*_pair_over(p, m._ac)) == size
     if isinstance(m, ClosedPieceSet):
         # Fill pieces are restrictions of M's own pieces; necessary exact
         # check: they cannot outweigh M inside their cylinder.
@@ -545,7 +505,7 @@ def _piece_inside_m(p: Piece, m: MHandle, s: BitString) -> bool:
         # the target's stages, checked against the deepest cheap stage.
         if isinstance(p, StageComplementChunk) and p.gdelta is m:
             return True
-        return p.measure_within_clopen(m.stage(3)) == 0
+        return _pair_over(p, m.stage(3)._ac)[0] == 0
     return False
 
 

@@ -95,6 +95,27 @@ class GDeltaSet:
         raise NotImplementedError
 
 
+def _least_index(holds: Callable[[int], bool], start: int, last: int) -> Optional[int]:
+    """The least k in [start, last] with holds(k), or None when holds(last)
+    is false, for a predicate that stays true once true (as a budget does
+    along nested stages).  Gallop over the offsets 0, 2, 6, 14, … from start
+    to bracket it, then bisect the bracket (Bentley & Yao 1976):
+    O(log(k - start)) probes instead of k - start + 1."""
+    lo, hi, step = start - 1, start, 1  # lo fails (or is below start)
+    while not holds(hi):
+        if hi >= last:
+            return None
+        step *= 2
+        lo, hi = hi, min(hi + step, last)
+    while hi - lo > 1:  # lo fails, hi holds
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 @functools.lru_cache(maxsize=64)
 def _even_mask(length: int) -> int:
     """Mask 0b…0101 of the even positions 0, 2, 4, … of a big-endian bit

@@ -34,7 +34,7 @@ from .clopen import ClopenSet
 from .dyadic import Dyadic
 from .errors import HorizonExhausted
 from .fine import StepFunction
-from .sets import GDeltaSet, SigmaThreeSet
+from .sets import GDeltaSet, SigmaThreeSet, _least_index
 from .table import MartingaleTable
 
 _STAGE_SEARCH_SPAN = 4096
@@ -204,32 +204,6 @@ class StageCertificate:
         region of the chain."""
         return any(v.is_prefix_of(w) for v in self.verified)
 
-    def chain_region(self, j: int) -> Region:
-        cert = self
-        while cert.index > j:
-            if cert.prev is None:
-                raise ValueError(f"certificate chain broken below index {cert.index}")
-            cert = cert.prev
-        if cert.index != j:
-            raise ValueError(f"no certificate at index {j}")
-        return cert.gstar
-
-    def partial_mean_at(self, w: BitString) -> Dyadic:
-        """⨍_{N_w} S_n dλ computed through the chain in one walk, exact:
-        n+1 region queries.  The reference the inductive mean-proximity
-        check is tested against."""
-        total = Dyadic.zero()
-        cert = self
-        for j in range(self.index, -1, -1):
-            if cert is None:
-                raise ValueError(f"certificate chain broken below index {j + 1}")
-            if cert.index != j:
-                raise ValueError(f"no certificate at index {j}")
-            r = cert.gstar.measure_in(w).mul_pow2(len(w))
-            total = total - r if j % 2 else total + r
-            cert = cert.prev
-        return total
-
     def __repr__(self) -> str:
         return (
             f"StageCertificate(index={self.index}, gstar={self.gstar!r}, "
@@ -291,36 +265,22 @@ def _find_stage_index(
     """Minimal m ≥ start with λ(stage(m) ∩ N_w) < threshold·λ(N_w).
 
     Stages are nested, so the measure is nonincreasing in m and the budget,
-    once met, stays met.  Gallop over the offsets 0, 2, 6, 14, … from start
-    to bracket the first index meeting it, then bisect the bracket (Bentley
-    & Yao 1976): O(log(m - start)) measure queries instead of m - start + 1.
-    The search ends at the last index of _STAGE_SEARCH_SPAN, or at the
-    frozen stage when the stages stop changing there."""
+    once met, stays met: `sets._least_index` gallops then bisects, in
+    O(log(m - start)) measure queries instead of m - start + 1.  The search
+    ends at the last index of _STAGE_SEARCH_SPAN, or at the frozen stage
+    when the stages stop changing there."""
     bound = threshold.mul_pow2(-len(w))
     last = start + _STAGE_SEARCH_SPAN - 1
     frozen_from = getattr(target, "frozen_from", None)
     if frozen_from is not None:
         last = min(last, max(start, frozen_from))
-
-    def meets(m: int) -> bool:
-        return target.measure_stage_in(m, w) < bound
-
-    lo, hi, step = start - 1, start, 1  # lo misses the budget (or is below start)
-    while not meets(hi):
-        if hi == last:
-            raise HorizonExhausted(
-                f"stage budget λ(stage(m) ∩ N_{str(w) or 'ε'}) < {threshold}·2^-{len(w)}",
-                f"no reachable stage index from {start} meets it",
-            )
-        step *= 2
-        lo, hi = hi, min(hi + step, last)
-    while hi - lo > 1:  # lo misses the budget, hi meets it
-        mid = (lo + hi) // 2
-        if meets(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    m = _least_index(lambda m: target.measure_stage_in(m, w) < bound, start, last)
+    if m is None:
+        raise HorizonExhausted(
+            f"stage budget λ(stage(m) ∩ N_{str(w) or 'ε'}) < {threshold}·2^-{len(w)}",
+            f"no reachable stage index from {start} meets it",
+        )
+    return m
 
 
 def _check_mean_proximity(cert: StageCertificate, witnesses: Sequence[BitString]) -> None:
@@ -338,8 +298,8 @@ def _check_mean_proximity(cert: StageCertificate, witnesses: Sequence[BitString]
     ⨍_{N_w} S_{n+1} dλ = Σ_{j≤n+1} (-1)^j is exactly the parity value and
     the error is 0 < 2^(-3).  The witnesses become `cert.verified`, which
     keeps the invariant for the next stage.  A witness failing either test
-    raises ValueError; StageCertificate.partial_mean_at is the O(n) chain
-    walk the check is tested against.  The prefix test scans the verified
+    raises ValueError.  The tests check the result against the O(n) chain
+    walk over the regions G*_0, …, G*_{n+1}.  The prefix test scans the verified
     witnesses of stage n: one on the closed-form path, and on the
     materialized path all of them, as the union of its pieces does."""
     prev = cert.prev
@@ -442,38 +402,6 @@ class SynthesizedMartingale:
         """|⨍_{N_w} S_n dλ − S_n(β on target)|, exact (condition (6))."""
         diff = self.partial_mean(n, w) - _parity_value(n)
         return abs(diff)
-
-    def check_stage_conditions(self, n: int, sample_cap: int = 6) -> list[str]:
-        """Finite-horizon audit of the construction conditions at stage n.
-        Returns failure descriptions (empty = all pass)."""
-        failures: list[str] = []
-        cert = self.stage(n)
-        ws = cert.witnesses.sample(sample_cap)
-        stage_meas = self.target.measure_stage_in
-
-        if n == 0:
-            if not cert.gstar.covers(EMPTY):
-                failures.append("G*_0 is not the full space")
-        for w in ws:
-            if not cert.gstar.covers(w):
-                failures.append(f"witness {w!r} not inside G*_{n}")
-            if stage_meas(n, w) != Dyadic.pow2(-len(w)):
-                failures.append(f"witness {w!r} of G*_{n} escapes stage({n})")
-            if not self.target.meets_target(w):
-                failures.append(f"witness {w!r} misses the target")
-            err = self.witness_mean_error(n, w)
-            if not err < Dyadic(1, 3):
-                failures.append(f"mean proximity fails at {w!r}: error {err}")
-            nxt = self.relative_measure(n + 1, w)
-            if not nxt < Dyadic.pow2(-n - _BUDGET_EXP_OFFSET):
-                failures.append(
-                    f"budget fails at {w!r}: λ(G*_{n+1}∩N_w)/λ(N_w) = {nxt}"
-                )
-        # region nesting at sampled witnesses of the next stage
-        for w in self.stage(n + 1).witnesses.sample(sample_cap):
-            if self.stage(n + 1).gstar.measure_in(w) > cert.gstar.measure_in(w):
-                failures.append(f"G*_{n + 1} not inside G*_{n} at {w!r}")
-        return failures
 
 
 def gdelta_martingale(target: GDeltaSet) -> SynthesizedMartingale:

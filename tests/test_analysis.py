@@ -202,6 +202,44 @@ def test_osc_window_exact_for_embeddings():
     assert osc_window(phi, Point.parse("(0)"), 1, 4) == Dyadic.zero()
 
 
+def osc_window_reference(ivs) -> Dyadic:
+    """The largest gap between two of the intervals, pair by pair."""
+    best = Dyadic.zero()
+    for i in range(len(ivs)):
+        lo_i, hi_i = ivs[i]
+        for j in range(i + 1, len(ivs)):
+            lo_j, hi_j = ivs[j]
+            gap = lo_i - hi_j if lo_i > hi_j else lo_j - hi_i
+            if gap > best:
+                best = gap
+    return best
+
+
+class _Intervals:
+    """A martingale stand-in whose evaluation interval at depth i is the
+    i-th of a list."""
+
+    def __init__(self, ivs) -> None:
+        self.ivs = ivs
+
+    def eval(self, s: BitString, precision: Dyadic):
+        return self.ivs[len(s)]
+
+
+intervals = st.tuples(st.integers(-64, 64), st.integers(-64, 64)).map(
+    lambda ab: (Dyadic(min(ab), 5), Dyadic(max(ab), 5))
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(intervals, min_size=1, max_size=12), st.data())
+def test_osc_window_matches_the_pairwise_gaps(ivs, data):
+    n = data.draw(st.integers(0, len(ivs) - 1))
+    l = data.draw(st.integers(n, len(ivs) - 1))
+    got = osc_window(_Intervals(ivs), Point.parse("(0)"), n, l)
+    assert got == osc_window_reference(ivs[n : l + 1])
+
+
 def test_divergence_measure_bound_shrinks(even):
     assert divergence_measure_bound(even, 0) == Dyadic.one()
     assert divergence_measure_bound(even, 2) == Dyadic.pow2(-9)

@@ -23,7 +23,6 @@ from divmart.errors import HorizonExhausted
 from divmart.fine import (
     ClosedPieceSet,
     DifferencePiece,
-    FillRecord,
     SeparatorFunction,
     StageComplementChunk,
     StepFunction,
@@ -50,7 +49,7 @@ def tight_budget(n: int) -> Dyadic:
 def test_interpolate_full_into_full_is_identity():
     c = lusin_menchoff(ClopenSet.full(), ClopenSet.full())
     assert c.measure == Dyadic.one()
-    assert c.fills == []
+    assert c.gaps == ()
     assert c.contains_point(Point.parse("(10)"))
 
 
@@ -60,11 +59,9 @@ def test_interpolate_empty_into_half():
     m = ClopenSet.from_strings(["0"])
     c = lusin_menchoff(ClopenSet.empty(), m)
     assert c.measure == Dyadic(1, 1)
-    assert len(c.fills) == 1
-    rec = c.fills[0]
-    assert rec.index == 0 and rec.cylinder == EMPTY
-    assert rec.fill_measure == Dyadic(1, 1)
-    assert rec.m_measure_hi == Dyadic(1, 1)
+    # One gap, ε, filled with M itself.
+    assert c.gaps == ((EMPTY, (m,)),)
+    assert c.measure_in(EMPTY) == m.measure_in(EMPTY) == Dyadic(1, 1)
     rep = check_interpolation(c, ClopenSet.empty(), m)
     assert rep.ok
 
@@ -79,9 +76,10 @@ def test_interpolate_clopen_into_target_complement():
     c = lusin_menchoff(f, m, tight_budget)
     assert type(c) is ClosedPieceSet
     assert c.measure == Dyadic(7, 3)
-    assert [(r.index, str(r.cylinder), r.fill_measure, r.m_measure_hi) for r in c.fills] == [
-        (0, "0", Dyadic(3, 3), Dyadic(1, 1))
-    ]
+    [(s, fill)] = c.gaps
+    assert s == BitString("0")
+    assert [(p.support, p.gdelta, p.k) for p in fill] == [(s, target, 3)]
+    assert c.measure_in(s) == Dyadic(3, 3)
     assert c.contains_point(Point.parse("(1)"))
     assert c.contains_point(Point.parse("001(0)"))  # escapes the target
     assert not c.contains_point(Point.parse("(0)"))  # inside the target
@@ -90,26 +88,49 @@ def test_interpolate_clopen_into_target_complement():
     assert rep.density_samples == (("1(0)", Dyadic.one()),)
 
 
+def _refilled(c: ClosedPieceSet, *fills: tuple) -> ClosedPieceSet:
+    """The level c with its base and gaps kept and the gaps' fill pieces
+    replaced, in breadth-first order."""
+    return ClosedPieceSet((), base=c._base, gaps=[(s, fill) for (s, _), fill in zip(c.gaps, fills)])
+
+
 def test_interpolation_check_flags_short_fill():
+    # The gap left unfilled: C ∩ N_0 is empty.
     target = EvenZeros()
     f = target.stage(1).complement()
     m = target  # the open complement of the target
-    c = lusin_menchoff(f, m, tight_budget)
-    c.fills[0] = c.fills[0]._replace(fill_measure=Dyadic(1, 5))
+    c = _refilled(lusin_menchoff(f, m, tight_budget), ())
     rep = check_interpolation(c, f, m, depth=12, budget=tight_budget)
     assert not rep.ok
     assert not rep.margins_ok
     assert any("fill 0" in msg for msg in rep.failures)
 
 
+def test_interpolation_check_measures_the_fills_it_is_given():
+    # The gap's fill N_0 \ stage(3) (measure 3/8) swapped for the smaller
+    # N_01 \ stage(3) (measure 3/16), still inside M.  The check measures C
+    # in the gap, so the margin fails and nothing else does.
+    target = EvenZeros()
+    f = target.stage(1).complement()
+    c = lusin_menchoff(f, target, tight_budget)
+    smaller = _refilled(c, (StageComplementChunk(BitString("01"), target, 3),))
+    assert check_interpolation(c, f, target, depth=12, budget=tight_budget).ok
+    rep = check_interpolation(smaller, f, target, depth=12, budget=tight_budget)
+    assert rep.f_carried and rep.fills_inside_m and rep.density_ok
+    assert not rep.margins_ok
+    assert rep.failures == (
+        "fill 0 at BitString('0'): measure 3/2^4 < (1-budget)·λ(M∩N_s) = 3/2^3",
+    )
+
+
 def test_interpolation_check_flags_escaping_fill():
     # A forged fill sitting in N_1 cannot pass against M = N_0.
     piece = ClopenSet.from_strings(["1"])
-    c = ClosedPieceSet([piece])
-    c.fills = [FillRecord(0, EMPTY, (piece,), Dyadic(1, 1), Dyadic(1, 1))]
+    c = ClosedPieceSet((), gaps=[(EMPTY, (piece,))])
     rep = check_interpolation(c, ClopenSet.empty(), ClopenSet.from_strings(["0"]))
     assert not rep.ok
     assert not rep.fills_inside_m
+    assert rep.margins_ok
 
 
 def test_interpolation_check_flags_a_chunk_of_another_target():
@@ -117,8 +138,7 @@ def test_interpolation_check_flags_a_chunk_of_another_target():
     # is inside M by construction; a chunk of another target must miss the
     # target's stages, and N_ε minus N_11 does not.
     chunk = StageComplementChunk(EMPTY, Singleton(Point.parse("(1)")), 2)
-    c = ClosedPieceSet([chunk])
-    c.fills = [FillRecord(0, EMPTY, (chunk,), Dyadic(3, 2), Dyadic.one())]
+    c = ClosedPieceSet((), gaps=[(EMPTY, (chunk,))])
     rep = check_interpolation(c, ClopenSet.empty(), EvenZeros())
     assert not rep.fills_inside_m
     assert rep.margins_ok
@@ -210,11 +230,11 @@ def test_fill_stage_search_on_the_backbone_fills():
     target = EvenZeros()
     h = urysohn(target.stage(1).complement(), target)
     for m in range(5):
-        for rec in h.backbone(m).fills:
-            eps = default_budget(rec.index)
-            k = fill_stage_index_reference(target, rec.cylinder, eps)
-            assert _fill_stage_index(target, rec.cylinder, eps) == k
-            assert all(p.k == k for p in rec.pieces)
+        for index, (s, fill) in enumerate(h.backbone(m).gaps):
+            eps = default_budget(index)
+            k = fill_stage_index_reference(target, s, eps)
+            assert _fill_stage_index(target, s, eps) == k
+            assert all(p.k == k for p in fill)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +262,7 @@ def test_backbone_measures_and_shapes(sep):
         b = sep.backbone(m)
         assert b.measure == measure, f"backbone({m})"
         assert len(b.pieces) == pieces
-        assert len(b.fills) == fills
+        assert len(b.gaps) == fills
 
 
 def test_level_normalizes_to_backbone(sep):
@@ -384,7 +404,6 @@ def test_finer_grading_exhausts_the_work_cap(monkeypatch):
 
     for cls in (StageComplementChunk, DifferencePiece):
         count(cls, "measure_pair_in", "piece")
-        count(cls, "measure_within_clopen", "piece")
     count(ClopenSet, "measure_pair_in", "piece")
     count(ClosedPieceSet, "measure_in", "measure_in")
     target = EvenZeros()
@@ -421,10 +440,9 @@ def test_finer_grading_exhausts_the_work_cap(monkeypatch):
 
 def _reference_measure(level: ClosedPieceSet, s: BitString) -> Dyadic:
     """λ(level ∩ N_s) summed over every piece of the level, base or not."""
-    k = ClopenSet.cylinder(s)
     total = Dyadic.zero()
     for p in level.pieces:
-        total = total + p.measure_within_clopen(k)
+        total = total + Dyadic(*p.measure_pair_in(s.n, s.v))
     return total
 
 
@@ -598,11 +616,10 @@ def _reference_restricted(level: ClosedPieceSet, s: BitString) -> list:
 def _check_gap_local(level: ClosedPieceSet, t: BitString, beta: Point):
     assert level.measure_in(t) == _reference_measure(level, t)
     assert level.contains_point(beta) == any(p.contains_point(beta) for p in level.pieces)
-    got, m_hi = _inner_approx(level, t, Dyadic.one())
+    got = _inner_approx(level, t, Dyadic.one())
     want = _reference_restricted(level, t)
     assert len(got) == len(want)
     assert all(_same_piece(a, b) for a, b in zip(got, want))
-    assert m_hi == _reference_measure(level, t)
 
 
 # Even-zeros gradings past these exhaust the decomposition work cap.
@@ -659,6 +676,36 @@ def test_levels_are_nested_along_each_grading(kind, j, n, odd_bits, prefix, peri
     assert column[0] <= Dyadic.pow2(-len(t))
     for lower, higher in zip(column, column[1:]):
         assert higher <= lower
+
+
+def _neighbours(h: SeparatorFunction, num: int, e: int):
+    """The F and M that level num/2^e (num odd) interpolates between: the
+    backbone level 1/2^e between the one before it, with stage e exhausted
+    (a set built on that level, or C itself at e = 0), and the target's
+    complement; any other level between its two neighbours at the coarser
+    grid."""
+    if num == 1:
+        f = h.backbone(e)._base
+        assert f is h.c if e == 0 else f._base is h.backbone(e - 1)
+        return f, h.g
+    return h.level((num + 1) // 2, e - 1), h.level((num - 1) // 2, e - 1)
+
+
+@pytest.mark.parametrize("kind, j, n", GAP_LOCAL_CASES)
+@settings(max_examples=5, deadline=None)
+@given(prefix=bit_strings, period=st.text(alphabet="01", min_size=1, max_size=4))
+def test_every_level_passes_the_interpolation_check(kind, j, n, prefix, period):
+    target, _ = _target_and_bits(kind, "0" * 16, prefix, period)
+    h = urysohn(target.stage(j).complement(), target)
+    for i in range(1, (1 << n) + 1):
+        num, e = i, n
+        while num % 2 == 0:
+            num, e = num // 2, e - 1
+        level = h.level(num, e)
+        f, m = _neighbours(h, num, e)
+        assert level._base is f
+        rep = check_interpolation(level, f, m)
+        assert rep.ok, (i, n, rep.failures)
 
 
 # ---------------------------------------------------------------------------
@@ -722,7 +769,7 @@ def test_piece_answers_at_random_cylinders(index, cyls):
     assert Dyadic(*piece.measure_pair_in(n, v)) == ref.measure_in(BitString.raw(n, v))
     # A clopen k with several cylinders: the sum over its cylinders.
     k = ClopenSet.from_cylinders(BitString.raw(n, v) for n, v in cyls)
-    assert piece.measure_within_clopen(k) == ref.intersect(k).measure
+    assert Dyadic(*fine._pair_over(piece, k._ac)) == ref.intersect(k).measure
 
 
 # ---------------------------------------------------------------------------

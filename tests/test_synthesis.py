@@ -103,18 +103,45 @@ def test_witness_enumeration_cap(even):
         even.stage(3).witnesses.all()
 
 
+def chain_region(cert: StageCertificate, j: int):
+    """G*_j, reached from the certificate by following `prev`."""
+    while cert.index > j:
+        if cert.prev is None:
+            raise ValueError(f"certificate chain broken below index {cert.index}")
+        cert = cert.prev
+    if cert.index != j:
+        raise ValueError(f"no certificate at index {j}")
+    return cert.gstar
+
+
+def partial_mean_at(cert: StageCertificate, w: BitString) -> Dyadic:
+    """⨍_{N_w} S_n dλ computed through the chain in one walk, exact: n+1
+    region queries.  The reference the inductive mean-proximity check is
+    tested against."""
+    total = Dyadic.zero()
+    for j in range(cert.index, -1, -1):
+        if cert is None:
+            raise ValueError(f"certificate chain broken below index {j + 1}")
+        if cert.index != j:
+            raise ValueError(f"no certificate at index {j}")
+        r = cert.gstar.measure_in(w).mul_pow2(len(w))
+        total = total - r if j % 2 else total + r
+        cert = cert.prev
+    return total
+
+
 def test_certificate_chain_access(even):
     cert = even.stage(3)
     for j in range(4):
-        assert cert.chain_region(j) is even.stage(j).gstar
+        assert chain_region(cert, j) is even.stage(j).gstar
     with pytest.raises(ValueError):
-        cert.chain_region(7)
+        chain_region(cert, 7)
 
 
 def partial_mean_reference(cert, w):
     total = Dyadic.zero()
     for j in range(cert.index + 1):
-        r = cert.chain_region(j).measure_in(w).mul_pow2(len(w))
+        r = chain_region(cert, j).measure_in(w).mul_pow2(len(w))
         total = total + r if j % 2 == 0 else total - r
     return total
 
@@ -125,19 +152,19 @@ def partial_mean_reference(cert, w):
 def test_partial_mean_matches_the_chain_sum(n, l, v):
     cert = gdelta_martingale(EvenZeros()).stage(n)
     w = BitString.raw(l, v & ((1 << l) - 1))
-    assert cert.partial_mean_at(w) == partial_mean_reference(cert, w)
+    assert partial_mean_at(cert, w) == partial_mean_reference(cert, w)
     witness = cert.witnesses.sample(1)[0]
-    assert cert.partial_mean_at(witness) == partial_mean_reference(cert, witness)
+    assert partial_mean_at(cert, witness) == partial_mean_reference(cert, witness)
 
 
 def test_partial_mean_rejects_a_broken_chain(even):
     cert = even.stage(2)
     orphan = StageCertificate(2, cert.gstar, cert.witnesses, cert.stage_index, None)
     with pytest.raises(ValueError):
-        orphan.partial_mean_at(EMPTY)
+        partial_mean_at(orphan, EMPTY)
     gap = StageCertificate(3, cert.gstar, cert.witnesses, None, even.stage(1))
     with pytest.raises(ValueError):
-        gap.partial_mean_at(EMPTY)
+        partial_mean_at(gap, EMPTY)
 
 
 # ---------------------------------------------------------------------------
@@ -220,11 +247,42 @@ def test_stage_search_on_the_real_chains(even, single):
             assert want == g.stage(n).stage_index
 
 
+def check_stage_conditions(g: SynthesizedMartingale, n: int, sample_cap: int = 6) -> list[str]:
+    """Finite-horizon audit of the construction conditions at stage n.
+    Returns failure descriptions (empty = all pass)."""
+    failures: list[str] = []
+    cert = g.stage(n)
+    ws = cert.witnesses.sample(sample_cap)
+    stage_meas = g.target.measure_stage_in
+
+    if n == 0:
+        if not cert.gstar.covers(EMPTY):
+            failures.append("G*_0 is not the full space")
+    for w in ws:
+        if not cert.gstar.covers(w):
+            failures.append(f"witness {w!r} not inside G*_{n}")
+        if stage_meas(n, w) != Dyadic.pow2(-len(w)):
+            failures.append(f"witness {w!r} of G*_{n} escapes stage({n})")
+        if not g.target.meets_target(w):
+            failures.append(f"witness {w!r} misses the target")
+        err = g.witness_mean_error(n, w)
+        if not err < Dyadic(1, 3):
+            failures.append(f"mean proximity fails at {w!r}: error {err}")
+        nxt = g.relative_measure(n + 1, w)
+        if not nxt < Dyadic.pow2(-n - synthesis._BUDGET_EXP_OFFSET):
+            failures.append(f"budget fails at {w!r}: λ(G*_{n+1}∩N_w)/λ(N_w) = {nxt}")
+    # region nesting at sampled witnesses of the next stage
+    for w in g.stage(n + 1).witnesses.sample(sample_cap):
+        if g.stage(n + 1).gstar.measure_in(w) > cert.gstar.measure_in(w):
+            failures.append(f"G*_{n + 1} not inside G*_{n} at {w!r}")
+    return failures
+
+
 def test_stage_conditions_audit_clean(even, single):
     for n in range(5):
-        assert even.check_stage_conditions(n) == []
+        assert check_stage_conditions(even, n) == []
     for n in range(4):
-        assert single.check_stage_conditions(n) == []
+        assert check_stage_conditions(single, n) == []
 
 
 def test_witness_mean_error_is_exactly_zero(even):
@@ -306,7 +364,7 @@ def test_explicit_target_builds_clopen_regions(explicit_target):
         [""], ["0000"], ["000000000"], ["000000000000000"]
     ]
     for n in range(3):
-        assert g.check_stage_conditions(n) == []
+        assert check_stage_conditions(g, n) == []
 
 
 def test_explicit_target_exhausts_honestly(explicit_target):
@@ -656,8 +714,8 @@ def test_certified_witnesses_have_the_parity_mean(target, n):
             assert verified == cert.witnesses.sample(len(verified))
             assert bool(verified) == bool(cert.witnesses.count())
         for w in verified:
-            assert cert.partial_mean_at(w) == partial_mean_reference(cert, w)
-            assert cert.partial_mean_at(w) == synthesis._parity_value(j)
+            assert partial_mean_at(cert, w) == partial_mean_reference(cert, w)
+            assert partial_mean_at(cert, w) == synthesis._parity_value(j)
             assert _witness_distance(g, j, w)[0] == Dyadic.zero()
 
 
@@ -686,7 +744,7 @@ def test_a_witness_outside_the_verified_ones_fails_the_check(even):
     # A genuine witness of G*_3 whose mean is the parity value, but which
     # does not extend the verified witness of stage 2: not certified.
     w = cert.witnesses.containing(Point.parse("(01)"))
-    assert cert.partial_mean_at(w) == synthesis._parity_value(3)
+    assert partial_mean_at(cert, w) == synthesis._parity_value(3)
     with pytest.raises(ValueError, match="extends no verified witness of stage 2"):
         synthesis._check_mean_proximity(cert, [w])
     # The verified witness of stage 2 itself extends a verified witness, but
