@@ -2,11 +2,12 @@
 sets.
 
 Given a finite union of closed null subsets of Cantor space, each the
-intersection of nested clopen stages with a certified decay rate, the
-package constructs a [0,1]-valued martingale whose set of divergence is
-exactly that set, in exact dyadic arithmetic, together with point-by-point
-divergence/convergence certificates, graded density separators, and Doob
-diagnostics.
+intersection of nested clopen stages whose measures tend to 0 (a listed
+stage's measure is checked against its declared rate when the spec is
+read), the package constructs a [0,1]-valued martingale whose set of
+divergence is exactly that set, in exact dyadic arithmetic, together with
+point-by-point divergence/convergence certificates, graded density
+separators, and Doob diagnostics.
 """
 
 from .analysis import (

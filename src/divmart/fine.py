@@ -13,6 +13,11 @@ Iterating this between dyadic levels yields a graded family of closed sets
 C_ζ (ζ dyadic in (0,1], decreasing in ζ) separating a closed C from a
 measure-zero target G: the separator function h equals 1 on G, 0 on C, and
 is approximately continuous, with every level set exactly representable.
+An in-between level interpolates into a clopen-piece set M, which it fills
+exactly, so it equals M, and every level is a backbone level:
+C_(j/2^n) = backbone(n − ⌊log₂ j⌋).  `evaluate` reads the n + 1 nested
+backbone levels directly; `mean_in` and `level` still build the in-between
+interpolants.
 
 Representation note: every set built along the pipeline is *denotationally
 clopen* but may be far too large to materialize (its description involves
@@ -47,6 +52,7 @@ from .errors import HorizonExhausted
 from .sets import GDeltaSet, _least_index
 
 _SEARCH_CAP = 100_000
+_DECOMPOSITION_CAP = 20_000  # cylinders one complement decomposition may examine
 
 
 # ---------------------------------------------------------------------------
@@ -162,10 +168,10 @@ class ClosedPieceSet:
     all measure queries are exact and measure-positivity equals nonemptiness.
 
     A set built from another as "its pieces + new pieces" keeps that set as
-    its *base* and passes only the new pieces: `pieces` is the base's pieces
-    followed by its own.  Its own pieces are *loose* (the `pieces` argument)
-    or indexed by gap (the `gaps` argument, kept as `gaps`).  A level made
-    by `lusin_menchoff` has only indexed ones: `gaps` holds one
+    its *base* and passes only the new pieces (`_all_pieces` yields the
+    base's pieces, then its own).  Its own pieces are *loose* (the `pieces`
+    argument) or indexed by gap (the `gaps` argument, kept as `gaps`).  A
+    level made by `lusin_menchoff` has only indexed ones: `gaps` holds one
     (cylinder, fill pieces) pair per gap of its base, a gap being a maximal
     cylinder of the base's complement, in breadth-first order, and the same
     cylinders as a sorted (n, v) antichain are what `kernel.locate` reads.
@@ -185,8 +191,8 @@ class ClosedPieceSet:
     - `contains_point(β)` tests the candidates at β's cylinder at the depth
       of the deepest gap, and the base when no gap holds β;
     - `_restricted(t)` restricts the candidates to N_t, base first, which is
-      `p.restrict(t)` over all of `pieces` with the empty answers left out:
-      a piece that cannot meet N_t restricts to nothing.
+      `p.restrict(t)` over all of `_all_pieces()` with the empty answers
+      left out: a piece that cannot meet N_t restricts to nothing.
 
     Sets with no index (`from_clopen`, `union_with_clopen`) keep their
     pieces loose, so every own piece is a candidate everywhere."""
@@ -200,16 +206,21 @@ class ClosedPieceSet:
         self._loose = tuple(pieces)
         self.gaps = tuple(gaps)
         self._gap_ac = tuple((s.n, s.v) for s, _ in self.gaps)
-        own = list(self._loose)
-        for _, fill in self.gaps:
-            own.extend(fill)
-        self.pieces = own if base is None else base.pieces + own
         self._base = base
         self._measure_cache: dict = {}
 
     @staticmethod
     def from_clopen(c: ClopenSet) -> "ClosedPieceSet":
         return ClosedPieceSet([] if c.is_empty else [c])
+
+    def _all_pieces(self) -> Iterator[Piece]:
+        """Every piece: the base chain's, then the loose ones, then the
+        fills gap by gap."""
+        if self._base is not None:
+            yield from self._base._all_pieces()
+        yield from self._loose
+        for _, fill in self.gaps:
+            yield from fill
 
     def _local(self, n: int, v: int) -> tuple[bool, tuple]:
         """Whether the base can meet N_(n,v), and the own pieces that can."""
@@ -281,17 +292,17 @@ class ClosedPieceSet:
             return self
         return ClosedPieceSet([DifferencePiece(w, self)], base=self)
 
-    def decomposition(self, cap: int = 20_000) -> list[BitString]:
+    def decomposition(self) -> list[BitString]:
         """Canonical (breadth-first maximal-cylinder) antichain of the
         complement; the set is denotationally clopen, so the walk terminates
-        exactly.  `cap` bounds the number of cylinders the walk may
-        *examine*, not just yield: a complement that keeps splitting at every
-        depth (e.g. fill slivers hugging a measure-zero boundary) fails fast
-        instead of marching forever."""
-        return list(_decompose(self, cap))
+        exactly.  `_DECOMPOSITION_CAP` bounds the number of cylinders the
+        walk may *examine*, not just yield: a complement that keeps splitting
+        at every depth (e.g. fill slivers hugging a measure-zero boundary)
+        fails fast instead of marching forever."""
+        return list(_decompose(self))
 
 
-def _decompose(pieces: ClosedPieceSet, work_cap: int) -> Iterator[BitString]:
+def _decompose(pieces: ClosedPieceSet) -> Iterator[BitString]:
     """Breadth-first maximal cylinders of the complement of the pieces.
     Measures are canonical dyadics, so "empty" is num == 0 and "full" is
     exactly (1, len(t))."""
@@ -302,13 +313,13 @@ def _decompose(pieces: ClosedPieceSet, work_cap: int) -> Iterator[BitString]:
         next_queue = []
         for t in queue:
             examined += 1
-            if examined > work_cap:
+            if examined > _DECOMPOSITION_CAP:
                 raise HorizonExhausted(
                     "complement decomposition work",
                     f"examined {examined} cylinders, more than the cap of "
-                    f"{work_cap}, without closing the antichain: {found} "
-                    f"complement cylinders found, breadth-first depth {t.n} "
-                    f"reached; the interpolation at this level is not "
+                    f"{_DECOMPOSITION_CAP}, without closing the antichain: "
+                    f"{found} complement cylinders found, breadth-first depth "
+                    f"{t.n} reached; the interpolation at this level is not "
                     f"tractable",
                 )
             m = pieces.measure_in(t)
@@ -374,8 +385,8 @@ def _stage_complement_approx(g: GDeltaSet, s: BitString, eps: Dyadic) -> tuple[P
     """Inner-approximate (complement of target) ∩ N_s by N_s \\ stage(k).
 
     λ(M ∩ N_s) = λ(N_s) since the target has measure zero, so the budget
-    becomes λ(stage(k) ∩ N_s) ≤ eps·λ(N_s); the certified rate guarantees a
-    finite k."""
+    becomes λ(stage(k) ∩ N_s) ≤ eps·λ(N_s); the stage measures tend to 0, so
+    some finite k meets it, and the search gives up at `_SEARCH_CAP`."""
     chunk = StageComplementChunk(s, g, _fill_stage_index(g, s, eps))
     return () if chunk._size[0] == 0 else (chunk,)
 
@@ -404,13 +415,19 @@ class InterpolationReport(NamedTuple):
     f_carried: bool          # (1a) F (its cylinders or its pieces) lies in C untouched
     fills_inside_m: bool     # (1b) every added piece sits inside M (measure-exact)
     margins_ok: bool         # (2) λ(fill_n) ≥ (1 - budget(n))·λ(M ∩ N_{s_n})
-    density_ok: bool         # (3) density of C ≥ threshold at sampled F-points
+    density_ok: bool         # (3) density of C ≥ 1 - 2^-4 at sampled F-points
     density_samples: tuple   # (point string, ratio lower bound) pairs
     failures: tuple          # human-readable descriptions of violations
 
     @property
     def ok(self) -> bool:
         return not self.failures
+
+
+# The density condition's floor, 1 - 2^-4, and how many points of F it is
+# sampled at.
+_DENSITY_FLOOR = Dyadic(15, 4)
+_DENSITY_SAMPLES = 8
 
 
 def _leftmost_point(s: BitString) -> Point:
@@ -423,23 +440,20 @@ def check_interpolation(
     m: MHandle,
     depth: int = 20,
     budget: Callable[[int], Dyadic] = default_budget,
-    density_threshold: Dyadic = None,
 ) -> InterpolationReport:
     """Re-verify, at a finite horizon, that C = lusin_menchoff(F, M, budget)
     satisfies the three interpolation conditions for F a clopen set or a
     clopen-piece set: F ⊆ C ⊆ F ∪ M (C covers every cylinder of a clopen F,
     or holds every piece of a piece set F), the fill inside each complement
     cylinder s_n captures a (1-budget(n)) fraction of λ(M ∩ N_{s_n}), and C
-    has density ≥ 1 - density_threshold at sampled points of F, certified
-    from C's exact cylinder measures up to `depth`.  M is given as to
-    `lusin_menchoff`: a GDeltaSet stands for its complement.
+    has density ≥ 1 - 2^-4 at sampled points of F, certified from C's exact
+    cylinder measures up to `depth`.  M is given as to `lusin_menchoff`: a
+    GDeltaSet stands for its complement.
 
     The margins are measured, not read from the build: for each gap s_n of
     C's index the fill is λ(C ∩ N_{s_n}) (F misses its own gap), and
     λ(M ∩ N_{s_n}) is M's answer, or λ(N_{s_n}) when M is the complement
     of a null target."""
-    if density_threshold is None:
-        density_threshold = Dyadic(1, 4)
     fs = ClosedPieceSet.from_clopen(f) if isinstance(f, ClopenSet) else f
     failures: list[str] = []
 
@@ -447,7 +461,8 @@ def check_interpolation(
         # Exact containment: C must cover every cylinder of F.
         f_carried = all(c.covers(cyl) for cyl in f.cylinders)
     else:
-        f_carried = all(any(q is p for q in c.pieces) for p in fs.pieces)
+        held = {id(q) for q in c._all_pieces()}
+        f_carried = all(id(p) in held for p in fs._all_pieces())
     if not f_carried:
         failures.append("a piece of F is missing from C")
 
@@ -470,7 +485,6 @@ def check_interpolation(
 
     samples: list[tuple[str, Dyadic]] = []
     density_ok = True
-    floor = Dyadic.one() - density_threshold
     for beta in _sample_f_points(fs):
         # Best certified lower bound on λ(C ∩ N_{β|l})·2^l over l ≤ depth.
         best = Dyadic.zero()
@@ -478,10 +492,10 @@ def check_interpolation(
             ratio = c.measure_in(beta.prefix(l)).mul_pow2(l)
             if ratio > best:
                 best = ratio
-            if best >= floor:
+            if best >= _DENSITY_FLOOR:
                 break
         samples.append((str(beta), best))
-        if best < floor:
+        if best < _DENSITY_FLOOR:
             density_ok = False
             failures.append(f"density of C at {beta} only ≥ {best} within depth {depth}")
 
@@ -496,8 +510,11 @@ def _piece_inside_m(p: Piece, m: MHandle, s: BitString) -> bool:
     if isinstance(m, ClopenSet):
         return Dyadic(*_pair_over(p, m._ac)) == size
     if isinstance(m, ClosedPieceSet):
-        # Fill pieces are restrictions of M's own pieces; necessary exact
-        # check: they cannot outweigh M inside their cylinder.
+        if isinstance(p, ClopenSet):
+            # Exact: a clopen piece lies inside M when M holds all of it.
+            return m._measure_ac(p._ac) == size
+        # Other fill pieces are restrictions of M's own pieces; necessary
+        # exact check: they cannot outweigh M inside their cylinder.
         return size <= m.measure_in(s)
     if isinstance(m, GDeltaSet):
         # M = complement of the target; a stage-complement chunk misses
@@ -509,10 +526,10 @@ def _piece_inside_m(p: Piece, m: MHandle, s: BitString) -> bool:
     return False
 
 
-def _sample_f_points(fs: ClosedPieceSet, cap: int = 8) -> list[Point]:
+def _sample_f_points(fs: ClosedPieceSet) -> list[Point]:
     pts: list[Point] = []
-    for p in fs.pieces:
-        if len(pts) >= cap:
+    for p in fs._all_pieces():
+        if len(pts) >= _DENSITY_SAMPLES:
             break
         if isinstance(p, ClopenSet):
             for cyl in p.cylinders[:2]:
@@ -526,7 +543,7 @@ def _sample_f_points(fs: ClosedPieceSet, cap: int = 8) -> list[Point]:
                 cand = _leftmost_point(cyl)
                 if p.contains_point(cand):
                     pts.append(cand)
-    return pts[:cap]
+    return pts[:_DENSITY_SAMPLES]
 
 
 # ---------------------------------------------------------------------------
@@ -546,9 +563,9 @@ class SeparatorFunction:
     the dyadic level family: h(β) = 1 - sup{ζ : β ∈ C_ζ}.
 
     Levels C_ζ are built lazily: the backbone C_{1/2^m} interpolates between
-    (previous backbone ∪ exhaustion stage m) and the complement of G, and
-    each in-between dyadic gets an interpolant between its two neighbours at
-    the coarser denominator.  Every level is denotationally clopen, so
+    (previous backbone ∪ ¬stage(m)) and the complement of G, and each
+    in-between dyadic gets an interpolant between its two neighbours at the
+    coarser denominator.  Every level is denotationally clopen, so
     membership and level measures are exact; the only inexactness in h is
     the grading granularity 2^(-n) itself.
 
@@ -556,25 +573,12 @@ class SeparatorFunction:
     hi - lo ≤ precision, as `StepFunction`'s do.
     """
 
-    def __init__(
-        self,
-        c: Union[ClopenSet, ClosedPieceSet],
-        g: GDeltaSet,
-        exhaustion: Optional[Callable[[int], ClopenSet]] = None,
-    ) -> None:
+    def __init__(self, c: Union[ClopenSet, ClosedPieceSet], g: GDeltaSet) -> None:
         self.c = ClosedPieceSet.from_clopen(c) if isinstance(c, ClopenSet) else c
         self.g = g
-        self._exhaustion = exhaustion
         self._levels: dict[tuple[int, int], ClosedPieceSet] = {}
         self._gradings: dict[int, tuple[ClosedPieceSet, ...]] = {}
         self._backbone: list[ClosedPieceSet] = []
-
-    def _exhaustion_clopen(self, n: int) -> ClopenSet:
-        if self._exhaustion is not None:
-            return self._exhaustion(n)
-        # Default: complement of stage(n); together with C (already inside
-        # every backbone level) this is the canonical exhaustion C ∪ ¬stage(n).
-        return self.g.stage(n).complement()
 
     def backbone(self, m: int) -> ClosedPieceSet:
         while len(self._backbone) <= m:
@@ -582,7 +586,9 @@ class SeparatorFunction:
             if i == 0:
                 f: ClosedPieceSet = self.c  # ¬stage(0) is empty
             else:
-                f = self._backbone[i - 1].union_with_clopen(self._exhaustion_clopen(i))
+                # C is already inside every backbone level, so this exhausts
+                # the complement of G by C ∪ ¬stage(i).
+                f = self._backbone[i - 1].union_with_clopen(self.g.stage(i).complement())
             self._backbone.append(lusin_menchoff(f, self.g))
         return self._backbone[m]
 
@@ -607,34 +613,23 @@ class SeparatorFunction:
         return hit
 
     def evaluate(self, beta: Point, precision: Dyadic) -> tuple[Dyadic, Dyadic]:
+        """h(β) to within 2^-n, from the largest j with β ∈ C_(j/2^n).
+
+        Every level is a backbone level, C_(j/2^n) = backbone(n − ⌊log₂ j⌋):
+        a level j/2^e with j odd, j > 1, interpolates between its coarser
+        neighbours F ⊆ M into the piece set M, which `_inner_approx`
+        restricts exactly, so it is F ∪ (M ∩ ¬F) = M.  The backbones are
+        nested; with m the least index of one holding β, the largest j is
+        2^n when m = 0, 2^(n−m+1) − 1 when 0 < m ≤ n, and 0 when m > n."""
         if self.g.exit_stage(beta) is None:
             return Dyadic.one(), Dyadic.one()
         n = _precision_exponent(precision)
-        # Largest j with beta ∈ C_{j/2^n}; membership is monotone in j.
-        lo_j, hi_j = 0, 1 << n
-        if not self.level(1, n).contains_point(beta):
-            best = 0
-        elif self.level(hi_j, n).contains_point(beta):
-            best = hi_j
-        else:
-            # invariant: in at lo_j (or lo_j == 0), out at hi_j
-            lo_j = 1
-            while hi_j - lo_j > 1:
-                mid = (lo_j + hi_j) // 2
-                if self.level(mid, n).contains_point(beta):
-                    lo_j = mid
-                else:
-                    hi_j = mid
-            best = lo_j
-        if best == 1 << n:
+        self.backbone(n)
+        m = bisect_left(self._backbone, True, hi=n + 1, key=lambda b: b.contains_point(beta))
+        if m == 0:
             return Dyadic.zero(), Dyadic.zero()  # beta ∈ C_1 ⊇ C: h = 0 exactly
-        sup_lo = Dyadic(best, n)
-        sup_hi = Dyadic(best + 1, n)
-        lo = Dyadic.one() - sup_hi
-        hi = Dyadic.one() - sup_lo
-        if lo < 0:
-            lo = Dyadic.zero()
-        return lo, hi
+        best = 0 if m > n else (1 << (n - m + 1)) - 1
+        return Dyadic.one() - Dyadic(best + 1, n), Dyadic.one() - Dyadic(best, n)
 
     def _grading(self, n: int) -> tuple[ClosedPieceSet, ...]:
         """The levels C_(j/2^n) for j = 2^n down to 1, all built up front in
@@ -681,14 +676,10 @@ class SeparatorFunction:
         return lo, hi
 
 
-def urysohn(
-    c: Union[ClopenSet, ClosedPieceSet],
-    g: GDeltaSet,
-    exhaustion: Optional[Callable[[int], ClopenSet]] = None,
-) -> SeparatorFunction:
+def urysohn(c: Union[ClopenSet, ClosedPieceSet], g: GDeltaSet) -> SeparatorFunction:
     """Graded separator between a closed set C and a measure-zero target G
     (disjoint from C): 1 on G, 0 on C, density-continuous."""
-    return SeparatorFunction(c, g, exhaustion)
+    return SeparatorFunction(c, g)
 
 
 class StepFunction:

@@ -1,9 +1,13 @@
-"""Measure-zero target sets: G-delta descriptions with certified decay rates.
+"""Measure-zero target sets: G-delta descriptions by nested clopen stages.
 
 A target is described by its nested clopen stages stage(0) ⊇ stage(1) ⊇ …
-with stage(0) the full space and λ(stage(n)) ≤ rate(n) → 0; the set itself
-is the intersection, a closed null set.  Finite unions of these (closed null
-sets again) are the inputs the rest of the package consumes.
+with stage(0) the full space and λ(stage(n)) → 0; the set itself is the
+intersection, a closed null set.  The two built-in families have
+λ(stage(n)) = 2^-n by construction.  An explicitly listed description
+declares a decay rate, and each listed stage's measure is checked against
+it when the description is built; nothing reads the rate after that.
+Finite unions of these (closed null sets again) are the inputs the rest of
+the package consumes.
 
 Two built-in families carry closed-form stage geometry (measure of
 stage(n) ∩ N_t, the stage cylinder containing a point, exit stages), which
@@ -35,15 +39,11 @@ class Membership(enum.Enum):
 
 
 class GDeltaSet:
-    """Base: nested clopen stages with a decay-rate certificate."""
+    """Base: nested clopen stages whose measures tend to 0."""
 
     kind = "gdelta"
 
     def stage(self, n: int) -> ClopenSet:
-        raise NotImplementedError
-
-    def rate(self, n: int) -> Dyadic:
-        """Certified bound: λ(stage(n)) ≤ rate(n), rate(n) → 0."""
         raise NotImplementedError
 
     def measure_stage_in(self, n: int, t: BitString) -> Dyadic:
@@ -177,9 +177,6 @@ class EvenZeros(GDeltaSet):
             for w in range(min(count, 1 << (n - 1)))
         ]
 
-    def rate(self, n: int) -> Dyadic:
-        return Dyadic.pow2(-n)
-
     def measure_stage_in(self, n: int, t: BitString) -> Dyadic:
         bound = min(len(t), 2 * n)
         if (t.v >> (len(t) - bound)) & _even_mask(bound):
@@ -228,9 +225,6 @@ class Singleton(GDeltaSet):
 
     def stage(self, n: int) -> ClopenSet:
         return ClopenSet.cylinder(self.point.prefix(n))
-
-    def rate(self, n: int) -> Dyadic:
-        return Dyadic.pow2(-n)
 
     def measure_stage_in(self, n: int, t: BitString) -> Dyadic:
         # With a the common-prefix length of t and the point, the stage
@@ -310,7 +304,6 @@ class ExplicitGDelta(GDeltaSet):
                     f"exceeding declared rate {rate_fn(n)}"
                 )
         self.stages = stages
-        self._rate_fn = rate_fn
         self.rate_text = rate_text
         self.frozen_from = len(stages) - 1
         last = stages[-1]
@@ -323,9 +316,6 @@ class ExplicitGDelta(GDeltaSet):
 
     def stage(self, n: int) -> ClopenSet:
         return self.stages[min(n, len(self.stages) - 1)]
-
-    def rate(self, n: int) -> Dyadic:
-        return self._rate_fn(n)
 
     def exit_stage(self, beta: Point) -> Optional[int]:
         if self.stages[-1].contains_point(beta):

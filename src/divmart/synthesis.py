@@ -165,12 +165,12 @@ class WitnessFamily:
             if self.target.meets_target(c)
         )
 
-    def all(self, cap: int = _WITNESS_CAP) -> list[BitString]:
+    def all(self) -> list[BitString]:
         n = self.count()
-        if n > cap:
+        if n > _WITNESS_CAP:
             raise HorizonExhausted(
                 f"witness enumeration ({n} cylinders)",
-                f"cap {cap}; use the closed-form queries instead",
+                f"cap {_WITNESS_CAP}; use the closed-form queries instead",
             )
         if self.explicit is not None:
             return list(self.explicit)
@@ -271,9 +271,8 @@ def _find_stage_index(
     when the stages stop changing there."""
     bound = threshold.mul_pow2(-len(w))
     last = start + _STAGE_SEARCH_SPAN - 1
-    frozen_from = getattr(target, "frozen_from", None)
-    if frozen_from is not None:
-        last = min(last, max(start, frozen_from))
+    if target.frozen_from is not None:
+        last = min(last, max(start, target.frozen_from))
     m = _least_index(lambda m: target.measure_stage_in(m, w) < bound, start, last)
     if m is None:
         raise HorizonExhausted(

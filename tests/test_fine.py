@@ -9,7 +9,6 @@ are frozen so that any drift in the construction order or the measure
 arithmetic shows up as an exact mismatch.
 """
 
-import inspect
 from unittest.mock import patch
 
 import pytest
@@ -133,6 +132,16 @@ def test_interpolation_check_flags_escaping_fill():
     assert rep.margins_ok
 
 
+def test_interpolation_check_flags_a_clopen_fill_outside_a_piece_set_m():
+    # N_11 weighs no more than M = N_00 in the gap ε, but misses it: a
+    # clopen fill is tested for where it lies, not only for its measure.
+    c = ClosedPieceSet((), gaps=[(EMPTY, (ClopenSet.from_strings(["11"]),))])
+    m = ClosedPieceSet.from_clopen(ClopenSet.from_strings(["00"]))
+    rep = check_interpolation(c, ClopenSet.empty(), m)
+    assert not rep.fills_inside_m
+    assert rep.failures == ("fill 0 at BitString('') escapes M",)
+
+
 def test_interpolation_check_flags_a_chunk_of_another_target():
     # Against M = the complement of even-zeros, only a chunk of that target
     # is inside M by construction; a chunk of another target must miss the
@@ -151,6 +160,18 @@ def test_interpolation_check_flags_missing_f():
     assert not rep.ok
     assert not rep.f_carried
     assert any("missing" in msg for msg in rep.failures)
+
+
+def test_interpolation_check_flags_a_piece_of_a_piece_set_f_missing_from_c():
+    # A piece-set F must be carried piece for piece: C built on an equal but
+    # distinct set holds none of F's own pieces.
+    m = ClopenSet.from_strings(["0"])
+    f = ClosedPieceSet.from_clopen(ClopenSet.from_strings(["1"]))
+    other = ClosedPieceSet.from_clopen(ClopenSet.from_strings(["1"]))
+    assert check_interpolation(lusin_menchoff(f, m), f, m).ok
+    rep = check_interpolation(lusin_menchoff(other, m), f, m)
+    assert not rep.f_carried
+    assert rep.failures == ("a piece of F is missing from C",)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +282,7 @@ def test_backbone_measures_and_shapes(sep):
     for m, (measure, pieces, fills) in enumerate(BACKBONE_GOLDEN):
         b = sep.backbone(m)
         assert b.measure == measure, f"backbone({m})"
-        assert len(b.pieces) == pieces
+        assert len(list(b._all_pieces())) == pieces
         assert len(b.gaps) == fills
 
 
@@ -408,7 +429,7 @@ def test_finer_grading_exhausts_the_work_cap(monkeypatch):
     count(ClosedPieceSet, "measure_in", "measure_in")
     target = EvenZeros()
     h = urysohn(target.stage(1).complement(), target)
-    cap = inspect.signature(ClosedPieceSet.decomposition).parameters["cap"].default
+    cap = fine._DECOMPOSITION_CAP
     with pytest.raises(HorizonExhausted) as exc:
         h.evaluate(Point.parse("0(1)"), Dyadic(1, 5))
     assert exc.value.budget == "complement decomposition work"
@@ -441,7 +462,7 @@ def test_finer_grading_exhausts_the_work_cap(monkeypatch):
 def _reference_measure(level: ClosedPieceSet, s: BitString) -> Dyadic:
     """λ(level ∩ N_s) summed over every piece of the level, base or not."""
     total = Dyadic.zero()
-    for p in level.pieces:
+    for p in level._all_pieces():
         total = total + Dyadic(*p.measure_pair_in(s.n, s.v))
     return total
 
@@ -610,12 +631,12 @@ def _same_piece(a, b) -> bool:
 
 def _reference_restricted(level: ClosedPieceSet, s: BitString) -> list:
     """Every piece of the level restricted to N_s, empty answers left out."""
-    return [r for r in (p.restrict(s) for p in level.pieces) if r is not None]
+    return [r for r in (p.restrict(s) for p in level._all_pieces()) if r is not None]
 
 
 def _check_gap_local(level: ClosedPieceSet, t: BitString, beta: Point):
     assert level.measure_in(t) == _reference_measure(level, t)
-    assert level.contains_point(beta) == any(p.contains_point(beta) for p in level.pieces)
+    assert level.contains_point(beta) == any(p.contains_point(beta) for p in level._all_pieces())
     got = _inner_approx(level, t, Dyadic.one())
     want = _reference_restricted(level, t)
     assert len(got) == len(want)
@@ -709,6 +730,109 @@ def test_every_level_passes_the_interpolation_check(kind, j, n, prefix, period):
 
 
 # ---------------------------------------------------------------------------
+# every level is a backbone level, and evaluate reads the backbones
+
+
+@pytest.mark.parametrize("kind, j, n", GAP_LOCAL_CASES)
+@settings(max_examples=5, deadline=None)
+@given(
+    odd_bits=st.text(alphabet="01", min_size=16, max_size=16),
+    prefix=bit_strings,
+    period=st.text(alphabet="01", min_size=1, max_size=4),
+    near=st.lists(st.tuples(st.integers(0, 12), bit_strings), min_size=2, max_size=2),
+    tail_period=st.text(alphabet="01", min_size=1, max_size=3),
+)
+def test_every_level_is_a_backbone_level(kind, j, n, odd_bits, prefix, period, near, tail_period):
+    # C_(i/2^n) = backbone(n − ⌊log₂ i⌋): an in-between level fills each gap
+    # of F with all of its piece-set M there, so it is M itself.
+    target, bits = _target_and_bits(kind, odd_bits, prefix, period)
+    (a, tail), (b, beta_tail) = near
+    t = BitString(bits[:a] + tail)
+    beta = Point(BitString(bits[:b] + beta_tail), BitString(tail_period))
+    h = urysohn(target.stage(j).complement(), target)
+    for i in range(1, (1 << n) + 1):
+        level, backbone = h.level(i, n), h.backbone(n - (i.bit_length() - 1))
+        assert level.measure_in(t) == backbone.measure_in(t), (i, str(t))
+        assert level.contains_point(beta) == backbone.contains_point(beta), (i, str(beta))
+
+
+def evaluate_by_bisection(h: SeparatorFunction, beta: Point, precision: Dyadic):
+    """The bracket of h(β) from the largest j with β ∈ C_(j/2^n), found by
+    bisecting over j and asking each level C_(j/2^n) it visits."""
+    if h.g.exit_stage(beta) is None:
+        return Dyadic.one(), Dyadic.one()
+    n = _precision_exponent(precision)
+    lo_j, hi_j = 0, 1 << n
+    if not h.level(1, n).contains_point(beta):
+        best = 0
+    elif h.level(hi_j, n).contains_point(beta):
+        best = hi_j
+    else:
+        # in at lo_j, out at hi_j
+        lo_j = 1
+        while hi_j - lo_j > 1:
+            mid = (lo_j + hi_j) // 2
+            if h.level(mid, n).contains_point(beta):
+                lo_j = mid
+            else:
+                hi_j = mid
+        best = lo_j
+    if best == 1 << n:
+        return Dyadic.zero(), Dyadic.zero()
+    lo = Dyadic.one() - Dyadic(best + 1, n)
+    return (Dyadic.zero() if lo < 0 else lo), Dyadic.one() - Dyadic(best, n)
+
+
+def _evaluation(evaluate, h: SeparatorFunction, beta: Point, precision: Dyadic):
+    try:
+        return evaluate(h, beta, precision)
+    except HorizonExhausted as e:
+        return e.budget, str(e)
+
+
+def _check_evaluations(target, j: int, n: int, points: list):
+    read = urysohn(target.stage(j).complement(), target)
+    bisected = urysohn(target.stage(j).complement(), target)
+    for grade in {max(n - 1, 0), n}:
+        precision = Dyadic.pow2(-grade)
+        for beta in points:
+            got = _evaluation(SeparatorFunction.evaluate, read, beta, precision)
+            want = _evaluation(evaluate_by_bisection, bisected, beta, precision)
+            assert got == want, (str(beta), grade)
+
+
+@pytest.mark.parametrize("kind, j, n", GAP_LOCAL_CASES)
+@settings(max_examples=5, deadline=None)
+@given(
+    odd_bits=st.text(alphabet="01", min_size=16, max_size=16),
+    prefix=bit_strings,
+    period=st.text(alphabet="01", min_size=1, max_size=4),
+    places=st.lists(
+        st.tuples(st.integers(0, 16), bit_strings, st.text(alphabet="01", min_size=1, max_size=3)),
+        min_size=3, max_size=3,
+    ),
+)
+def test_evaluate_matches_the_bisection_over_all_levels(kind, j, n, odd_bits, prefix, period, places):
+    # Points that leave the target after b bits (b = 16 stays on it for the
+    # even-zeros target), asked at the grading 2^-n and the one before it.
+    target, bits = _target_and_bits(kind, odd_bits, prefix, period)
+    points = [Point(BitString(bits[:b] + tail), BitString(tail_period))
+              for b, tail, tail_period in places]
+    points.append(Point(BitString(bits[:16]), BitString("0")))
+    _check_evaluations(target, j, n, points)
+
+
+@pytest.mark.parametrize("j, n", [(1, 5), (2, 4), (3, 2)])
+def test_evaluate_beyond_the_work_cap_fails_as_the_bisection_does(j, n):
+    # These even-zeros gradings exhaust the decomposition work cap; a point
+    # on the target is answered before any level is built.
+    points = [Point.parse("0001(1)"), Point.parse("(0)")]
+    _check_evaluations(EvenZeros(), j, n, points)
+    with pytest.raises(HorizonExhausted, match="complement decomposition work"):
+        urysohn(EvenZeros().stage(j).complement(), EvenZeros()).evaluate(points[0], Dyadic.pow2(-n))
+
+
+# ---------------------------------------------------------------------------
 # one-cylinder piece answers equal the materialized clopen algebra
 
 
@@ -718,7 +842,7 @@ def _materialize(p) -> ClopenSet:
     if isinstance(p, StageComplementChunk):
         return ClopenSet.cylinder(p.support).minus(p.gdelta.stage(p.k))
     minus = ClopenSet.empty()
-    for q in p.minus.pieces:
+    for q in p.minus._all_pieces():
         minus = minus.union(_materialize(q))
     return p.positive.minus(minus)
 
