@@ -13,10 +13,8 @@ Iterating this between dyadic levels yields a graded family of closed sets
 C_ζ (ζ dyadic in (0,1], decreasing in ζ) separating a closed C from a
 measure-zero target G: the separator function h equals 1 on G, 0 on C, and
 is approximately continuous, with every level set exactly representable.
-An in-between level interpolates into a clopen-piece set M, which it fills
-exactly, so it equals M, and every level is a backbone level:
-C_(j/2^n) = backbone(n − ⌊log₂ j⌋).  `evaluate` reads the n + 1 nested
-backbone levels directly; `mean_in` and `level` still build the in-between
+Every level is a backbone level (see `SeparatorFunction.evaluate`, which
+reads the backbones); `mean_in` and `level` still build the in-between
 interpolants.
 
 Representation note: every set built along the pipeline is *denotationally
@@ -510,11 +508,17 @@ def _piece_inside_m(p: Piece, m: MHandle, s: BitString) -> bool:
     if isinstance(m, ClopenSet):
         return Dyadic(*_pair_over(p, m._ac)) == size
     if isinstance(m, ClosedPieceSet):
+        # Exact for a clopen piece and a chunk: p lies inside M when M holds
+        # all of it.
         if isinstance(p, ClopenSet):
-            # Exact: a clopen piece lies inside M when M holds all of it.
             return m._measure_ac(p._ac) == size
-        # Other fill pieces are restrictions of M's own pieces; necessary
-        # exact check: they cannot outweigh M inside their cylinder.
+        if isinstance(p, StageComplementChunk):
+            # λ(M ∩ (N_t \ stage(k))) = λ(M ∩ N_t) − λ(M ∩ N_t ∩ stage(k)).
+            t = p.support
+            in_stage = kernel.intersect(p.gdelta.stage(p.k)._ac, ((t.n, t.v),))
+            return m.measure_in(t) - m._measure_ac(in_stage) == size
+        # A difference piece keeps the necessary bound: it cannot outweigh M
+        # inside its cylinder.
         return size <= m.measure_in(s)
     if isinstance(m, GDeltaSet):
         # M = complement of the target; a stage-complement chunk misses

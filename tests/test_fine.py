@@ -142,6 +142,19 @@ def test_interpolation_check_flags_a_clopen_fill_outside_a_piece_set_m():
     assert rep.failures == ("fill 0 at BitString('') escapes M",)
 
 
+def test_interpolation_check_flags_a_chunk_fill_outside_a_piece_set_m():
+    # N_11 minus an even-zeros stage weighs no more than M = N_00 in the gap
+    # ε, but misses it; the same chunk on N_00 lies inside M.
+    m = ClosedPieceSet.from_clopen(ClopenSet.from_strings(["00"]))
+    outside = StageComplementChunk(BitString("11"), EvenZeros(), 2)
+    inside = StageComplementChunk(BitString("00"), EvenZeros(), 2)
+    assert outside._size[0] != 0 and inside._size[0] != 0
+    rep = check_interpolation(ClosedPieceSet((), gaps=[(EMPTY, (outside,))]), ClopenSet.empty(), m)
+    assert not rep.fills_inside_m
+    assert rep.failures == ("fill 0 at BitString('') escapes M",)
+    assert check_interpolation(ClosedPieceSet((), gaps=[(EMPTY, (inside,))]), ClopenSet.empty(), m).ok
+
+
 def test_interpolation_check_flags_a_chunk_of_another_target():
     # Against M = the complement of even-zeros, only a chunk of that target
     # is inside M by construction; a chunk of another target must miss the
