@@ -8,6 +8,7 @@ ordering doubles as the deterministic enumeration order used everywhere
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable
 
 from . import kernel
@@ -115,18 +116,28 @@ class ClopenSet:
         return kernel.meets(self._ac, t.n, t.v)
 
     def cylinder_containing(self, beta: Point) -> BitString | None:
-        for n, v in self._ac:
-            if beta.prefix(n) == BitString.raw(n, v):
-                return BitString.raw(n, v)
-        return None
+        # At the deepest member length, beta's prefix lies inside the member
+        # holding beta, and a member holds it only if it holds beta.
+        t = beta.prefix(self.max_len())
+        i, _ = kernel.locate(self._ac, t.n, t.v)
+        return None if i is None else BitString.raw(*self._ac[i])
 
     def refutation_depth(self, beta: Point) -> int:
-        """Minimal l with N_{beta|l} disjoint from the set.
+        """Minimal l with N_{beta|l} disjoint from the set, by bisection:
+        once N_{beta|l} misses the set, every longer prefix does too.
         Precondition: beta is outside the set."""
-        for l in range(self.max_len() + 1):
-            if not self.meets(beta.prefix(l)):
-                return l
-        raise ValueError("point is inside the set")
+        depths = range(self.max_len() + 1)
+        l = bisect_left(depths, True, key=lambda l: not self.meets(beta.prefix(l)))
+        if l == len(depths):
+            raise ValueError("point is inside the set")
+        return l
+
+    def sample_cylinders(self, count: int) -> list[BitString]:
+        """The first `count` antichain cylinders, breadth-first."""
+        return [BitString.raw(n, v) for n, v in self._ac[:count]]
+
+    def cylinder_count(self) -> int:
+        return len(self._ac)
 
     def is_subset_of(self, other: "ClopenSet") -> bool:
         return self.minus(other).is_empty

@@ -186,9 +186,18 @@ class Dyadic:
         """Exact decimal expansion (dyadics always terminate in base 10)."""
         if self.exp == 0:
             return _int_to_decimal(self.num)
+        import decimal  # here, not at the top: only rendering pays its memory
+
         sign = "-" if self.num < 0 else ""
-        scaled = abs(self.num) * 5 ** self.exp  # num/2^e = num*5^e / 10^e
-        digits = _int_to_decimal(scaled).rjust(self.exp + 1, "0")
+        # num/2^e = num*5^e / 10^e, multiplied in base ten: as a Python int
+        # the product would take quadratic time to print.  The context is
+        # exact: its precision exceeds the product's digits, Inexact traps.
+        text = _int_to_decimal(abs(self.num))
+        ctx = decimal.Context(
+            prec=len(text) + self.exp, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact]
+        )
+        scaled = ctx.multiply(ctx.create_decimal(text), ctx.power(5, self.exp))
+        digits = str(scaled).rjust(self.exp + 1, "0")
         ipart, fpart = digits[: -self.exp], digits[-self.exp :]
         return f"{sign}{ipart}.{fpart}"
 

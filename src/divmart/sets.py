@@ -72,11 +72,11 @@ class GDeltaSet:
 
     def stage_count(self, n: int) -> int:
         """Number of canonical-antichain cylinders of stage(n)."""
-        return len(self.stage(n).cylinders)
+        return self.stage(n).cylinder_count()
 
     def stage_sample(self, n: int, count: int) -> list:
         """First `count` antichain cylinders of stage(n), breadth-first."""
-        return list(self.stage(n).cylinders[:count])
+        return self.stage(n).sample_cylinders(count)
 
     def membership(self, beta: Point, depth: int) -> Membership:
         """Depth-indexed tri-state: Out requires exiting one of the first
@@ -318,12 +318,11 @@ class ExplicitGDelta(GDeltaSet):
         return self.stages[min(n, len(self.stages) - 1)]
 
     def exit_stage(self, beta: Point) -> Optional[int]:
-        if self.stages[-1].contains_point(beta):
+        # The stages are nested, so beta stays outside once it leaves.
+        last = len(self.stages) - 1
+        if self.stages[last].contains_point(beta):
             return None
-        for n in range(1, len(self.stages)):
-            if not self.stages[n].contains_point(beta):
-                return n
-        raise AssertionError("unreachable: stages are decreasing")
+        return _least_index(lambda n: not self.stages[n].contains_point(beta), 1, last)
 
     def meets_target(self, t: BitString) -> bool:
         return self.stages[-1].meets(t)

@@ -11,14 +11,16 @@ by an even-index truncation ladder whose one-sided error is the relative
 measure of the next-next region — again exact, so every evaluation is a
 certified nested interval.
 
-Two realizations of a region, answering the same measure and membership
-queries:
+Two realizations of a region, answering the same measure, membership and
+cylinder queries:
   * StageRegion — a whole presentation stage, queried through the target's
     closed-form geometry (never materialized; deep stages are astronomically
     wide antichains),
   * ClopenSet — a materialized clopen set, used when per-witness stage
     choices differ (explicitly-listed targets) and for the empty region
     after the witnesses run out.
+A stage's witnesses are read off its region on every query (WitnessFamily):
+the region's antichain cylinders that meet the target, with no second copy.
 Budget searches that cannot terminate (a stage that stops shrinking, a rate
 too slow for the requested depth) raise HorizonExhausted with the failing
 budget, never a silent wrong answer.
@@ -27,7 +29,8 @@ budget, never a silent wrong answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence, Union
+from itertools import islice
+from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
 from .bits import EMPTY, BitString, Point
 from .clopen import ClopenSet
@@ -39,6 +42,7 @@ from .table import MartingaleTable
 
 _STAGE_SEARCH_SPAN = 4096
 _WITNESS_CAP = 4096
+_WITNESS_TEXT_BITS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -119,51 +123,37 @@ def _descend_sum(
 
 
 class WitnessFamily:
-    """The target-meeting antichain cylinders of a region: pairwise
+    """The witnesses of a region: its antichain cylinders that meet the
+    target, in the region's breadth-first order.  They are pairwise
     incompatible, and their union covers the target inside the region.
-    Backed either by the region's canonical antichain (pruned on the fly) or
-    by an explicitly enumerated tuple."""
+    The family keeps no copy of them; every query reads the region, and a
+    self-covering target's witnesses are all of the region's cylinders."""
 
-    def __init__(
-        self,
-        region: Region,
-        target: GDeltaSet,
-        explicit: Optional[tuple[BitString, ...]] = None,
-    ) -> None:
+    def __init__(self, region: Region, target: GDeltaSet) -> None:
         self.region = region
         self.target = target
-        self.explicit = explicit
 
     def containing(self, beta: Point) -> Optional[BitString]:
-        if self.explicit is not None:
-            for w in self.explicit:
-                if beta.starts_with(w):
-                    return w
-            return None
         c = self.region.cylinder_containing(beta)
         if c is None or not self.target.meets_target(c):
             return None
         return c
 
+    def _meeting(self) -> Iterator[BitString]:
+        region = self.region
+        cyls = region.sample_cylinders(region.cylinder_count())
+        return (c for c in cyls if self.target.meets_target(c))
+
     def sample(self, count: int) -> list[BitString]:
-        if self.explicit is not None:
-            return list(self.explicit[:count])
-        out = []
-        for c in self.region.sample_cylinders(count):
-            if self.target.meets_target(c):
-                out.append(c)
-        return out
+        """The first `count` witnesses."""
+        if self.target.self_covering:
+            return self.region.sample_cylinders(count)
+        return list(islice(self._meeting(), count))
 
     def count(self) -> int:
-        if self.explicit is not None:
-            return len(self.explicit)
         if self.target.self_covering:
             return self.region.cylinder_count()
-        return sum(
-            1
-            for c in self.region.sample_cylinders(self.region.cylinder_count())
-            if self.target.meets_target(c)
-        )
+        return sum(1 for _ in self._meeting())
 
     def all(self) -> list[BitString]:
         n = self.count()
@@ -172,13 +162,7 @@ class WitnessFamily:
                 f"witness enumeration ({n} cylinders)",
                 f"cap {_WITNESS_CAP}; use the closed-form queries instead",
             )
-        if self.explicit is not None:
-            return list(self.explicit)
-        return [
-            c
-            for c in self.region.sample_cylinders(n)
-            if self.target.meets_target(c)
-        ]
+        return self.sample(n)
 
 
 @dataclass(repr=False)
@@ -234,9 +218,8 @@ def build_stage(prev: StageCertificate, target: GDeltaSet) -> StageCertificate:
         rep_list = prev.witnesses.sample(1)
         if not rep_list:
             region: Region = ClopenSet.empty()
-            return StageCertificate(
-                n + 1, region, WitnessFamily(region, target, explicit=()), None, prev
-            )
+            witnesses = WitnessFamily(region, target)
+            return StageCertificate(n + 1, region, witnesses, None, prev)
         rep = rep_list[0]
         start = max(n + 1, (prev.stage_index or 0) + 1)
         m = _find_stage_index(target, rep, threshold, start)
@@ -250,13 +233,20 @@ def build_stage(prev: StageCertificate, target: GDeltaSet) -> StageCertificate:
         m = _find_stage_index(target, w, threshold, n + 1)
         piece = target.stage(m).intersect(ClopenSet.cylinder(w))
         pieces = pieces.union(piece)
-    region = pieces
-    candidates = tuple(c for c in pieces.cylinders if target.meets_target(c))
-    cert = StageCertificate(
-        n + 1, region, WitnessFamily(region, target, explicit=candidates), None, prev
-    )
-    _check_mean_proximity(cert, candidates)
+    witnesses = WitnessFamily(pieces, target)
+    cert = StageCertificate(n + 1, pieces, witnesses, None, prev)
+    # Every witness, uncapped: the cap applies when the next stage asks all().
+    _check_mean_proximity(cert, witnesses.sample(pieces.cylinder_count()))
     return cert
+
+
+def _witness_text(w: BitString) -> str:
+    """w for an error message: its bits when short, else its first
+    _WITNESS_TEXT_BITS bits, an ellipsis and its length (deep witnesses run
+    to millions of bits)."""
+    if len(w) <= _WITNESS_TEXT_BITS:
+        return str(w) or "ε"
+    return f"{w.prefix(_WITNESS_TEXT_BITS)}…({len(w)} bits)"
 
 
 def _find_stage_index(
@@ -276,7 +266,8 @@ def _find_stage_index(
     m = _least_index(lambda m: target.measure_stage_in(m, w) < bound, start, last)
     if m is None:
         raise HorizonExhausted(
-            f"stage budget λ(stage(m) ∩ N_{str(w) or 'ε'}) < {threshold}·2^-{len(w)}",
+            f"stage budget λ(stage(m) ∩ N_{_witness_text(w)}) "
+            f"< {threshold}·2^-{len(w)}",
             f"no reachable stage index from {start} meets it",
         )
     return m
@@ -427,9 +418,6 @@ class ConstantPart:
     def descend(self, k: int, s: BitString, up: None) -> tuple[Dyadic, bool, None]:
         return self.c, True, None
 
-    def table_value(self, k: int, s: BitString) -> Dyadic:
-        return self.c
-
 
 Part = Union[SynthesizedMartingale, ConstantPart]
 
@@ -483,12 +471,6 @@ class CombinedMartingale:
             up = self._tail_value(), tuple((n, None) for n in range(len(self.parts)))
         return _descend_sum(up, term)
 
-    def table_value(self, k: int, s: BitString) -> Dyadic:
-        total = self._tail_value()
-        for n, part in enumerate(self.parts):
-            total = total + (part.table_value(k, s) * SCALE).mul_pow2(-2 * n)
-        return total
-
     def truncated_table(self, k: int, depth: int) -> MartingaleTable:
         """The table of M_k, descending only below nodes where some part is
         not yet settled (see SynthesizedMartingale.truncated_table)."""
@@ -533,9 +515,6 @@ class EmbeddedMartingale:
         """(φ(h)(s), settled, None): h is constant on N_s once len(s) ≥ its
         depth."""
         return self.value(s), len(s) >= self.depth, None
-
-    def table_value(self, k: int, s: BitString) -> Dyadic:
-        return self.value(s)
 
     def truncated_table(self, k: int, depth: int) -> MartingaleTable:
         return self.table(depth)

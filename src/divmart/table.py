@@ -109,9 +109,6 @@ class MartingaleTable:
                 s = BitString.raw(l, v)
                 yield s, self.values[_node_index(s)]
 
-    def leaf_values(self) -> list:
-        return self.values[(1 << self.depth) - 1 :]
-
     def to_document(self, spec_echo: Optional[dict] = None, truncation: Optional[int] = None) -> dict:
         """The table as a document.  Nodes that share a value object share
         one `values` entry dict, converted once."""

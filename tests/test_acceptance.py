@@ -243,7 +243,7 @@ def test_8_divergence_measure_bound(even_set):
 
 def _naive_interior(table, depth):
     """Interior values from scratch: plain Fraction averages of the leaves."""
-    leaves = [Fraction(v.num, 1 << v.exp) for v in table.leaf_values()]
+    leaves = [Fraction(v.num, 1 << v.exp) for v in table.values[(1 << table.depth) - 1 :]]
     out = {}
     for l in range(depth):
         width = 1 << (depth - l)

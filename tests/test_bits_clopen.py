@@ -269,3 +269,51 @@ def test_meets_covers_oracle(xs, t):
     assert a.meets(ts) == bool(ext_t & ea)
     assert a.covers(ts) == (ext_t <= ea)
     assert a.measure_in(ts) == Dyadic(len(ext_t & ea), 7)
+
+
+# ---------------------------------------------------------------------------
+# Point queries against the scans they replace.
+
+
+def cylinder_containing_reference(c: ClopenSet, beta: Point):
+    """The member holding beta, by a scan over the members."""
+    for t in c.cylinders:
+        if beta.starts_with(t):
+            return t
+    return None
+
+
+def refutation_depth_reference(c: ClopenSet, beta: Point) -> int:
+    """The least l with N_{beta|l} outside the set, by a scan over l."""
+    for l in range(c.max_len() + 1):
+        if not c.meets(beta.prefix(l)):
+            return l
+    raise ValueError("point is inside the set")
+
+
+@given(cylinder_lists, points)
+def test_cylinder_containing_matches_the_member_scan(xs, beta):
+    c = ClopenSet.from_strings(xs)
+    want = cylinder_containing_reference(c, beta)
+    assert c.cylinder_containing(beta) == want
+    assert (want is not None) == c.contains_point(beta)
+
+
+@given(cylinder_lists, points)
+def test_refutation_depth_matches_the_length_scan(xs, beta):
+    c = ClopenSet.from_strings(xs)
+    if c.contains_point(beta):
+        for f in (c.refutation_depth, lambda b: refutation_depth_reference(c, b)):
+            with pytest.raises(ValueError, match="point is inside the set"):
+                f(beta)
+    else:
+        assert c.refutation_depth(beta) == refutation_depth_reference(c, beta)
+
+
+def test_point_queries_on_a_deep_antichain():
+    # The complement of N_(0^512): 512 members of 512 lengths.
+    c = ClopenSet.cylinder(BitString.zeros(512)).complement()
+    beta = Point.parse("0" * 300 + "1(0)")
+    assert c.cylinder_containing(beta) == BitString("0" * 300 + "1")
+    zeros = Point.parse("(0)")
+    assert c.refutation_depth(zeros) == refutation_depth_reference(c, zeros) == 512

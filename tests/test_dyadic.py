@@ -1,5 +1,6 @@
 """Exact dyadic arithmetic, checked against fractions.Fraction as oracle."""
 
+import math
 from decimal import Decimal, Inexact, localcontext
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divmart.dyadic import Dyadic
+from divmart.dyadic import Dyadic, _int_to_decimal
 
 dyadics = st.builds(
     Dyadic,
@@ -119,6 +120,43 @@ def test_canonical_invariant(a):
 @given(dyadics)
 def test_decimal_is_exact(a):
     assert Fraction(a.decimal()) == frac(a)
+
+
+def decimal_reference(d: Dyadic) -> str:
+    """The rendering with num*5^e built as a Python int, then printed:
+    quadratic in the digits, so only for moderate sizes."""
+    if d.exp == 0:
+        return _int_to_decimal(d.num)
+    sign = "-" if d.num < 0 else ""
+    digits = _int_to_decimal(abs(d.num) * 5**d.exp).rjust(d.exp + 1, "0")
+    return f"{sign}{digits[: -d.exp]}.{digits[-d.exp :]}"
+
+
+@given(
+    st.integers(min_value=-(2**3000), max_value=2**3000),
+    st.integers(min_value=0, max_value=4000),
+)
+@settings(max_examples=60, deadline=None)
+def test_decimal_matches_the_integer_reference(num, exp):
+    d = Dyadic(num, exp)
+    assert d.decimal() == decimal_reference(d)
+
+
+def test_decimal_of_a_deep_dyadic():
+    # λ(G*_2000) of even-zeros: 2^-e = 5^e / 10^e, whose 5^e has D digits.
+    e = 2_007_000
+    text = Dyadic(1, e).decimal()
+    log = e * math.log10(5)
+    assert 1e-6 < log % 1 < 1 - 1e-6  # so D is exactly floor(log) + 1
+    zeros = e - (math.floor(log) + 1)
+    assert len(text) == e + 2
+    assert text[: zeros + 2] == "0." + "0" * zeros and text[zeros + 2] != "0"
+    assert text[-40:] == str(pow(5, e, 10**40)).rjust(40, "0")
+    # 1 - 2^-k: the k fractional digits are those of 10^k - 5^k.
+    k = 503_500
+    text = Dyadic((1 << k) - 1, k).decimal()
+    assert len(text) == k + 2 and text.startswith("0.9999999999")
+    assert text[-40:] == str(10**40 - pow(5, k, 10**40)).rjust(40, "0")
 
 
 def canonical_reference(num: int, exp: int) -> tuple:

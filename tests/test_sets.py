@@ -269,6 +269,39 @@ def test_explicit_inserts_full_stage():
     assert g.stage(1) == ClopenSet.from_strings(["0"])
 
 
+def nested_explicit(shapes) -> ExplicitGDelta:
+    """Stages that each cut the one before by a clopen set (or by the
+    complement of one), under a rate loose enough to admit any of them."""
+    stages, cur = [], ClopenSet.full()
+    for strings, complement in shapes:
+        cut = ClopenSet.from_strings(strings)
+        cur = cur.intersect(cut.complement() if complement else cut)
+        stages.append(cur)
+    rate = "2^-(n-20)"
+    return ExplicitGDelta([ClopenSet.full()] + stages, parse_rate(rate), rate)
+
+
+nested_explicits = st.lists(
+    st.tuples(st.lists(st.text(alphabet="01", max_size=5), max_size=4), st.booleans()),
+    max_size=6,
+).map(nested_explicit)
+
+
+def exit_stage_reference(g: ExplicitGDelta, beta: Point):
+    """The first stage without beta, by a scan over the stages."""
+    if g.stages[-1].contains_point(beta):
+        return None
+    for n in range(1, len(g.stages)):
+        if not g.stages[n].contains_point(beta):
+            return n
+    raise AssertionError("unreachable: stages are decreasing")
+
+
+@given(nested_explicits, short_points)
+def test_explicit_exit_stage_matches_the_stage_scan(g, beta):
+    assert g.exit_stage(beta) == exit_stage_reference(g, beta)
+
+
 def test_rate_parsing():
     assert parse_rate("2^-n")(3) == Dyadic.pow2(-3)
     assert parse_rate("2^-(n+2)")(3) == Dyadic.pow2(-5)

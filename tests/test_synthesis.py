@@ -30,6 +30,7 @@ from divmart import synthesis
 from divmart.sets import EvenZeros, ExplicitGDelta, GDeltaSet, Singleton, parse_rate
 from divmart.synthesis import (
     SCALE,
+    CombinedMartingale,
     ConstantPart,
     EmbeddedMartingale,
     StageCertificate,
@@ -247,6 +248,20 @@ def test_stage_search_on_the_real_chains(even, single):
             assert want == g.stage(n).stage_index
 
 
+@pytest.mark.parametrize("l", [0, 5, 64, 65, 5000])
+def test_stage_budget_text_shortens_a_long_witness(l):
+    # A 2^-l stage in every cylinder, frozen: the budget below is never met.
+    w = BitString.raw(l, ((1 << l) - 1) // 3)  # 0101…
+    threshold = Dyadic.pow2(-30)
+    want = _outcome(StepTarget([l], True), w, threshold, 0, find_stage_index_reference)
+    got = _outcome(StepTarget([l], True), w, threshold, 0, synthesis._find_stage_index)
+    if l <= 64:
+        assert got == want
+    else:
+        assert got == want.replace(str(w), f"{str(w)[:64]}…({l} bits)")
+        assert len(got) < 300
+
+
 def check_stage_conditions(g: SynthesizedMartingale, n: int, sample_cap: int = 6) -> list[str]:
     """Finite-horizon audit of the construction conditions at stage n.
     Returns failure descriptions (empty = all pass)."""
@@ -333,7 +348,7 @@ def leaf_average_below(table, s):
     """Mean of the depth-level leaves under N_s, recomputed the slow way:
     the value a martingale table must carry at s."""
     below = table.depth - len(s)
-    leaves = table.leaf_values()[s.v << below : (s.v + 1) << below]
+    leaves = table.values[(1 << table.depth) - 1 :][s.v << below : (s.v + 1) << below]
     return sum(leaves, Dyadic.zero()).mul_pow2(-below)
 
 
@@ -446,12 +461,27 @@ def test_empty_witnesses_give_the_empty_region():
 # the union combinator
 
 
+def table_value(f, k: int, s: BitString) -> Dyadic:
+    """M_k(s) of any part or combination, computed node by node: the
+    reference the settled-subtree descent is checked against."""
+    if isinstance(f, CombinedMartingale):
+        total = f._tail_value()
+        for n, part in enumerate(f.parts):
+            total = total + (table_value(part, k, s) * SCALE).mul_pow2(-2 * n)
+        return total
+    if isinstance(f, ConstantPart):
+        return f.c
+    if isinstance(f, EmbeddedMartingale):
+        return f.value(s)
+    return f.table_value(k, s)
+
+
 def test_constant_part_validation():
     with pytest.raises(ValueError):
         ConstantPart(Dyadic(3, 1))
     part = ConstantPart(Dyadic(5, 3))
     assert part.eval(EMPTY, Dyadic(1, 4)) == (Dyadic(5, 3), Dyadic(5, 3))
-    assert part.table_value(7, BitString("0110")) == Dyadic(5, 3)
+    assert table_value(part, 7, BitString("0110")) == Dyadic(5, 3)
 
 
 def test_union_of_constants_is_the_constant():
@@ -461,7 +491,7 @@ def test_union_of_constants_is_the_constant():
         for name in ["", "0", "01", "0110", "111"]:
             s = BitString(name)
             assert f.eval(s, Dyadic(1, 6)) == (c, c)
-            assert f.table_value(2, s) == c
+            assert table_value(f, 2, s) == c
 
 
 def test_empty_union_is_zero():
@@ -490,7 +520,7 @@ def test_union_table_is_the_scaled_sum(even, single):
             + (single.table_value(2, s) * SCALE).mul_pow2(-2)
             + Dyadic(1, 1).mul_pow2(-4)
         )
-        assert f.table_value(2, s) == want
+        assert table_value(f, 2, s) == want
 
 
 def test_pipeline_wraps_components(even):
@@ -567,7 +597,7 @@ def all_nodes(depth):
 
 def reference_table(f, k, depth):
     """The per-node fill the descent replaces: M_k queried at every node."""
-    return [f.table_value(k, s) for s in all_nodes(depth)]
+    return [table_value(f, k, s) for s in all_nodes(depth)]
 
 
 @settings(max_examples=30, deadline=None)
@@ -790,3 +820,112 @@ def test_build_stage_refuses_a_chain_that_is_not_nested():
     # Stage 2 is 0^5, outside G*_1: the walk would find the mean 2, not 1.
     with pytest.raises(ValueError, match="extends no verified witness of stage 1"):
         g.stage(2)
+
+
+# ---------------------------------------------------------------------------
+# witness families against the tuple copied out of the region
+
+
+class ExplicitWitnessFamily:
+    """The witnesses of a materialized region as a tuple copied out of it,
+    answering each query from the copy: the reference for WitnessFamily,
+    which reads the region instead."""
+
+    def __init__(self, region, target):
+        self.explicit = tuple(c for c in region.cylinders if target.meets_target(c))
+
+    def containing(self, beta):
+        for w in self.explicit:
+            if beta.starts_with(w):
+                return w
+        return None
+
+    def sample(self, count):
+        return list(self.explicit[:count])
+
+    def count(self):
+        return len(self.explicit)
+
+    def all(self):
+        if len(self.explicit) > synthesis._WITNESS_CAP:
+            raise HorizonExhausted(
+                f"witness enumeration ({len(self.explicit)} cylinders)",
+                f"cap {synthesis._WITNESS_CAP}; use the closed-form queries instead",
+            )
+        return list(self.explicit)
+
+
+LOOSE_RATE = "2^-(n-20)"  # admits every stage of these small targets
+
+
+def built_target(members, decoys, depths):
+    """A directly built target whose last stage L has the given members.
+    The stages before it cut L's members to nondecreasing depths d, each
+    with the decoy cylinders lengthened by d zeros.  A decoy that misses L
+    is a stage cylinder that is no witness; without decoys every stage
+    cylinder holds a member of L, so the target is self-covering."""
+    last = ClopenSet.from_strings(members)
+
+    def stage(d):
+        cyls = [c.prefix(min(d, len(c))) for c in last.cylinders]
+        cyls += [BitString(e + "0" * d) for e in decoys]
+        return ClopenSet.from_cylinders(cyls)
+
+    stages = [stage(d) for d in sorted(depths)] + [last]
+    return ExplicitGDelta(stages, parse_rate(LOOSE_RATE), LOOSE_RATE)
+
+
+explicit_targets = st.builds(
+    built_target,
+    st.lists(st.text(alphabet="01", min_size=4, max_size=10), min_size=1, max_size=4),
+    st.just([]) | st.lists(st.text(alphabet="01", min_size=3, max_size=6), max_size=3),
+    st.lists(st.integers(min_value=0, max_value=12), max_size=6),
+)
+
+
+def _all_outcome(family):
+    try:
+        return family.all()
+    except HorizonExhausted as e:
+        return str(e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(explicit_targets, st.lists(points, max_size=3), st.integers(min_value=0, max_value=4))
+def test_witness_family_matches_the_explicit_tuple(target, betas, k):
+    g = gdelta_martingale(target)
+    for n in range(1, 6):
+        try:
+            cert = g.stage(n)
+        except HorizonExhausted:
+            break
+        assert isinstance(cert.gstar, ClopenSet)
+        family, ref = cert.witnesses, ExplicitWitnessFamily(cert.gstar, target)
+        if target.self_covering:
+            assert ref.explicit == cert.gstar.cylinders
+        assert family.count() == ref.count()
+        assert family.all() == ref.all()
+        assert family.sample(k) == ref.sample(k)
+        assert cert.verified == ref.explicit
+        inside = [Point(w, BitString("01")) for w in ref.explicit[:3]]
+        for beta in betas + inside:
+            assert family.containing(beta) == ref.containing(beta)
+        with patch.object(synthesis, "_WITNESS_CAP", 1):
+            assert _all_outcome(family) == _all_outcome(ref)
+
+
+def test_explicit_targets_cover_both_witness_paths():
+    assert built_target(["0001", "01", "110"], [], [1, 2]).self_covering
+    target = built_target(["000000"], ["11"], [4])
+    assert not target.self_covering
+    # The decoy N_110000 is a stage-1 cylinder that misses the target.
+    g = gdelta_martingale(target)
+    assert g.stage(1).gstar == ClopenSet.from_strings(["0000", "110000"])
+    assert g.stage(1).witnesses.all() == [BitString("0000")]
+    assert g.stage(1).witnesses.containing(Point.parse("(1)")) is None
+    assert g.stage(1).witnesses.containing(Point.parse("(0)")) == BitString("0000")
+    # With an empty target no stage cylinder is a witness: stage 2 is empty.
+    g = gdelta_martingale(built_target([], ["11"], [4]))
+    assert g.stage(1).witnesses.count() == 0
+    assert g.stage(2).gstar == ClopenSet.empty()
+    assert g.stage(2).witnesses.sample(3) == []

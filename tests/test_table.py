@@ -41,14 +41,19 @@ def test_breadth_first_layout():
     assert t.value(BitString("01")) == Dyadic(1, 1)
     assert [str(s) for s, _ in t.nodes()] == ["", "0", "1", "00", "01", "10", "11"]
     assert [str(s) for s, _ in t.interior_nodes()] == ["", "0", "1"]
-    assert t.leaf_values() == [Dyadic.zero(), Dyadic(1, 1), Dyadic(1, 1), Dyadic.one()]
+    assert leaf_values(t) == [Dyadic.zero(), Dyadic(1, 1), Dyadic(1, 1), Dyadic.one()]
+
+
+def leaf_values(table: MartingaleTable) -> list:
+    """The depth-level values, left to right: the last 2^depth entries."""
+    return table.values[(1 << table.depth) - 1 :]
 
 
 def leaf_average_below(table: MartingaleTable, s: BitString) -> Dyadic:
     """Mean of the depth-level leaves under N_s, recomputed the slow way:
     the value a martingale table must carry at s."""
     below = table.depth - len(s)
-    leaves = table.leaf_values()[s.v << below : (s.v + 1) << below]
+    leaves = leaf_values(table)[s.v << below : (s.v + 1) << below]
     return sum(leaves, Dyadic.zero()).mul_pow2(-below)
 
 
@@ -108,7 +113,7 @@ def test_table_size_budget():
     # The cap itself is allowed: a settled root fills depth 20 by slices.
     t = MartingaleTable.from_entries(20, lambda s, up: (Dyadic(1, 1), True, None))
     assert len(t.values) == TABLE_NODE_CAP
-    assert t.leaf_values()[-1] == Dyadic(1, 1)
+    assert leaf_values(t)[-1] == Dyadic(1, 1)
 
 
 def test_document_round_trip():
