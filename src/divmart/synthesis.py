@@ -37,7 +37,7 @@ from .clopen import ClopenSet
 from .dyadic import Dyadic
 from .errors import HorizonExhausted
 from .fine import StepFunction
-from .sets import GDeltaSet, SigmaThreeSet, _least_index
+from .sets import GDeltaSet, SigmaThreeSet
 from .table import MartingaleTable
 
 _STAGE_SEARCH_SPAN = 4096
@@ -255,15 +255,16 @@ def _find_stage_index(
     """Minimal m ≥ start with λ(stage(m) ∩ N_w) < threshold·λ(N_w).
 
     Stages are nested, so the measure is nonincreasing in m and the budget,
-    once met, stays met: `sets._least_index` gallops then bisects, in
-    O(log(m - start)) measure queries instead of m - start + 1.  The search
-    ends at the last index of _STAGE_SEARCH_SPAN, or at the frozen stage
-    when the stages stop changing there."""
+    once met, stays met.  `GDeltaSet.least_stage_under` answers in closed
+    form for the built-in families, gallop for materialized ones
+    (O(log(m - start)) measure queries instead of m - start + 1).  The
+    search ends at the last index of _STAGE_SEARCH_SPAN, or at the frozen
+    stage when the stages stop changing there."""
     bound = threshold.mul_pow2(-len(w))
     last = start + _STAGE_SEARCH_SPAN - 1
     if target.frozen_from is not None:
         last = min(last, max(start, target.frozen_from))
-    m = _least_index(lambda m: target.measure_stage_in(m, w) < bound, start, last)
+    m = target.least_stage_under(w, bound, start, last)
     if m is None:
         raise HorizonExhausted(
             f"stage budget λ(stage(m) ∩ N_{_witness_text(w)}) "
@@ -271,6 +272,25 @@ def _find_stage_index(
             f"no reachable stage index from {start} meets it",
         )
     return m
+
+
+def _refuse_unreachable_stage(target: GDeltaSet, n: int) -> None:
+    """On a halving target, raise the stage budget's HorizonExhausted when
+    stage n is out of the search span, before building any stage.
+
+    Each witness of G*_j is a cylinder of stage m_j, and stage(m) fills
+    2^-(m - m_j) of it, so stage j + 1 meets its budget 2^-(j+3) first at
+    m_(j+1) = m_j + j + 4: m_j = j(j + 7)/2 from m_0 = 0.  Stage j + 1's
+    search starts at m_j + 1 and ends j + 3 indices further, past the span
+    from stage _STAGE_SEARCH_SPAN - 2 on.  That search is run here on the
+    last reachable stage's first witness, so the error is the one the build
+    would raise."""
+    j = _STAGE_SEARCH_SPAN - 3
+    if n <= j:
+        return
+    m = j * (j + 7) // 2
+    w = target.stage_sample(m, 1)[0]
+    _find_stage_index(target, w, Dyadic.pow2(-j - _BUDGET_EXP_OFFSET), m + 1)
 
 
 def _check_mean_proximity(cert: StageCertificate, witnesses: Sequence[BitString]) -> None:
@@ -328,6 +348,8 @@ class SynthesizedMartingale:
         self._stages: list[StageCertificate] = [root]
 
     def stage(self, n: int) -> StageCertificate:
+        if n >= len(self._stages) and self.target.halving:
+            _refuse_unreachable_stage(self.target, n)
         while len(self._stages) <= n:
             self._stages.append(build_stage(self._stages[-1], self.target))
         return self._stages[n]

@@ -223,6 +223,22 @@ def test_measure_far_past_the_digit_limit(runner, tmp_path):
         assert len(decimal) == 20702
 
 
+@pytest.mark.parametrize("doc", [EVEN, UNION])
+def test_measure_refuses_an_unreachable_depth_at_once(runner, tmp_path, doc):
+    # Stage 4,094 is past the stage search span on both built-in families;
+    # building the 4,093 stages before it took about 8 s.
+    spec = write_spec(tmp_path, doc)
+    start = time.perf_counter()
+    res = runner.invoke(main, ["measure", "--spec", spec, "--depth", "4094"])
+    elapsed = time.perf_counter() - start
+    assert res.exit_code == 3, res.output
+    assert res.stdout == "" and "Traceback" not in res.stderr
+    assert res.stderr.startswith("horizon exhausted: stage budget") and len(res.stderr) < 4096
+    assert "(16781299 bits)) < 1/2^4096·2^-16781299" in res.stderr
+    assert "no reachable stage index from 8390651 meets it" in res.stderr
+    assert elapsed < 3.0
+
+
 # ---------------------------------------------------------------------------
 # verify
 

@@ -2,7 +2,7 @@
 stages and brute enumeration."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from divmart.bits import EMPTY, BitString, Point
@@ -16,6 +16,7 @@ from divmart.sets import (
     Membership,
     SigmaThreeSet,
     Singleton,
+    _least_index,
     component_from_spec,
     density_ratio,
     even_zeros,
@@ -229,6 +230,45 @@ def test_singleton_measure_stage_in_cases():
     assert s.measure_stage_in(3, BitString("11")) == Dyadic.pow2(-3)
     assert s.measure_stage_in(3, BitString("1111")) == Dyadic.pow2(-4)
     assert s.measure_stage_in(3, BitString("10")) == 0
+
+
+# ---------------------------------------------------------------------------
+# the least stage index under a bound: closed forms against the gallop
+
+
+def inside(g, l: int, v: int) -> BitString:
+    """A length-l string inside every stage of g: the point's prefix, or
+    v's bits at the odd positions and zeros at the even ones."""
+    if isinstance(g, Singleton):
+        return g.point.prefix(l)
+    odd = sum(1 << (l - 1 - i) for i in range(1, l, 2))
+    return BitString.raw(l, v & odd)
+
+
+@given(
+    st.one_of(st.just(K), short_points.map(Singleton)),
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=0),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=39)),
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=0, max_value=45),
+    st.integers(min_value=0, max_value=30),
+    st.integers(min_value=0, max_value=60),
+)
+@example(K, 0, 0, None, 1, 10, 0, 5)  # the least index 11 is past last = 5
+@example(Singleton(Point.parse("(1)")), 3, 0, None, 3, 12, 2, 8)  # 11 > 10
+@example(K, 6, 0, 2, 5, 30, 0, 60)  # a 1 at even position 2: index 2
+@settings(max_examples=400)
+def test_least_stage_under_matches_the_gallop(g, l, v, flip, num, exp, start, span):
+    # t inside g's stages, or with one bit flipped (a flip at an odd
+    # position stays inside even-zeros); bounds num/2^exp, 0 and above 1
+    # included.
+    t = inside(g, l, v)
+    if flip is not None and flip < l:
+        t = BitString.raw(l, t.v ^ (1 << (l - 1 - flip)))
+    bound, last = Dyadic(num, exp), start + span
+    want = _least_index(lambda m: g.measure_stage_in(m, t) < bound, start, last)
+    assert g.least_stage_under(t, bound, start, last) == want
 
 
 # ---------------------------------------------------------------------------

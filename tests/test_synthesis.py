@@ -236,16 +236,66 @@ def test_stage_search_matches_linear_scan(steps, frozen, t, l, start, span):
         assert target.probes <= (span + 2).bit_length() + 1
 
 
-def test_stage_search_on_the_real_chains(even, single):
-    for g in (even, single):
-        for n in range(1, 8):
+def test_stage_search_on_the_real_chains():
+    find = synthesis._find_stage_index
+    searching = []
+
+    def counted_find(*args):
+        searching.append(True)
+        try:
+            return find(*args)
+        finally:
+            searching.pop()
+
+    for target in (EvenZeros(), Singleton(Point.parse("01(011)"))):
+        g = gdelta_martingale(target)
+        measure, probes = target.measure_stage_in, []
+
+        def counted_measure(m, t):
+            if searching:
+                probes.append(m)
+            return measure(m, t)
+
+        # The closed forms build the chain without one measure probe.
+        with patch.object(synthesis, "_find_stage_index", counted_find), \
+                patch.object(target, "measure_stage_in", counted_measure):
+            g.stage(40)
+        assert probes == []
+        for n in range(1, 41):
             prev = g.stage(n - 1)
             w = prev.witnesses.sample(1)[0]
             threshold = Dyadic.pow2(-(n - 1) - synthesis._BUDGET_EXP_OFFSET)
             start = max(n, prev.stage_index + 1)
-            want = find_stage_index_reference(g.target, w, threshold, start)
-            assert synthesis._find_stage_index(g.target, w, threshold, start) == want
+            want = find_stage_index_reference(target, w, threshold, start)
+            assert find(target, w, threshold, start) == want
             assert want == g.stage(n).stage_index
+            # m_(n+1) - m_n = n + 4, which perfbench's measure_exponent uses
+            assert want - prev.stage_index == (n - 1) + 4
+
+
+@pytest.mark.parametrize(
+    "target", [EvenZeros, lambda: Singleton(Point.parse("01(011)"))], ids=["even", "single"]
+)
+def test_unreachable_stage_is_refused_before_any_build(target):
+    # With a span of 64, stage 62 is the first one out of reach: the
+    # build's own error at stage 62, after stages 1-61, is the one the
+    # up-front refusal gives with no stage built.
+    with patch.object(synthesis, "_STAGE_SEARCH_SPAN", 64):
+        built = gdelta_martingale(target())
+        prev = built.stage(61)
+        with pytest.raises(HorizonExhausted) as slow:
+            synthesis.build_stage(prev, built.target)
+        for n in (62, 63, 500):
+            g = gdelta_martingale(target())
+            with pytest.raises(HorizonExhausted) as fast:
+                g.stage(n)
+            assert str(fast.value) == str(slow.value)
+            assert len(g._stages) == 1
+        # stages built up to the last reachable one change nothing
+        with pytest.raises(HorizonExhausted) as again:
+            built.stage(62)
+        assert str(again.value) == str(slow.value)
+    assert "no reachable stage index from 2075 meets it" in str(slow.value)
 
 
 @pytest.mark.parametrize("l", [0, 5, 64, 65, 5000])
