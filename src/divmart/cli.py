@@ -27,6 +27,7 @@ from .table import (
     MartingaleTable,
     dumps_document,
     loads_document,
+    loads_json,
 )
 
 SUITES = ("identity", "divergence", "convergence", "doob", "moy")
@@ -64,13 +65,16 @@ def _guarded(fn: Callable) -> Callable:
     return inner
 
 
-def _load_json(path: str) -> dict:
+def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e}")
-    return loads_document(text)
+
+
+def _load_json(path: str) -> dict:
+    return loads_document(_read(path))
 
 
 def _load_set_spec(path: str) -> SigmaThreeSet:
@@ -102,7 +106,7 @@ def _parse_point(text: str) -> Point:
 def _load_samples(path: Optional[str], default: list[str]) -> list[Point]:
     if path is None:
         return [_parse_point(t) for t in default]
-    doc = _load_json(path)
+    doc = loads_json(_read(path))
     if isinstance(doc, dict):
         doc = doc.get("points")
     if not isinstance(doc, list) or not all(isinstance(t, str) for t in doc):

@@ -10,10 +10,12 @@ Finite unions of these (closed null sets again) are the inputs the rest of
 the package consumes.
 
 Two built-in families carry closed-form stage geometry (measure of
-stage(n) ∩ N_t, the least stage index under a measure bound in N_t, the
-stage cylinder containing a point, exit stages), which is what keeps deep
-constructions feasible: materialized stage antichains grow like 2^n and are
-out of reach long before the stage budgets of interest.
+stage(n) ∩ N_t, the stage cylinder containing a point, exit stages), which
+is what keeps deep constructions feasible: materialized stage antichains
+grow like 2^n and are out of reach long before the stage budgets of
+interest.  Both are halving (see GDeltaSet), so the synthesis stage chain
+on them needs no search: its n-th region is stage(m_n) with
+m_(n+1) = m_n + n + 4, that is m_n = n(n + 7)/2.
 Explicitly-listed stage documents take the materialized path instead.
 """
 
@@ -40,7 +42,14 @@ class Membership(enum.Enum):
 
 
 class GDeltaSet:
-    """Base: nested clopen stages whose measures tend to 0."""
+    """Base: nested clopen stages whose measures tend to 0.
+
+    One structure flag, `halving`, declares that each stage cylinder loses
+    half of itself at every later stage: every antichain cylinder w of
+    stage(k) has λ(stage(m) ∩ N_w) = 2^-(m - k)·λ(N_w) for m ≥ k.  Two
+    things follow.  stage(m) ∩ N_w is never empty, so by compactness every
+    stage cylinder meets the target.  And every cylinder of one stage takes
+    the same least stage under a relative budget, a closed form."""
 
     kind = "gdelta"
 
@@ -50,15 +59,6 @@ class GDeltaSet:
     def measure_stage_in(self, n: int, t: BitString) -> Dyadic:
         """λ(stage(n) ∩ N_t), exact."""
         return self.stage(n).measure_in(t)
-
-    def least_stage_under(
-        self, t: BitString, bound: Dyadic, start: int, last: int
-    ) -> Optional[int]:
-        """The least m in [start, last] with λ(stage(m) ∩ N_t) < bound, or
-        None when there is none (start ≤ last).  The stages are nested, so
-        the measure is nonincreasing in m and the search gallops then
-        bisects (`_least_index`)."""
-        return _least_index(lambda m: self.measure_stage_in(m, t) < bound, start, last)
 
     def stage_cylinder_containing(self, n: int, beta: Point) -> Optional[BitString]:
         """The canonical-antichain cylinder of stage(n) containing beta."""
@@ -96,19 +96,10 @@ class GDeltaSet:
             return Membership.IN
         return Membership.OUT if e <= depth else Membership.UNDECIDED
 
-    # Structure flags used by the synthesis fast path.
-    self_covering = False  # every maximal stage cylinder meets the target
-    witness_uniform = False  # all stage cylinders share one measure profile
-    halving = False  # stage(n+1) holds half of each cylinder of stage(n)
-    frozen_from = None  # stage index from which stage(n) stops changing
+    halving = False  # stage(m) holds 2^-(m - k) of each cylinder of stage(k)
 
     def to_spec_dict(self) -> dict:
         raise NotImplementedError
-
-
-def _least_exponent(bound: Dyadic) -> int:
-    """The least integer k with 2^-k < bound, for a positive bound."""
-    return bound.exp - (bound.num - 1).bit_length() + 1
 
 
 def _least_index(holds: Callable[[int], bool], start: int, last: int) -> Optional[int]:
@@ -160,8 +151,6 @@ class EvenZeros(GDeltaSet):
     """
 
     kind = "even-zeros"
-    self_covering = True
-    witness_uniform = True
     halving = True
 
     @staticmethod
@@ -204,26 +193,6 @@ class EvenZeros(GDeltaSet):
         # free and all others are fixed: 2^-(2n - (n - len(t)//2)).
         return Dyadic.pow2(-n - len(t) // 2)
 
-    def least_stage_under(
-        self, t: BitString, bound: Dyadic, start: int, last: int
-    ) -> Optional[int]:
-        # Read off measure_stage_in, with k = _least_exponent(bound): every
-        # stage meets the bound when len(t) ≥ k.  Otherwise stage m meets
-        # it once m + len(t)//2 ≥ k (so 2m > len(t)), or once it pins t's
-        # first even 1 (at position i, from m = i//2 + 1) and holds
-        # nothing of N_t.
-        if bound.num <= 0:
-            return None
-        k = _least_exponent(bound)
-        if len(t) >= k:
-            return start
-        m = k - len(t) // 2
-        i = _first_even_one(len(t), t.v)
-        if i is not None:
-            m = min(m, i // 2 + 1)
-        m = max(m, start)
-        return m if m <= last else None
-
     def stage_cylinder_containing(self, n: int, beta: Point) -> Optional[BitString]:
         if n == 0:
             return EMPTY
@@ -252,8 +221,6 @@ class Singleton(GDeltaSet):
     """One eventually-periodic point; stage(n) is its length-n cylinder."""
 
     kind = "singleton"
-    self_covering = True
-    witness_uniform = True
     halving = True
 
     def __init__(self, point: Point) -> None:
@@ -274,22 +241,6 @@ class Singleton(GDeltaSet):
         if a == len(t):
             return Dyadic.pow2(-n)
         return Dyadic.zero()
-
-    def least_stage_under(
-        self, t: BitString, bound: Dyadic, start: int, last: int
-    ) -> Optional[int]:
-        # Read off measure_stage_in, with k = _least_exponent(bound): every
-        # stage meets the bound when len(t) ≥ k.  Otherwise the stages past
-        # the agreement length a hold nothing of N_t when t leaves the
-        # point, and 2^-m when t is a prefix of the point (a = len(t) < k).
-        if bound.num <= 0:
-            return None
-        k = _least_exponent(bound)
-        if len(t) >= k:
-            return start
-        a = self._agreement(t)
-        m = max(a + 1 if a < len(t) else k, start)
-        return m if m <= last else None
 
     def _agreement(self, t: BitString) -> int:
         """Length of the common prefix of t and the point.  The answer for
@@ -359,14 +310,6 @@ class ExplicitGDelta(GDeltaSet):
                 )
         self.stages = stages
         self.rate_text = rate_text
-        self.frozen_from = len(stages) - 1
-        last = stages[-1]
-        # Every maximal cylinder of every stage must meet the denoted set
-        # (= the last stage) for the structured synthesis path to apply; we
-        # just record the flag, the synthesis module picks the path.
-        self.self_covering = all(
-            all(last.meets(c) for c in st.cylinders) for st in stages
-        )
 
     def stage(self, n: int) -> ClopenSet:
         return self.stages[min(n, len(self.stages) - 1)]

@@ -16,14 +16,16 @@ cylinder queries:
   * StageRegion — a whole presentation stage, queried through the target's
     closed-form geometry (never materialized; deep stages are astronomically
     wide antichains),
-  * ClopenSet — a materialized clopen set, used when per-witness stage
-    choices differ (explicitly-listed targets) and for the empty region
-    after the witnesses run out.
-A stage's witnesses are read off its region on every query (WitnessFamily):
-the region's antichain cylinders that meet the target, with no second copy.
-Budget searches that cannot terminate (a stage that stops shrinking, a rate
-too slow for the requested depth) raise HorizonExhausted with the failing
-budget, never a silent wrong answer.
+  * ClopenSet — a materialized clopen set, the union of per-witness stage
+    choices on a target that is not halving (explicitly-listed targets),
+    and the empty region after the witnesses run out.
+On a halving target the stage choice is the same for every witness and
+needs no search, m_(n+1) = m_n + n + 4; any other target gallops per
+witness.  A stage's witnesses are read off its region on every query
+(WitnessFamily): the region's antichain cylinders that meet the target,
+with no second copy.  Budgets that cannot be met (a stage that stops
+shrinking, a rate too slow for the requested depth) raise HorizonExhausted
+with the failing budget, never a silent wrong answer.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .clopen import ClopenSet
 from .dyadic import Dyadic
 from .errors import HorizonExhausted
 from .fine import StepFunction
-from .sets import GDeltaSet, SigmaThreeSet
+from .sets import GDeltaSet, SigmaThreeSet, _least_index
 from .table import MartingaleTable
 
 _STAGE_SEARCH_SPAN = 4096
@@ -127,7 +129,7 @@ class WitnessFamily:
     target, in the region's breadth-first order.  They are pairwise
     incompatible, and their union covers the target inside the region.
     The family keeps no copy of them; every query reads the region, and a
-    self-covering target's witnesses are all of the region's cylinders."""
+    halving target's witnesses are all of the region's cylinders."""
 
     def __init__(self, region: Region, target: GDeltaSet) -> None:
         self.region = region
@@ -146,12 +148,12 @@ class WitnessFamily:
 
     def sample(self, count: int) -> list[BitString]:
         """The first `count` witnesses."""
-        if self.target.self_covering:
+        if self.target.halving:
             return self.region.sample_cylinders(count)
         return list(islice(self._meeting(), count))
 
     def count(self) -> int:
-        if self.target.self_covering:
+        if self.target.halving:
             return self.region.cylinder_count()
         return sum(1 for _ in self._meeting())
 
@@ -205,24 +207,35 @@ _BUDGET_EXP_OFFSET = 3  # condition (5) threshold: 2^(-n-3)
 
 def build_stage(prev: StageCertificate, target: GDeltaSet) -> StageCertificate:
     """Construct stage n+1 from stage n: choose for each witness s^n_j an
-    open O_j = stage(m) ∩ N_{s^n_j} with λ(O_j) < 2^(-n-3)·λ(N_{s^n_j}),
-    take G*_{n+1} = ⋃_j O_j, and read the new witnesses off its canonical
-    antichain.  Every new witness checked for the mean-proximity condition
-    is certified by induction on the chain (_check_mean_proximity), with
-    O(1) region queries each, so building n stages costs O(n) queries
-    besides the stage searches."""
+    open O_j = stage(m) ∩ N_{s^n_j} with λ(O_j) < 2^(-n-3)·λ(N_{s^n_j})
+    (condition (5)), take G*_{n+1} = ⋃_j O_j, and read the new witnesses
+    off its canonical antichain.  Every new witness checked for the
+    mean-proximity condition is certified by induction on the chain
+    (_check_mean_proximity), with O(1) region queries each.
+
+    On a halving target every witness is a cylinder of stage m_n, which
+    stage(m) fills to 2^-(m - m_n), so one m = m_n + n + 4 serves them all
+    and G*_{n+1} is stage(m): building n stages costs O(n) queries.  Past
+    the search span from m_n + 1 the budget is HorizonExhausted, as the
+    search would say; one query checks (5) at a witness, so a target that
+    is wrongly declared halving raises ValueError.  Any other target
+    searches a stage for each witness (_find_stage_index)."""
     n = prev.index
     threshold = Dyadic.pow2(-n - _BUDGET_EXP_OFFSET)
 
-    if target.self_covering and target.witness_uniform:
-        rep_list = prev.witnesses.sample(1)
-        if not rep_list:
-            region: Region = ClopenSet.empty()
-            witnesses = WitnessFamily(region, target)
-            return StageCertificate(n + 1, region, witnesses, None, prev)
-        rep = rep_list[0]
-        start = max(n + 1, (prev.stage_index or 0) + 1)
-        m = _find_stage_index(target, rep, threshold, start)
+    if target.halving:
+        rep = prev.witnesses.sample(1)[0]
+        start = prev.stage_index + 1
+        m = start + n + _BUDGET_EXP_OFFSET
+        if m - start >= _STAGE_SEARCH_SPAN:
+            raise _stage_budget_error(rep, threshold, start)
+        measure = target.measure_stage_in(m, rep)
+        if not measure < threshold.mul_pow2(-len(rep)):
+            raise ValueError(
+                f"condition (5) fails at stage {m} of a target declared "
+                f"halving: λ(stage({m}) ∩ N_{_witness_text(rep)}) = {measure} "
+                f"is not below {threshold}·2^-{len(rep)}"
+            )
         region = StageRegion(target, m)
         cert = StageCertificate(n + 1, region, WitnessFamily(region, target), m, prev)
         _check_mean_proximity(cert, cert.witnesses.sample(1))
@@ -249,28 +262,31 @@ def _witness_text(w: BitString) -> str:
     return f"{w.prefix(_WITNESS_TEXT_BITS)}…({len(w)} bits)"
 
 
+def _stage_budget_error(w: BitString, threshold: Dyadic, start: int) -> HorizonExhausted:
+    """The stage budget at witness w, unmet from stage index start on."""
+    return HorizonExhausted(
+        f"stage budget λ(stage(m) ∩ N_{_witness_text(w)}) "
+        f"< {threshold}·2^-{len(w)}",
+        f"no reachable stage index from {start} meets it",
+    )
+
+
 def _find_stage_index(
     target: GDeltaSet, w: BitString, threshold: Dyadic, start: int
 ) -> int:
-    """Minimal m ≥ start with λ(stage(m) ∩ N_w) < threshold·λ(N_w).
+    """Minimal m ≥ start with λ(stage(m) ∩ N_w) < threshold·λ(N_w): the
+    per-witness stage choice on a target that is not halving.
 
     Stages are nested, so the measure is nonincreasing in m and the budget,
-    once met, stays met.  `GDeltaSet.least_stage_under` answers in closed
-    form for the built-in families, gallop for materialized ones
-    (O(log(m - start)) measure queries instead of m - start + 1).  The
-    search ends at the last index of _STAGE_SEARCH_SPAN, or at the frozen
-    stage when the stages stop changing there."""
+    once met, stays met: `sets._least_index` gallops then bisects, with
+    O(log(m - start)) measure queries instead of m - start + 1.  The search
+    ends at the last index of _STAGE_SEARCH_SPAN; stages that stop changing
+    before it fail there, in about log2 of the span probes."""
     bound = threshold.mul_pow2(-len(w))
     last = start + _STAGE_SEARCH_SPAN - 1
-    if target.frozen_from is not None:
-        last = min(last, max(start, target.frozen_from))
-    m = target.least_stage_under(w, bound, start, last)
+    m = _least_index(lambda k: target.measure_stage_in(k, w) < bound, start, last)
     if m is None:
-        raise HorizonExhausted(
-            f"stage budget λ(stage(m) ∩ N_{_witness_text(w)}) "
-            f"< {threshold}·2^-{len(w)}",
-            f"no reachable stage index from {start} meets it",
-        )
+        raise _stage_budget_error(w, threshold, start)
     return m
 
 
@@ -278,19 +294,17 @@ def _refuse_unreachable_stage(target: GDeltaSet, n: int) -> None:
     """On a halving target, raise the stage budget's HorizonExhausted when
     stage n is out of the search span, before building any stage.
 
-    Each witness of G*_j is a cylinder of stage m_j, and stage(m) fills
-    2^-(m - m_j) of it, so stage j + 1 meets its budget 2^-(j+3) first at
-    m_(j+1) = m_j + j + 4: m_j = j(j + 7)/2 from m_0 = 0.  Stage j + 1's
-    search starts at m_j + 1 and ends j + 3 indices further, past the span
-    from stage _STAGE_SEARCH_SPAN - 2 on.  That search is run here on the
-    last reachable stage's first witness, so the error is the one the build
-    would raise."""
+    Stage j + 1 takes m_(j+1) = m_j + j + 4 (see build_stage), so
+    m_j = j(j + 7)/2 from m_0 = 0, and stage j + 1 is past the span that
+    starts at m_j + 1 once j + 3 ≥ _STAGE_SEARCH_SPAN.  The error, read from
+    the formula with no search, is the one the build of the first such
+    stage raises at the first witness of the stage before it."""
     j = _STAGE_SEARCH_SPAN - 3
     if n <= j:
         return
     m = j * (j + 7) // 2
     w = target.stage_sample(m, 1)[0]
-    _find_stage_index(target, w, Dyadic.pow2(-j - _BUDGET_EXP_OFFSET), m + 1)
+    raise _stage_budget_error(w, Dyadic.pow2(-j - _BUDGET_EXP_OFFSET), m + 1)
 
 
 def _check_mean_proximity(cert: StageCertificate, witnesses: Sequence[BitString]) -> None:

@@ -207,11 +207,16 @@ def dumps_document(doc: dict) -> str:
     return "".join(pieces)
 
 
-def loads_document(text: str) -> dict:
+def loads_json(text: str) -> Any:
+    """Any JSON value; malformed text is a ParseError."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except ValueError as e:  # JSONDecodeError, or an integer over the digit limit
         raise ParseError(f"invalid JSON: {e}") from None
+
+
+def loads_document(text: str) -> dict:
+    doc = loads_json(text)
     if not isinstance(doc, dict):
         raise ParseError("top-level JSON value must be an object")
     return doc

@@ -310,6 +310,30 @@ def test_verify_custom_samples_and_failure(runner, tmp_path):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("suite", ["divergence", "convergence"])
+def test_verify_samples_list_form_matches_the_points_form(runner, tmp_path, suite):
+    spec = write_spec(tmp_path, EVEN)
+    points = ["(0)", "0(01)", "(1)"]
+    results = []
+    for name, doc in (("list.json", points), ("object.json", {"points": points})):
+        samples = write_spec(tmp_path, doc, name)
+        res = runner.invoke(main, ["verify", "--spec", spec, "--suite", suite,
+                                   "--samples", samples])
+        results.append((res.exit_code, res.stdout, res.stderr))
+    assert results[0] == results[1]
+    assert results[0][0] == 0 and results[0][1].startswith("PASS")
+
+
+@pytest.mark.parametrize("doc", [3, [3], {"points": 3}])
+def test_verify_rejects_samples_that_are_not_point_lists(runner, tmp_path, doc):
+    spec = write_spec(tmp_path, EVEN)
+    samples = write_spec(tmp_path, doc, "samples.json")
+    res = runner.invoke(main, ["verify", "--spec", spec, "--suite", "divergence",
+                               "--samples", samples])
+    assert res.exit_code == 2
+    assert "samples file must be a JSON list of point strings" in res.stderr
+
+
 def test_verify_rejects_unknown_suite(runner, tmp_path):
     spec = write_spec(tmp_path, EVEN)
     res = runner.invoke(main, ["verify", "--spec", spec, "--suite", "nope"])

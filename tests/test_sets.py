@@ -233,42 +233,38 @@ def test_singleton_measure_stage_in_cases():
 
 
 # ---------------------------------------------------------------------------
-# the least stage index under a bound: closed forms against the gallop
+# the halving chain: m_(n+1) = m_n + n + 4 against the gallop
 
 
-def inside(g, l: int, v: int) -> BitString:
-    """A length-l string inside every stage of g: the point's prefix, or
-    v's bits at the odd positions and zeros at the even ones."""
-    if isinstance(g, Singleton):
-        return g.point.prefix(l)
-    odd = sum(1 << (l - 1 - i) for i in range(1, l, 2))
-    return BitString.raw(l, v & odd)
+def least_stage_reference(g, w: BitString, n: int, m_n: int) -> int:
+    """The least m > m_n with λ(stage(m) ∩ N_w) < 2^-(n+3)·λ(N_w), by the
+    gallop over measure_stage_in."""
+    bound = Dyadic.pow2(-(n + 3) - len(w))
+    return _least_index(lambda m: g.measure_stage_in(m, w) < bound, m_n + 1, m_n + 64)
 
 
-@given(
-    st.one_of(st.just(K), short_points.map(Singleton)),
-    st.integers(min_value=0, max_value=40),
-    st.integers(min_value=0),
-    st.one_of(st.none(), st.integers(min_value=0, max_value=39)),
-    st.integers(min_value=0, max_value=40),
-    st.integers(min_value=0, max_value=45),
-    st.integers(min_value=0, max_value=30),
-    st.integers(min_value=0, max_value=60),
-)
-@example(K, 0, 0, None, 1, 10, 0, 5)  # the least index 11 is past last = 5
-@example(Singleton(Point.parse("(1)")), 3, 0, None, 3, 12, 2, 8)  # 11 > 10
-@example(K, 6, 0, 2, 5, 30, 0, 60)  # a 1 at even position 2: index 2
-@settings(max_examples=400)
-def test_least_stage_under_matches_the_gallop(g, l, v, flip, num, exp, start, span):
-    # t inside g's stages, or with one bit flipped (a flip at an odd
-    # position stays inside even-zeros); bounds num/2^exp, 0 and above 1
-    # included.
-    t = inside(g, l, v)
-    if flip is not None and flip < l:
-        t = BitString.raw(l, t.v ^ (1 << (l - 1 - flip)))
-    bound, last = Dyadic(num, exp), start + span
-    want = _least_index(lambda m: g.measure_stage_in(m, t) < bound, start, last)
-    assert g.least_stage_under(t, bound, start, last) == want
+def check_halving_chain_step(g, n: int) -> None:
+    """Every antichain cylinder w of the materialized stage(m_n) meets the
+    target and takes m_n + n + 4 as its least stage under the budget."""
+    m_n = n * (n + 7) // 2
+    assert g.halving
+    cylinders = g.stage(m_n).cylinders
+    assert cylinders
+    for w in cylinders:
+        assert g.meets_target(w)
+        assert least_stage_reference(g, w, n, m_n) == m_n + n + 4
+
+
+@pytest.mark.parametrize("n", range(4))  # m_3 = 15: 2^14 cylinders
+def test_even_zeros_halving_chain_reads_its_stage_index(n):
+    check_halving_chain_step(K, n)
+
+
+@given(short_points, st.integers(min_value=0, max_value=10))
+@example(Point.parse("(0)"), 10)
+@settings(max_examples=150)
+def test_singleton_halving_chain_reads_its_stage_index(beta, n):
+    check_halving_chain_step(Singleton(beta), n)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +285,6 @@ def test_explicit_basics():
     assert g.exit_stage(Point.parse("(0)")) is None
     assert g.exit_stage(Point.parse("01(0)")) == 2
     assert g.exit_stage(Point.parse("(1)")) == 1
-    assert g.frozen_from == 2
     assert g.meets_target(BitString("000"))
     assert not g.meets_target(BitString("01"))
 

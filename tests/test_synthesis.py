@@ -217,6 +217,7 @@ def _outcome(target, w, threshold, start, search):
     st.integers(min_value=1, max_value=80),
 )
 @example([1] * 10, False, 30, 0, 0, 50)  # the span runs out
+@example([1] * 40, False, 30, 0, 0, 31)  # met at the span's last index
 @example([1] * 10, True, 30, 0, 3, 50)  # the stages freeze first
 @example([1] * 10, True, 30, 0, 20, 50)  # frozen before the search starts
 @settings(max_examples=300, deadline=None)
@@ -237,30 +238,43 @@ def test_stage_search_matches_linear_scan(steps, frozen, t, l, start, span):
 
 
 def test_stage_search_on_the_real_chains():
-    find = synthesis._find_stage_index
-    searching = []
+    find, prove = synthesis._find_stage_index, synthesis._check_mean_proximity
+    inside, finds = [], []
+
+    def within(fn):
+        def wrapped(*args):
+            inside.append(fn)
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
+        return wrapped
 
     def counted_find(*args):
-        searching.append(True)
-        try:
-            return find(*args)
-        finally:
-            searching.pop()
+        finds.append(args)
+        return find(*args)
 
     for target in (EvenZeros(), Singleton(Point.parse("01(011)"))):
         g = gdelta_martingale(target)
-        measure, probes = target.measure_stage_in, []
+        measure, checks = target.measure_stage_in, []
 
         def counted_measure(m, t):
-            if searching:
-                probes.append(m)
+            if not inside:
+                checks.append((m, t))
             return measure(m, t)
 
-        # The closed forms build the chain without one measure probe.
-        with patch.object(synthesis, "_find_stage_index", counted_find), \
+        # The halving chain reads its stage indices: no search, and outside
+        # the mean-proximity proof one measure query per stage, the check of
+        # condition (5) at the previous stage's first witness.
+        with patch.object(synthesis, "_find_stage_index", within(counted_find)), \
+                patch.object(synthesis, "_check_mean_proximity", within(prove)), \
                 patch.object(target, "measure_stage_in", counted_measure):
             g.stage(40)
-        assert probes == []
+        assert finds == []
+        assert checks == [
+            (g.stage(n).stage_index, g.stage(n - 1).witnesses.sample(1)[0])
+            for n in range(1, 41)
+        ]
         for n in range(1, 41):
             prev = g.stage(n - 1)
             w = prev.witnesses.sample(1)[0]
@@ -483,8 +497,6 @@ def test_convergence_through_materialized_regions(explicit_target, text, depth, 
 class DeadAfterStageZero(GDeltaSet):
     """Full stage 0, every later stage empty, and no cylinder meets the
     target: the witnesses run out at once."""
-
-    self_covering = witness_uniform = True
 
     def stage(self, n):
         return ClopenSet.full() if n == 0 else ClopenSet.empty()
@@ -852,7 +864,7 @@ class Zigzag(GDeltaSet):
     """Not nested, so not a real target: stage(m) is the cylinder 0^m for
     odd m and 1^m for even m."""
 
-    self_covering = witness_uniform = True
+    halving = True
 
     def stage(self, m):
         return ClopenSet.cylinder(BitString.raw(m, 0 if m % 2 else (1 << m) - 1))
@@ -867,9 +879,42 @@ class Zigzag(GDeltaSet):
 def test_build_stage_refuses_a_chain_that_is_not_nested():
     g = gdelta_martingale(Zigzag())
     assert g.stage(1).verified == (BitString("1111"),)
-    # Stage 2 is 0^5, outside G*_1: the walk would find the mean 2, not 1.
+    # Stage 2 is 0^9, outside G*_1: the walk would find the mean 2, not 1.
     with pytest.raises(ValueError, match="extends no verified witness of stage 1"):
         g.stage(2)
+
+
+class LaggingHalving(GDeltaSet):
+    """Declared halving, but past stage 4 the cylinder stage(m) = 0^e(m)
+    shrinks more slowly: e(m) = m up to 4, then the given lag."""
+
+    halving = True
+
+    def __init__(self, lag):
+        self.lag = lag
+
+    def stage(self, m):
+        return ClopenSet.cylinder(BitString.zeros(m if m <= 4 else self.lag(m)))
+
+    def meets_target(self, t):
+        return t.v == 0
+
+
+@pytest.mark.parametrize("lag, measure", [
+    (lambda m: m - 1, "1/2^8"),  # one stage behind: exactly the budget
+    (lambda m: (m + 5) // 2, "1/2^7"),  # halving every other stage
+])
+def test_build_stage_refuses_a_target_that_is_not_halving(lag, measure):
+    g = gdelta_martingale(LaggingHalving(lag))
+    assert g.stage(1).stage_index == 4
+    # Condition (5) asks stage 9 for less than 2^-4 of N_0000.
+    with pytest.raises(ValueError) as e:
+        g.stage(2)
+    assert str(e.value) == (
+        "condition (5) fails at stage 9 of a target declared halving: "
+        f"λ(stage(9) ∩ N_0000) = {measure} is not below 1/2^4·2^-4"
+    )
+    assert len(g._stages) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -925,6 +970,11 @@ def built_target(members, decoys, depths):
     return ExplicitGDelta(stages, parse_rate(LOOSE_RATE), LOOSE_RATE)
 
 
+def self_covering(target):
+    """Does every cylinder of every listed stage meet the target?"""
+    return all(target.meets_target(c) for stage in target.stages for c in stage.cylinders)
+
+
 explicit_targets = st.builds(
     built_target,
     st.lists(st.text(alphabet="01", min_size=4, max_size=10), min_size=1, max_size=4),
@@ -951,7 +1001,7 @@ def test_witness_family_matches_the_explicit_tuple(target, betas, k):
             break
         assert isinstance(cert.gstar, ClopenSet)
         family, ref = cert.witnesses, ExplicitWitnessFamily(cert.gstar, target)
-        if target.self_covering:
+        if self_covering(target):
             assert ref.explicit == cert.gstar.cylinders
         assert family.count() == ref.count()
         assert family.all() == ref.all()
@@ -965,9 +1015,9 @@ def test_witness_family_matches_the_explicit_tuple(target, betas, k):
 
 
 def test_explicit_targets_cover_both_witness_paths():
-    assert built_target(["0001", "01", "110"], [], [1, 2]).self_covering
+    assert self_covering(built_target(["0001", "01", "110"], [], [1, 2]))
     target = built_target(["000000"], ["11"], [4])
-    assert not target.self_covering
+    assert not self_covering(target)
     # The decoy N_110000 is a stage-1 cylinder that misses the target.
     g = gdelta_martingale(target)
     assert g.stage(1).gstar == ClopenSet.from_strings(["0000", "110000"])
