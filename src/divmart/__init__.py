@@ -8,113 +8,83 @@ read), the package constructs a [0,1]-valued martingale whose set of
 divergence is exactly that set, in exact dyadic arithmetic, together with
 point-by-point divergence/convergence certificates, graded density
 separators, and Doob diagnostics.
+
+Every public name is imported from its home module on first use (PEP 562),
+so `import divmart` loads no submodule, and a command or a script pays
+only for the modules it touches.
 """
 
-from .analysis import (
-    CertifiedConvergent,
-    CertifiedDivergent,
-    Inconclusive,
-    OscillationReport,
-    UpcrossingStats,
-    certify_convergence,
-    certify_divergence,
-    check_identity,
-    divergence_measure_bound,
-    doob_diagnostic,
-    first_identity_violation,
-    limit_function,
-    osc_window,
-)
-from .bits import BitString, Point
-from .clopen import ClopenSet
-from .dyadic import Dyadic
-from .errors import HorizonExhausted, ParseError, UndefinedAtPoint
-from .fine import (
-    ClosedPieceSet,
-    SeparatorFunction,
-    StepFunction,
-    check_interpolation,
-    lusin_menchoff,
-    mean_trace,
-    urysohn,
-)
-from .kernel import KERNEL_NAME
-from .sets import (
-    EvenZeros,
-    ExplicitGDelta,
-    GDeltaSet,
-    Membership,
-    SigmaThreeSet,
-    Singleton,
-    density_ratio,
-    even_zeros,
-    membership,
-    parse_rate,
-    singleton,
-)
-from .synthesis import (
-    CombinedMartingale,
-    ConstantPart,
-    EmbeddedMartingale,
-    StageCertificate,
-    SynthesizedMartingale,
-    embed_continuous,
-    gdelta_martingale,
-    sigma3_pipeline,
-    union_combine,
-)
-from .table import MartingaleTable
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BitString",
-    "CertifiedConvergent",
-    "CertifiedDivergent",
-    "ClopenSet",
-    "ClosedPieceSet",
-    "CombinedMartingale",
-    "ConstantPart",
-    "Dyadic",
-    "EmbeddedMartingale",
-    "EvenZeros",
-    "ExplicitGDelta",
-    "GDeltaSet",
-    "HorizonExhausted",
-    "Inconclusive",
-    "KERNEL_NAME",
-    "MartingaleTable",
-    "Membership",
-    "OscillationReport",
-    "ParseError",
-    "Point",
-    "SeparatorFunction",
-    "SigmaThreeSet",
-    "Singleton",
-    "StageCertificate",
-    "StepFunction",
-    "SynthesizedMartingale",
-    "UndefinedAtPoint",
-    "UpcrossingStats",
-    "certify_convergence",
-    "certify_divergence",
-    "check_identity",
-    "check_interpolation",
-    "density_ratio",
-    "divergence_measure_bound",
-    "doob_diagnostic",
-    "embed_continuous",
-    "even_zeros",
-    "first_identity_violation",
-    "gdelta_martingale",
-    "limit_function",
-    "lusin_menchoff",
-    "mean_trace",
-    "membership",
-    "osc_window",
-    "parse_rate",
-    "sigma3_pipeline",
-    "singleton",
-    "union_combine",
-    "urysohn",
-]
+# Each public name and the submodule that defines it.
+_HOMES = {
+    "BitString": "bits",
+    "CertifiedConvergent": "analysis",
+    "CertifiedDivergent": "analysis",
+    "ClopenSet": "clopen",
+    "ClosedPieceSet": "fine",
+    "CombinedMartingale": "synthesis",
+    "ConstantPart": "synthesis",
+    "Dyadic": "dyadic",
+    "EmbeddedMartingale": "synthesis",
+    "EvenZeros": "sets",
+    "ExplicitGDelta": "sets",
+    "GDeltaSet": "sets",
+    "HorizonExhausted": "errors",
+    "Inconclusive": "analysis",
+    "KERNEL_NAME": "kernel",
+    "MartingaleTable": "table",
+    "Membership": "sets",
+    "OscillationReport": "analysis",
+    "ParseError": "errors",
+    "Point": "bits",
+    "SeparatorFunction": "fine",
+    "SigmaThreeSet": "sets",
+    "Singleton": "sets",
+    "StageCertificate": "synthesis",
+    "StepFunction": "fine",
+    "SynthesizedMartingale": "synthesis",
+    "UndefinedAtPoint": "errors",
+    "UpcrossingStats": "analysis",
+    "certify_convergence": "analysis",
+    "certify_divergence": "analysis",
+    "check_identity": "analysis",
+    "check_interpolation": "fine",
+    "density_ratio": "sets",
+    "divergence_measure_bound": "analysis",
+    "doob_diagnostic": "analysis",
+    "embed_continuous": "synthesis",
+    "even_zeros": "sets",
+    "first_identity_violation": "analysis",
+    "gdelta_martingale": "synthesis",
+    "limit_function": "analysis",
+    "lusin_menchoff": "fine",
+    "mean_trace": "fine",
+    "membership": "sets",
+    "osc_window": "analysis",
+    "parse_rate": "sets",
+    "sigma3_pipeline": "synthesis",
+    "singleton": "sets",
+    "union_combine": "synthesis",
+    "urysohn": "fine",
+}
+_SUBMODULES = frozenset(_HOMES.values())
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return import_module(f"{__name__}.{name}")
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOMES, *_SUBMODULES})

@@ -29,7 +29,7 @@ from typing import Optional, Union
 from .bits import BitString, Point
 from .dyadic import Dyadic
 from .errors import UndefinedAtPoint
-from .sets import Membership
+from .sets import DEFAULT_STAGE_BUDGET, Membership
 from .synthesis import (
     SCALE,
     CombinedMartingale,
@@ -38,8 +38,6 @@ from .synthesis import (
     SynthesizedMartingale,
 )
 from .table import MartingaleTable
-
-DEFAULT_STAGE_BUDGET = 12
 
 
 # ---------------------------------------------------------------------------

@@ -4,31 +4,30 @@ Exit codes: 0 ok / all checks passed, 1 verification failure, 2 malformed
 input (documents, points, flags), 3 a finite search budget ran out (the
 failing budget is printed).  All output is deterministic: identical inputs
 and flags give byte-identical bytes.
+
+Start-up is most of a command's time, so the parser is the standard
+library's `argparse` and this module imports only `divmart.errors` at the
+top.  Each command imports the divmart modules it runs inside its own body:
+`synthesize` and `trace` never load `analysis`, and only `verify --suite
+moy` loads `fine`.  A top-level import of `fine`, `analysis` or
+`synthesis` here is a start-up regression (tests/test_imports.py fails on
+it).
 """
 
 from __future__ import annotations
 
+import argparse
 import functools
 import re
 import sys
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
-import click
-
-from . import analysis
-from .bits import Point
-from .dyadic import Dyadic
 from .errors import HorizonExhausted, ParseError
-from .fine import mean_trace, urysohn
-from .sets import GDeltaSet, Membership, SigmaThreeSet
-from .synthesis import SynthesizedMartingale, gdelta_martingale, sigma3_pipeline
-from .table import (
-    DOCUMENT_KIND,
-    MartingaleTable,
-    dumps_document,
-    loads_document,
-    loads_json,
-)
+
+if TYPE_CHECKING:
+    from .bits import Point
+    from .dyadic import Dyadic
+    from .sets import GDeltaSet, SigmaThreeSet
 
 SUITES = ("identity", "divergence", "convergence", "doob", "moy")
 
@@ -56,10 +55,10 @@ def _guarded(fn: Callable) -> Callable:
         try:
             return fn(*args, **kwargs)
         except ParseError as e:
-            click.echo(f"parse error: {e}", err=True)
+            print(f"parse error: {e}", file=sys.stderr)
             raise SystemExit(2)
         except HorizonExhausted as e:
-            click.echo(str(e), err=True)
+            print(e, file=sys.stderr)
             raise SystemExit(3)
 
     return inner
@@ -74,15 +73,21 @@ def _read(path: str) -> str:
 
 
 def _load_json(path: str) -> dict:
+    from .table import loads_document
+
     return loads_document(_read(path))
 
 
 def _load_set_spec(path: str) -> SigmaThreeSet:
+    from .sets import SigmaThreeSet
+
     return SigmaThreeSet.from_spec(_load_json(path))
 
 
 def _parse_precision(text: str) -> Dyadic:
     """Accepted: '2^-6' or the bare exponent '6' (both meaning 2^(-6))."""
+    from .dyadic import Dyadic
+
     s = text.replace(" ", "")
     m = re.fullmatch(r"2\^-(\d+)", s)
     if m is None:
@@ -100,10 +105,14 @@ def _check_sizes(**sizes: int) -> None:
 
 
 def _parse_point(text: str) -> Point:
+    from .bits import Point
+
     return Point.parse(text)
 
 
 def _load_samples(path: Optional[str], default: list[str]) -> list[Point]:
+    from .table import loads_json
+
     if path is None:
         return [_parse_point(t) for t in default]
     doc = loads_json(_read(path))
@@ -118,6 +127,8 @@ def _load_samples(path: Optional[str], default: list[str]) -> list[Point]:
 
 
 def _stage_metadata(pipeline) -> list[dict]:
+    from .synthesis import SynthesizedMartingale
+
     meta = []
     for i, part in enumerate(pipeline.parts):
         if not isinstance(part, SynthesizedMartingale):
@@ -138,37 +149,36 @@ def _stage_metadata(pipeline) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
+# commands
 
 
-@click.group()
-def main() -> None:
-    """Exact martingales on the binary tree with prescribed divergence sets."""
-
-
-@main.command()
-@click.option("--spec", "spec_path", required=True, help="set description (JSON)")
-@click.option("--out", "out_path", default=None, help="output file (default stdout)")
-@click.option("--depth", default=8, show_default=True, help="table depth D")
-@click.option("--truncation", default=3, show_default=True, help="truncation index k")
 @_guarded
-def synthesize(spec_path: str, out_path: Optional[str], depth: int, truncation: int):
+def synthesize(spec: str, out: Optional[str], depth: int, truncation: int):
     """Write the exact truncated martingale table M_k to depth D."""
+    from .sets import SigmaThreeSet
+    from .synthesis import sigma3_pipeline
+    from .table import dumps_document
+
     _check_sizes(depth=depth, truncation=truncation)
-    spec_doc = _load_json(spec_path)
+    spec_doc = _load_json(spec)
     b = SigmaThreeSet.from_spec(spec_doc)
     pipeline = sigma3_pipeline(b)
     table = pipeline.truncated_table(truncation, depth)
     doc = table.to_document(spec_echo=spec_doc, truncation=truncation)
     doc["stages"] = _stage_metadata(pipeline)
     text = dumps_document(doc)
-    if out_path is None:
+    if out is None:
         sys.stdout.write(text)
     else:
-        with open(out_path, "w", encoding="utf-8") as fh:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
 
 
 def _trace_rows(path: str, beta: Point, depth: int, precision: Dyadic):
+    from .sets import SigmaThreeSet
+    from .synthesis import sigma3_pipeline
+    from .table import DOCUMENT_KIND, MartingaleTable
+
     doc = _load_json(path)
     if isinstance(doc, dict) and doc.get("kind") == DOCUMENT_KIND:
         table, _, _ = MartingaleTable.from_document(doc)
@@ -186,66 +196,56 @@ def _trace_rows(path: str, beta: Point, depth: int, precision: Dyadic):
         yield l, lo, hi
 
 
-@main.command()
-@click.option("--spec", "spec_path", required=True,
-              help="set description or table document (JSON)")
-@click.option("--point", "point_text", required=True, help="e.g. '01(10)'")
-@click.option("--depth", default=16, show_default=True)
-@click.option("--precision", default="2^-6", show_default=True)
 @_guarded
-def trace(spec_path: str, point_text: str, depth: int, precision: str):
+def trace(spec: str, point: str, depth: int, precision: str):
     """CSV of certified value intervals along a branch."""
     _check_sizes(depth=depth)
-    beta = _parse_point(point_text)
+    beta = _parse_point(point)
     prec = _parse_precision(precision)
     out = ["l,lo_dyadic,hi_dyadic,lo_decimal,hi_decimal"]
-    for l, lo, hi in _trace_rows(spec_path, beta, depth, prec):
+    for l, lo, hi in _trace_rows(spec, beta, depth, prec):
         out.append(f"{l},{lo},{hi},{lo.decimal()},{hi.decimal()}")
-    click.echo("\n".join(out))
+    print("\n".join(out))
 
 
-@main.command()
-@click.option("--spec", "spec_path", required=True, help="set description (JSON)")
-@click.option("--point", "point_text", required=True)
-@click.option("--depth", default=analysis.DEFAULT_STAGE_BUDGET, show_default=True,
-              help="stage budget for certificates")
-@click.option("--precision", default="2^-6", show_default=True,
-              help="ε for the convergence certificate")
 @_guarded
-def oscillate(spec_path: str, point_text: str, depth: int, precision: str):
+def oscillate(spec: str, point: str, depth: int, precision: str):
     """Certify divergence or convergence of the synthesized martingale at a
     point; exit 1 when neither certificate is found within the budget."""
+    from . import analysis
+    from .synthesis import sigma3_pipeline
+
     _check_sizes(depth=depth)
-    beta = _parse_point(point_text)
+    beta = _parse_point(point)
     eps = _parse_precision(precision)
-    pipeline = sigma3_pipeline(_load_set_spec(spec_path))
+    pipeline = sigma3_pipeline(_load_set_spec(spec))
     rep = analysis.certify_divergence(pipeline, beta, stage_budget=depth)
     if not rep.divergent:
         rep = analysis.certify_convergence(pipeline, beta, eps, stage_budget=depth)
-    click.echo(f"point {beta}")
+    print(f"point {beta}")
     if rep.window is not None:
-        click.echo(f"window {rep.window[0]}..{rep.window[1]}")
-        click.echo(f"variation {rep.variation} ({rep.variation.decimal()})")
+        print(f"window {rep.window[0]}..{rep.window[1]}")
+        print(f"variation {rep.variation} ({rep.variation.decimal()})")
     if rep.limit is not None:
-        click.echo(f"limit {rep.limit} ({rep.limit.decimal()})")
-    click.echo(f"verdict {rep.verdict}")
+        print(f"limit {rep.limit} ({rep.limit.decimal()})")
+    print(f"verdict {rep.verdict}")
     if isinstance(rep.verdict, analysis.Inconclusive):
         raise SystemExit(1)
 
 
-@main.command()
-@click.option("--spec", "spec_path", required=True, help="set description (JSON)")
-@click.option("--depth", default=10, show_default=True, help="stage index n")
 @_guarded
-def measure(spec_path: str, depth: int):
+def measure(spec: str, depth: int):
     """Exact per-component λ(G*_n): an upper bound on the divergence-set
     measure of each part."""
+    from .analysis import divergence_measure_bound
+    from .synthesis import gdelta_martingale
+
     _check_sizes(depth=depth)
-    b = _load_set_spec(spec_path)
+    b = _load_set_spec(spec)
     for i, comp in enumerate(b.components):
         f = gdelta_martingale(comp)
-        m = analysis.divergence_measure_bound(f, depth)
-        click.echo(f"component {i} {comp.kind} lambda(G*_{depth}) = {m} ({m.decimal()})")
+        m = divergence_measure_bound(f, depth)
+        print(f"component {i} {comp.kind} lambda(G*_{depth}) = {m} ({m.decimal()})")
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +258,11 @@ def _report(lines: list[str], ok: bool, check: str, detail: str) -> bool:
 
 
 def _suite_identity(b, points, depth, truncation, eps, lines) -> bool:
+    from .analysis import first_identity_violation
+    from .synthesis import sigma3_pipeline
+
     table = sigma3_pipeline(b).truncated_table(truncation, depth)
-    bad = analysis.first_identity_violation(table)
+    bad = first_identity_violation(table)
     return _report(
         lines,
         bad is None,
@@ -270,14 +273,18 @@ def _suite_identity(b, points, depth, truncation, eps, lines) -> bool:
 
 
 def _suite_divergence(b, points, depth, truncation, eps, lines) -> bool:
+    from .analysis import certify_divergence
+    from .sets import DEFAULT_STAGE_BUDGET, Membership
+    from .synthesis import sigma3_pipeline
+
     pipeline = sigma3_pipeline(b)
     ok = True
     tested = 0
     for beta in points:
-        if b.membership(beta, analysis.DEFAULT_STAGE_BUDGET) is not Membership.IN:
+        if b.membership(beta, DEFAULT_STAGE_BUDGET) is not Membership.IN:
             continue
         tested += 1
-        rep = analysis.certify_divergence(pipeline, beta)
+        rep = certify_divergence(pipeline, beta)
         ok &= _report(lines, rep.divergent, "divergence", f"{beta} {rep.verdict}")
     if tested == 0:
         ok = _report(lines, False, "divergence", "no in-set sample points")
@@ -285,14 +292,18 @@ def _suite_divergence(b, points, depth, truncation, eps, lines) -> bool:
 
 
 def _suite_convergence(b, points, depth, truncation, eps, lines) -> bool:
+    from .analysis import certify_convergence
+    from .sets import DEFAULT_STAGE_BUDGET, Membership
+    from .synthesis import sigma3_pipeline
+
     pipeline = sigma3_pipeline(b)
     ok = True
     tested = 0
     for beta in points:
-        if b.membership(beta, analysis.DEFAULT_STAGE_BUDGET) is not Membership.OUT:
+        if b.membership(beta, DEFAULT_STAGE_BUDGET) is not Membership.OUT:
             continue
         tested += 1
-        rep = analysis.certify_convergence(pipeline, beta, eps)
+        rep = certify_convergence(pipeline, beta, eps)
         ok &= _report(lines, rep.convergent, "convergence", f"{beta} {rep.verdict}")
     if tested == 0:
         ok = _report(lines, False, "convergence", "no off-set sample points")
@@ -300,9 +311,13 @@ def _suite_convergence(b, points, depth, truncation, eps, lines) -> bool:
 
 
 def _suite_doob(b, points, depth, truncation, eps, lines) -> bool:
+    from .analysis import doob_diagnostic
+    from .dyadic import Dyadic
+    from .synthesis import sigma3_pipeline
+
     table = sigma3_pipeline(b).truncated_table(truncation, depth)
     a, bb = Dyadic(1, 2), Dyadic(3, 2)  # (1/4, 3/4)
-    stats = analysis.doob_diagnostic(table, a, bb)
+    stats = doob_diagnostic(table, a, bb)
     return _report(
         lines,
         stats.doob_product <= Dyadic.one(),
@@ -311,11 +326,12 @@ def _suite_doob(b, points, depth, truncation, eps, lines) -> bool:
     )
 
 
-_MOY_TOLERANCE = Dyadic(1, 4)  # 2^(-4): grading granularity of the separator
 _MOY_DEPTH = 24
 
 
 def _interval_gap(p: tuple[Dyadic, Dyadic], q: tuple[Dyadic, Dyadic]) -> Dyadic:
+    from .dyadic import Dyadic
+
     if p[0] > q[1]:
         return p[0] - q[1]
     if q[0] > p[1]:
@@ -327,6 +343,11 @@ def _suite_moy(b, points, depth, truncation, eps, lines) -> bool:
     """Mean-convergence of the stage-1 graded separator of the first
     component: along off-target branches the cylinder means must enter and
     stay within 2^(-4) of the evaluated separator value by depth 24."""
+    from .dyadic import Dyadic
+    from .fine import mean_trace, urysohn
+    from .sets import DEFAULT_STAGE_BUDGET, Membership
+
+    tolerance = Dyadic(1, 4)  # 2^(-4): grading granularity of the separator
     comp: GDeltaSet = b.components[0] if b.components else None
     if comp is None:
         return _report(lines, False, "moy", "spec has no components")
@@ -334,14 +355,14 @@ def _suite_moy(b, points, depth, truncation, eps, lines) -> bool:
     ok = True
     tested = 0
     for beta in points:
-        if comp.membership(beta, analysis.DEFAULT_STAGE_BUDGET) is not Membership.OUT:
+        if comp.membership(beta, DEFAULT_STAGE_BUDGET) is not Membership.OUT:
             continue
         tested += 1
-        target = h.evaluate(beta, _MOY_TOLERANCE)
-        rows = mean_trace(h, beta, _MOY_DEPTH, _MOY_TOLERANCE)
+        target = h.evaluate(beta, tolerance)
+        rows = mean_trace(h, beta, _MOY_DEPTH, tolerance)
         entered: Optional[int] = None
         for l, lo, hi in rows:
-            if _interval_gap((lo, hi), target) <= _MOY_TOLERANCE:
+            if _interval_gap((lo, hi), target) <= tolerance:
                 if entered is None:
                     entered = l
             else:
@@ -370,28 +391,86 @@ _SUITE_RUNNERS = {
 }
 
 
-@main.command()
-@click.option("--spec", "spec_path", required=True, help="set description (JSON)")
-@click.option("--suite", required=True, type=click.Choice(SUITES))
-@click.option("--samples", "samples_path", default=None,
-              help='JSON list of points or {"points": [...]}')
-@click.option("--depth", default=8, show_default=True)
-@click.option("--truncation", default=3, show_default=True)
-@click.option("--precision", default="2^-6", show_default=True,
-              help="ε for convergence certificates")
 @_guarded
-def verify(spec_path: str, suite: str, samples_path: Optional[str], depth: int,
+def verify(spec: str, suite: str, samples: Optional[str], depth: int,
            truncation: int, precision: str):
     """Run a verification suite; exit 0 iff every check passes."""
     _check_sizes(depth=depth, truncation=truncation)
-    b = _load_set_spec(spec_path)
-    points = _load_samples(samples_path, list(_DEFAULT_POINTS))
+    b = _load_set_spec(spec)
+    points = _load_samples(samples, list(_DEFAULT_POINTS))
     eps = _parse_precision(precision)
     lines: list[str] = []
     ok = _SUITE_RUNNERS[suite](b, points, depth, truncation, eps, lines)
-    click.echo("\n".join(lines))
+    print("\n".join(lines))
     if not ok:
         raise SystemExit(1)
+
+
+# ---------------------------------------------------------------------------
+# the command line
+
+
+def _parser() -> argparse.ArgumentParser:
+    from .sets import DEFAULT_STAGE_BUDGET
+
+    parser = argparse.ArgumentParser(
+        prog="divmart", description=main.__doc__, allow_abbrev=False
+    )
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+
+    def command(fn: Callable) -> Callable[..., None]:
+        """Add the command that runs fn; returns the function that adds
+        one of its options.  An option with a default shows it in --help."""
+        summary = re.split(r"[.;] ", " ".join(fn.__doc__.split()))[0].rstrip(".")
+        sub = commands.add_parser(
+            fn.__name__, help=summary, description=fn.__doc__, allow_abbrev=False
+        )
+        sub.set_defaults(run=fn)
+
+        def option(flag: str, help: str = "", **kw) -> None:
+            if kw.get("default") is not None:
+                help = f"{help} [default: %(default)s]".lstrip()
+            sub.add_argument(flag, help=help or None, **kw)
+
+        return option
+
+    option = command(synthesize)
+    option("--spec", "set description (JSON)", required=True)
+    option("--out", "output file (default stdout)")
+    option("--depth", "table depth D", type=int, default=8)
+    option("--truncation", "truncation index k", type=int, default=3)
+
+    option = command(trace)
+    option("--spec", "set description or table document (JSON)", required=True)
+    option("--point", "e.g. '01(10)'", required=True)
+    option("--depth", type=int, default=16)
+    option("--precision", default="2^-6")
+
+    option = command(oscillate)
+    option("--spec", "set description (JSON)", required=True)
+    option("--point", required=True)
+    option("--depth", "stage budget for certificates", type=int,
+           default=DEFAULT_STAGE_BUDGET)
+    option("--precision", "ε for the convergence certificate", default="2^-6")
+
+    option = command(measure)
+    option("--spec", "set description (JSON)", required=True)
+    option("--depth", "stage index n", type=int, default=10)
+
+    option = command(verify)
+    option("--spec", "set description (JSON)", required=True)
+    option("--suite", required=True, choices=SUITES)
+    option("--samples", 'JSON list of points or {"points": [...]}')
+    option("--depth", type=int, default=8)
+    option("--truncation", type=int, default=3)
+    option("--precision", "ε for convergence certificates", default="2^-6")
+    return parser
+
+
+def main(argv: Optional[list[str]] = None) -> None:
+    """Exact martingales on the binary tree with prescribed divergence sets."""
+    options = vars(_parser().parse_args(argv))
+    options.pop("run")(**options)
 
 
 if __name__ == "__main__":

@@ -31,6 +31,10 @@ from .clopen import ClopenSet
 from .dyadic import Dyadic
 from .errors import HorizonExhausted, ParseError
 
+# How many stages a membership test or a certificate search examines
+# unless told otherwise (the `oscillate --depth` default).
+DEFAULT_STAGE_BUDGET = 12
+
 
 class Membership(enum.Enum):
     IN = "In"

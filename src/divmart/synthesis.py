@@ -32,15 +32,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Any, Callable, Iterator, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Sequence, Union
 
 from .bits import EMPTY, BitString, Point
 from .clopen import ClopenSet
 from .dyadic import Dyadic
 from .errors import HorizonExhausted
-from .fine import StepFunction
 from .sets import GDeltaSet, SigmaThreeSet, _least_index
 from .table import MartingaleTable
+
+if TYPE_CHECKING:  # annotations only, so importing synthesis leaves fine unloaded
+    from .fine import StepFunction
 
 _STAGE_SEARCH_SPAN = 4096
 _WITNESS_CAP = 4096
@@ -218,13 +220,15 @@ def build_stage(prev: StageCertificate, target: GDeltaSet) -> StageCertificate:
     and G*_{n+1} is stage(m): building n stages costs O(n) queries.  Past
     the search span from m_n + 1 the budget is HorizonExhausted, as the
     search would say; one query checks (5) at a witness, so a target that
-    is wrongly declared halving raises ValueError.  Any other target
-    searches a stage for each witness (_find_stage_index)."""
+    is wrongly declared halving raises ValueError.  Any other target, and
+    a halving one whose witnesses have run out, searches a stage for each
+    witness (_find_stage_index)."""
     n = prev.index
     threshold = Dyadic.pow2(-n - _BUDGET_EXP_OFFSET)
 
-    if target.halving:
-        rep = prev.witnesses.sample(1)[0]
+    reps = prev.witnesses.sample(1) if target.halving else []
+    if reps:
+        rep = reps[0]
         start = prev.stage_index + 1
         m = start + n + _BUDGET_EXP_OFFSET
         if m - start >= _STAGE_SEARCH_SPAN:
@@ -303,8 +307,9 @@ def _refuse_unreachable_stage(target: GDeltaSet, n: int) -> None:
     if n <= j:
         return
     m = j * (j + 7) // 2
-    w = target.stage_sample(m, 1)[0]
-    raise _stage_budget_error(w, Dyadic.pow2(-j - _BUDGET_EXP_OFFSET), m + 1)
+    ws = target.stage_sample(m, 1)
+    if ws:  # else the witnesses run out first and no stage index is sought
+        raise _stage_budget_error(ws[0], Dyadic.pow2(-j - _BUDGET_EXP_OFFSET), m + 1)
 
 
 def _check_mean_proximity(cert: StageCertificate, witnesses: Sequence[BitString]) -> None:

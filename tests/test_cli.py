@@ -6,10 +6,10 @@ import time
 from decimal import Decimal, Inexact, localcontext
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from divmart.cli import SUITES, main
+from clirun import run_cli
+from divmart.cli import SUITES
 from divmart.dyadic import Dyadic
 from divmart.sets import EXPLICIT_BITS_LIMIT
 from divmart.table import MartingaleTable
@@ -26,11 +26,6 @@ NOT_NULL = {
 }
 
 
-@pytest.fixture()
-def runner():
-    return CliRunner()
-
-
 def write_spec(tmp_path, doc, name="spec.json"):
     p = tmp_path / name
     p.write_text(json.dumps(doc))
@@ -41,9 +36,9 @@ def write_spec(tmp_path, doc, name="spec.json"):
 # synthesize
 
 
-def test_synthesize_document(runner, tmp_path):
+def test_synthesize_document(tmp_path):
     spec = write_spec(tmp_path, EVEN)
-    res = runner.invoke(main, ["synthesize", "--spec", spec, "--depth", "6", "--truncation", "1"])
+    res = run_cli(["synthesize", "--spec", spec, "--depth", "6", "--truncation", "1"])
     assert res.exit_code == 0, res.output
     doc = json.loads(res.output)
     assert doc["kind"] == "martingale-table" and doc["version"] == 1
@@ -58,16 +53,16 @@ def test_synthesize_document(runner, tmp_path):
     assert check_identity(table)
 
 
-def test_synthesize_deterministic(runner, tmp_path):
+def test_synthesize_deterministic(tmp_path):
     spec = write_spec(tmp_path, UNION)
     args = ["synthesize", "--spec", spec, "--depth", "5"]
-    first = runner.invoke(main, args)
-    second = runner.invoke(main, args)
+    first = run_cli(args)
+    second = run_cli(args)
     assert first.exit_code == second.exit_code == 0
     assert first.output == second.output
     assert first.output.endswith("}\n")
     out = tmp_path / "table.json"
-    third = runner.invoke(main, args + ["--out", str(out)])
+    third = run_cli(args + ["--out", str(out)])
     assert third.exit_code == 0 and third.output == ""
     assert out.read_text() == first.output
 
@@ -86,9 +81,9 @@ def test_synthesize_deterministic(runner, tmp_path):
     ids=["synthesize-depth", "synthesize-truncation", "trace-depth", "oscillate-depth",
          "measure-depth", "verify-identity-depth", "verify-doob-truncation"],
 )
-def test_negative_sizes_exit_two(runner, tmp_path, args):
+def test_negative_sizes_exit_two(tmp_path, args):
     spec = write_spec(tmp_path, EVEN)
-    res = runner.invoke(main, [args[0], "--spec", spec, *args[1:]])
+    res = run_cli([args[0], "--spec", spec, *args[1:]])
     assert res.exit_code == 2, res.output
     assert "parse error" in res.stderr and "nonnegative" in res.stderr
     assert isinstance(res.exception, SystemExit) and "Traceback" not in res.stderr
@@ -99,12 +94,9 @@ def test_negative_sizes_exit_two(runner, tmp_path, args):
 # trace
 
 
-def test_trace_from_spec(runner, tmp_path):
+def test_trace_from_spec(tmp_path):
     spec = write_spec(tmp_path, EVEN)
-    res = runner.invoke(
-        main,
-        ["trace", "--spec", spec, "--point", "(0)", "--depth", "8", "--precision", "2^-6"],
-    )
+    res = run_cli(["trace", "--spec", spec, "--point", "(0)", "--depth", "8", "--precision", "2^-6"])
     assert res.exit_code == 0, res.output
     lines = res.output.strip().split("\n")
     assert lines[0] == "l,lo_dyadic,hi_dyadic,lo_decimal,hi_decimal"
@@ -118,40 +110,31 @@ def test_trace_from_spec(runner, tmp_path):
         assert Fraction(hi_dec) - Fraction(lo_dec) <= Fraction(1, 64)
 
 
-def test_trace_from_table_document_is_exact(runner, tmp_path):
+def test_trace_from_table_document_is_exact(tmp_path):
     spec = write_spec(tmp_path, EVEN)
     out = tmp_path / "table.json"
     assert (
-        runner.invoke(
-            main,
-            ["synthesize", "--spec", spec, "--depth", "6", "--truncation", "1",
-             "--out", str(out)],
-        ).exit_code
+        run_cli(["synthesize", "--spec", spec, "--depth", "6", "--truncation", "1",
+                 "--out", str(out)]).exit_code
         == 0
     )
-    res = runner.invoke(
-        main, ["trace", "--spec", str(out), "--point", "(0)", "--depth", "6"]
-    )
+    res = run_cli(["trace", "--spec", str(out), "--point", "(0)", "--depth", "6"])
     assert res.exit_code == 0, res.output
     rows = res.output.strip().split("\n")[1:]
     assert len(rows) == 7
     for row in rows:
         _, lo_d, hi_d, lo_dec, hi_dec = row.split(",")
         assert lo_d == hi_d and lo_dec == hi_dec
-    too_deep = runner.invoke(
-        main, ["trace", "--spec", str(out), "--point", "(0)", "--depth", "7"]
-    )
+    too_deep = run_cli(["trace", "--spec", str(out), "--point", "(0)", "--depth", "7"])
     assert too_deep.exit_code == 2
     assert "exceeds table depth" in too_deep.stderr
 
 
-def test_trace_rejects_bad_point_and_precision(runner, tmp_path):
+def test_trace_rejects_bad_point_and_precision(tmp_path):
     spec = write_spec(tmp_path, EVEN)
-    bad_point = runner.invoke(main, ["trace", "--spec", spec, "--point", "2(0)"])
+    bad_point = run_cli(["trace", "--spec", spec, "--point", "2(0)"])
     assert bad_point.exit_code == 2 and "parse error" in bad_point.stderr
-    bad_prec = runner.invoke(
-        main, ["trace", "--spec", spec, "--point", "(0)", "--precision", "x"]
-    )
+    bad_prec = run_cli(["trace", "--spec", spec, "--point", "(0)", "--precision", "x"])
     assert bad_prec.exit_code == 2 and "bad precision" in bad_prec.stderr
 
 
@@ -159,9 +142,9 @@ def test_trace_rejects_bad_point_and_precision(runner, tmp_path):
 # oscillate
 
 
-def test_oscillate_divergent_point(runner, tmp_path):
+def test_oscillate_divergent_point(tmp_path):
     spec = write_spec(tmp_path, EVEN)
-    res = runner.invoke(main, ["oscillate", "--spec", spec, "--point", "(0)"])
+    res = run_cli(["oscillate", "--spec", spec, "--point", "(0)"])
     assert res.exit_code == 0, res.output
     lines = res.output.strip().split("\n")
     assert lines[0] == "point (0)"
@@ -170,22 +153,20 @@ def test_oscillate_divergent_point(runner, tmp_path):
     assert lines[-1] == "verdict CertifiedDivergent(osc ≥ 1/2^3)"
 
 
-def test_oscillate_convergent_point(runner, tmp_path):
+def test_oscillate_convergent_point(tmp_path):
     spec = write_spec(tmp_path, EVEN)
-    res = runner.invoke(
-        main, ["oscillate", "--spec", spec, "--point", "(1)", "--precision", "2^-3"]
-    )
+    res = run_cli(["oscillate", "--spec", spec, "--point", "(1)", "--precision", "2^-3"])
     assert res.exit_code == 0, res.output
     assert "limit 3/2^2 (0.75)" in res.output
     assert "verdict CertifiedConvergent(depth 1, tail ≤ 1/2^3)" in res.output
 
 
-def test_oscillate_inconclusive_exits_one(runner, tmp_path):
+def test_oscillate_inconclusive_exits_one(tmp_path):
     # Deep pseudo-target point: agrees with the target beyond every region
     # the stage budget examines, but is never certified inside it.
     spec = write_spec(tmp_path, EVEN)
     point = "0" * 300 + "1(0)"
-    res = runner.invoke(main, ["oscillate", "--spec", spec, "--point", point])
+    res = run_cli(["oscillate", "--spec", spec, "--point", point])
     assert res.exit_code == 1
     assert "verdict Inconclusive" in res.output
 
@@ -194,9 +175,9 @@ def test_oscillate_inconclusive_exits_one(runner, tmp_path):
 # measure
 
 
-def test_measure_per_component(runner, tmp_path):
+def test_measure_per_component(tmp_path):
     spec = write_spec(tmp_path, UNION)
-    res = runner.invoke(main, ["measure", "--spec", spec, "--depth", "2"])
+    res = run_cli(["measure", "--spec", spec, "--depth", "2"])
     assert res.exit_code == 0, res.output
     lines = res.output.strip().split("\n")
     assert lines == [
@@ -205,11 +186,11 @@ def test_measure_per_component(runner, tmp_path):
     ]
 
 
-def test_measure_far_past_the_digit_limit(runner, tmp_path):
+def test_measure_far_past_the_digit_limit(tmp_path):
     # λ(G*_200) = 2^-20700: its decimal has 20,700 fractional digits, far
     # beyond the interpreter's 4,300-digit int/str conversion limit.
     spec = write_spec(tmp_path, UNION)
-    res = runner.invoke(main, ["measure", "--spec", spec, "--depth", "200"])
+    res = run_cli(["measure", "--spec", spec, "--depth", "200"])
     assert res.exit_code == 0, res.output
     lines = res.output.strip().split("\n")
     assert len(lines) == 2
@@ -224,12 +205,12 @@ def test_measure_far_past_the_digit_limit(runner, tmp_path):
 
 
 @pytest.mark.parametrize("doc", [EVEN, UNION])
-def test_measure_refuses_an_unreachable_depth_at_once(runner, tmp_path, doc):
+def test_measure_refuses_an_unreachable_depth_at_once(tmp_path, doc):
     # Stage 4,094 is past the stage search span on both built-in families;
     # building the 4,093 stages before it took about 8 s.
     spec = write_spec(tmp_path, doc)
     start = time.perf_counter()
-    res = runner.invoke(main, ["measure", "--spec", spec, "--depth", "4094"])
+    res = run_cli(["measure", "--spec", spec, "--depth", "4094"])
     elapsed = time.perf_counter() - start
     assert res.exit_code == 3, res.output
     assert res.stdout == "" and "Traceback" not in res.stderr
@@ -244,9 +225,9 @@ def test_measure_refuses_an_unreachable_depth_at_once(runner, tmp_path, doc):
 
 
 @pytest.mark.parametrize("suite", ["identity", "divergence", "convergence", "doob", "moy"])
-def test_verify_suites_pass(runner, tmp_path, suite):
+def test_verify_suites_pass(tmp_path, suite):
     spec = write_spec(tmp_path, EVEN)
-    res = runner.invoke(main, ["verify", "--spec", spec, "--suite", suite])
+    res = run_cli(["verify", "--spec", spec, "--suite", suite])
     assert res.exit_code == 0, res.output
     lines = res.output.strip().split("\n")
     assert lines and all(line.startswith("PASS") for line in lines)
@@ -276,79 +257,103 @@ MOY_SINGLETON = [
 ]
 
 
-def test_verify_moy_on_a_singleton(runner, tmp_path):
+def test_verify_moy_on_a_singleton(tmp_path):
     spec = write_spec(tmp_path, {"kind": "sigma3", "components": [
         {"kind": "singleton", "point": "01(011)"}]})
-    res = runner.invoke(main, ["verify", "--spec", spec, "--suite", "moy"])
+    res = run_cli(["verify", "--spec", spec, "--suite", "moy"])
     assert res.exit_code == 0, res.output
     assert res.stdout.splitlines() == MOY_SINGLETON
 
 
-def test_verify_union_divergence_includes_the_singleton(runner, tmp_path):
+def test_verify_union_divergence_includes_the_singleton(tmp_path):
     spec = write_spec(tmp_path, UNION)
-    res = runner.invoke(main, ["verify", "--spec", spec, "--suite", "divergence"])
+    res = run_cli(["verify", "--spec", spec, "--suite", "divergence"])
     assert res.exit_code == 0, res.output
     assert "PASS divergence (1) CertifiedDivergent(osc ≥ 1/2^5)" in res.output
 
 
-def test_verify_custom_samples_and_failure(runner, tmp_path):
+def test_verify_custom_samples_and_failure(tmp_path):
     spec = write_spec(tmp_path, EVEN)
     samples = tmp_path / "pts.json"
     samples.write_text(json.dumps({"points": ["(0)"]}))
-    res = runner.invoke(
-        main,
-        ["verify", "--spec", spec, "--suite", "convergence", "--samples", str(samples)],
-    )
+    res = run_cli(["verify", "--spec", spec, "--suite", "convergence", "--samples", str(samples)])
     assert res.exit_code == 1
     assert "FAIL convergence no off-set sample points" in res.output
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"points": [3]}))
-    res = runner.invoke(
-        main,
-        ["verify", "--spec", spec, "--suite", "identity", "--samples", str(bad)],
-    )
+    res = run_cli(["verify", "--spec", spec, "--suite", "identity", "--samples", str(bad)])
     assert res.exit_code == 2
 
 
 @pytest.mark.parametrize("suite", ["divergence", "convergence"])
-def test_verify_samples_list_form_matches_the_points_form(runner, tmp_path, suite):
+def test_verify_samples_list_form_matches_the_points_form(tmp_path, suite):
     spec = write_spec(tmp_path, EVEN)
     points = ["(0)", "0(01)", "(1)"]
     results = []
     for name, doc in (("list.json", points), ("object.json", {"points": points})):
         samples = write_spec(tmp_path, doc, name)
-        res = runner.invoke(main, ["verify", "--spec", spec, "--suite", suite,
-                                   "--samples", samples])
+        res = run_cli(["verify", "--spec", spec, "--suite", suite, "--samples", samples])
         results.append((res.exit_code, res.stdout, res.stderr))
     assert results[0] == results[1]
     assert results[0][0] == 0 and results[0][1].startswith("PASS")
 
 
 @pytest.mark.parametrize("doc", [3, [3], {"points": 3}])
-def test_verify_rejects_samples_that_are_not_point_lists(runner, tmp_path, doc):
+def test_verify_rejects_samples_that_are_not_point_lists(tmp_path, doc):
     spec = write_spec(tmp_path, EVEN)
     samples = write_spec(tmp_path, doc, "samples.json")
-    res = runner.invoke(main, ["verify", "--spec", spec, "--suite", "divergence",
-                               "--samples", samples])
+    res = run_cli(["verify", "--spec", spec, "--suite", "divergence", "--samples", samples])
     assert res.exit_code == 2
     assert "samples file must be a JSON list of point strings" in res.stderr
 
 
-def test_verify_rejects_unknown_suite(runner, tmp_path):
+def test_verify_rejects_unknown_suite(tmp_path):
     spec = write_spec(tmp_path, EVEN)
-    res = runner.invoke(main, ["verify", "--spec", spec, "--suite", "nope"])
+    res = run_cli(["verify", "--spec", spec, "--suite", "nope"])
     assert res.exit_code == 2
+
+
+# ---------------------------------------------------------------------------
+# usage errors: exit 2 with a message and no output, as for any bad input
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["nope"],
+        ["measure"],
+        ["measure", "--spec", "SPEC", "--bogus"],
+        ["measure", "--spec", "SPEC", "--dep", "3"],  # no abbreviated flags
+        ["measure", "--spec", "SPEC", "--depth", "x"],
+        ["verify", "--spec", "SPEC", "--suite", "nope"],
+    ],
+    ids=["no-command", "unknown-command", "missing-spec", "unknown-option",
+         "abbreviated-option", "non-integer", "unknown-suite"],
+)
+def test_usage_errors_exit_two(tmp_path, argv):
+    spec = write_spec(tmp_path, EVEN)
+    res = run_cli([spec if a == "SPEC" else a for a in argv])
+    assert res.exit_code == 2
+    assert res.stdout == "" and res.stderr and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["measure", "--help"]])
+def test_help_exits_zero(argv):
+    res = run_cli(argv)
+    assert res.exit_code == 0 and res.stderr == ""
+    assert "usage: divmart" in res.stdout
 
 
 # ---------------------------------------------------------------------------
 # failure modes
 
 
-def test_nonempty_last_stage_exits_two(runner, tmp_path):
+def test_nonempty_last_stage_exits_two(tmp_path):
     # A last stage that is not empty repeats forever, so the component is
     # not null: refused at parse time, before any stage budget is spent.
     spec = write_spec(tmp_path, NOT_NULL)
-    res = runner.invoke(main, ["synthesize", "--spec", spec])
+    res = run_cli(["synthesize", "--spec", spec])
     assert res.exit_code == 2, res.output
     assert "parse error" in res.stderr and "last stage is not empty" in res.stderr
     assert "repeats forever" in res.stderr and "not null" in res.stderr
@@ -363,11 +368,11 @@ def test_nonempty_last_stage_exits_two(runner, tmp_path):
         ["verify", "--suite", "doob"],
     ],
 )
-def test_table_size_budget_exits_three(runner, tmp_path, args):
+def test_table_size_budget_exits_three(tmp_path, args):
     # 2^41 - 1 nodes: refused before anything is allocated or computed.
     spec = write_spec(tmp_path, UNION)
     start = time.perf_counter()
-    res = runner.invoke(main, args + ["--spec", spec, "--depth", "40"])
+    res = run_cli(args + ["--spec", spec, "--depth", "40"])
     elapsed = time.perf_counter() - start
     assert res.exit_code == 3, res.output
     assert isinstance(res.exception, SystemExit)
@@ -377,10 +382,10 @@ def test_table_size_budget_exits_three(runner, tmp_path, args):
     assert elapsed < 1.0
 
 
-def test_malformed_json_exits_two(runner, tmp_path):
+def test_malformed_json_exits_two(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{nope")
-    res = runner.invoke(main, ["synthesize", "--spec", str(p)])
+    res = run_cli(["synthesize", "--spec", str(p)])
     assert res.exit_code == 2 and "parse error" in res.stderr
 
 
@@ -394,54 +399,54 @@ def test_malformed_json_exits_two(runner, tmp_path):
     ],
 )
 @pytest.mark.parametrize("command", ["synthesize", "oscillate", "measure"])
-def test_wrong_json_types_in_specs_exit_two(runner, tmp_path, component, command):
+def test_wrong_json_types_in_specs_exit_two(tmp_path, component, command):
     spec = write_spec(tmp_path, {"kind": "sigma3", "components": [component]})
     args = [command, "--spec", spec]
     if command == "oscillate":
         args += ["--point", "(0)"]
-    res = runner.invoke(main, args)
+    res = run_cli(args)
     assert res.exit_code == 2, res.output
     assert "parse error" in res.stderr and "Traceback" not in res.stderr
 
 
-def test_oversized_json_integer_exits_two(runner, tmp_path):
+def test_oversized_json_integer_exits_two(tmp_path):
     p = tmp_path / "huge.json"
     p.write_text('{"kind": "sigma3", "components": [{"kind": "singleton", "point": '
                  + "1" * 5000 + "}]}")
-    res = runner.invoke(main, ["measure", "--spec", str(p)])
+    res = run_cli(["measure", "--spec", str(p)])
     assert res.exit_code == 2 and "parse error" in res.stderr
 
 
-def test_unknown_component_exits_two(runner, tmp_path):
+def test_unknown_component_exits_two(tmp_path):
     spec = write_spec(
         tmp_path, {"kind": "sigma3", "components": [{"kind": "mystery"}]}
     )
-    res = runner.invoke(main, ["oscillate", "--spec", spec, "--point", "(0)"])
+    res = run_cli(["oscillate", "--spec", spec, "--point", "(0)"])
     assert res.exit_code == 2 and "unknown component kind" in res.stderr
 
 
-def test_overlong_explicit_cylinder_exits_two(runner, tmp_path):
+def test_overlong_explicit_cylinder_exits_two(tmp_path):
     # EXPLICIT_BITS_LIMIT bounds the input size: a 1,200-bit cylinder is
     # refused at parse time, and a cylinder at the limit parses.
     def spec(bits):
         return write_spec(tmp_path, {"kind": "sigma3", "components": [
             {"kind": "explicit", "stages": [["0" * bits], []]}]})
 
-    res = runner.invoke(main, ["measure", "--spec", spec(1200)])
+    res = run_cli(["measure", "--spec", spec(1200)])
     assert res.exit_code == 2, res.output
     assert "parse error" in res.stderr and f"limit of {EXPLICIT_BITS_LIMIT} bits" in res.stderr
     assert "Traceback" not in res.stderr
-    res = runner.invoke(main, ["measure", "--spec", spec(EXPLICIT_BITS_LIMIT), "--depth", "3"])
+    res = run_cli(["measure", "--spec", spec(EXPLICIT_BITS_LIMIT), "--depth", "3"])
     assert res.exit_code == 0, res.output
 
 
-def test_moy_on_a_cylinder_at_the_bits_limit(runner, tmp_path):
+def test_moy_on_a_cylinder_at_the_bits_limit(tmp_path):
     # The separator's clopen pieces here have 512-bit members, so the time
     # bound fails for any kernel op whose cost grows as members × depth.
     spec = write_spec(tmp_path, {"kind": "sigma3", "components": [
         {"kind": "explicit", "stages": [["0" * EXPLICIT_BITS_LIMIT], []]}]})
     start = time.perf_counter()
-    res = runner.invoke(main, ["verify", "--suite", "moy", "--spec", spec])
+    res = run_cli(["verify", "--suite", "moy", "--spec", spec])
     elapsed = time.perf_counter() - start
     assert res.exit_code == 1, res.output
     assert res.stdout.splitlines() == [
@@ -473,9 +478,9 @@ def test_moy_on_a_cylinder_at_the_bits_limit(runner, tmp_path):
     ],
     ids=["wrong-length", "dyadic-without-num", "float-numerator", "bool-depth", "bool-version"],
 )
-def test_malformed_table_documents_exit_two(runner, tmp_path, doc, message):
+def test_malformed_table_documents_exit_two(tmp_path, doc, message):
     spec = write_spec(tmp_path, doc)
-    res = runner.invoke(main, ["trace", "--spec", spec, "--point", "(0)", "--depth", "0"])
+    res = run_cli(["trace", "--spec", spec, "--point", "(0)", "--depth", "0"])
     assert res.exit_code == 2, res.output
     assert "parse error" in res.stderr and message in res.stderr
     assert isinstance(res.exception, SystemExit) and "Traceback" not in res.stderr
@@ -625,7 +630,7 @@ def test_cli_fuzz_keeps_the_exit_code_contract(
         if command == "verify":
             args += ["--suite", suite, "--precision", precision]
         start = time.perf_counter()
-        res = CliRunner().invoke(main, args)
+        res = run_cli(args)
         elapsed = time.perf_counter() - start
         assert res.exit_code in (0, 1, 2, 3), (args, text, res.output)
         # An exception other than SystemExit is what a traceback would show.

@@ -2,9 +2,9 @@
 
 The quick tour runs through the library: every statement is executed, and a
 statement followed directly by a `# ...` comment line must print as that
-comment.  Each `$ divmart ...` command of the console block runs through
-`CliRunner` on the even-zeros spec saved as `even.json`, and its output
-must equal the lines printed under it, verbatim.
+comment.  Each `$ divmart ...` command of the console block runs in-process
+(`clirun.run_cli`) on the even-zeros spec saved as `even.json`, and its
+output must equal the lines printed under it, verbatim.
 """
 
 import json
@@ -12,9 +12,8 @@ import shlex
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from divmart.cli import main
+from clirun import run_cli
 
 ROOT = Path(__file__).resolve().parents[1]
 DOCS = ["README.md", "PAPER.md"]
@@ -68,13 +67,12 @@ def test_quick_tour_prints_what_the_docs_say(doc):
 
 
 @pytest.mark.parametrize("doc", DOCS)
-def test_console_examples_print_what_the_docs_say(doc, tmp_path):
+def test_console_examples_print_what_the_docs_say(doc, tmp_path, monkeypatch):
     runs = _console(doc)
     assert [argv[0] for argv, _ in runs] == ["oscillate", "oscillate", "trace", "measure"]
-    runner = CliRunner()
-    with runner.isolated_filesystem(temp_dir=tmp_path):
-        Path("even.json").write_text(json.dumps(EVEN))
-        for argv, want in runs:
-            res = runner.invoke(main, argv)
-            assert res.exit_code == 0, (argv, res.output)
-            assert res.output == want, argv
+    monkeypatch.chdir(tmp_path)
+    Path("even.json").write_text(json.dumps(EVEN))
+    for argv, want in runs:
+        res = run_cli(argv)
+        assert res.exit_code == 0, (argv, res.output)
+        assert res.output == want, argv

@@ -508,8 +508,14 @@ class DeadAfterStageZero(GDeltaSet):
         return False
 
 
-def test_empty_witnesses_give_the_empty_region():
-    g = gdelta_martingale(DeadAfterStageZero())
+class HalvingDeadAfterStageZero(DeadAfterStageZero):
+    """Declared halving, which an empty stage satisfies vacuously: the
+    stage chain runs out of witnesses after stage 1."""
+
+    halving = True
+
+
+def check_empty_after_stage_zero(g):
     assert g.stage(2).gstar == ClopenSet.empty()
     assert g.stage(1).witnesses.count() == 0
     assert g.stage(2).witnesses.count() == 0
@@ -517,6 +523,26 @@ def test_empty_witnesses_give_the_empty_region():
     rep = certify_convergence(g, Point.parse("01(1)"), Dyadic(1, 6), 3)
     assert rep.verdict == CertifiedConvergent(0, Dyadic(1, 6))
     assert rep.limit == Dyadic.one()
+
+
+def test_empty_witnesses_give_the_empty_region():
+    check_empty_after_stage_zero(gdelta_martingale(DeadAfterStageZero()))
+
+
+def test_a_halving_chain_that_runs_out_of_witnesses():
+    # The halving shortcut needs a witness to check (5) at; without one
+    # the per-witness path builds the empty stage, as for any target.
+    check_empty_after_stage_zero(gdelta_martingale(HalvingDeadAfterStageZero()))
+
+
+def test_a_halving_chain_without_witnesses_is_not_refused():
+    # Out-of-span stages are refused from the formula only while the chain
+    # has witnesses; here it has none from stage 1 on, so no stage index
+    # is ever sought and stage 62 of a 64 span is built, empty.
+    with patch.object(synthesis, "_STAGE_SEARCH_SPAN", 64):
+        g = gdelta_martingale(HalvingDeadAfterStageZero())
+        assert g.stage(62).gstar == ClopenSet.empty()
+        assert g.stage(62).witnesses.count() == 0
 
 
 # ---------------------------------------------------------------------------
