@@ -23,8 +23,7 @@ worst case of the deeper parts and the exactly-constant earlier parts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .bits import BitString, Point
 from .dyadic import Dyadic
@@ -44,8 +43,11 @@ from .table import MartingaleTable
 # verdicts
 
 
-@dataclass(frozen=True)
-class CertifiedDivergent:
+# The records are NamedTuples: a command that imports `dataclasses` also
+# loads `inspect`, several milliseconds of every start-up.
+
+
+class CertifiedDivergent(NamedTuple):
     bound: Dyadic  # proven lower bound on osc(f, β)
 
     kind = "CertifiedDivergent"
@@ -54,8 +56,7 @@ class CertifiedDivergent:
         return f"CertifiedDivergent(osc ≥ {self.bound})"
 
 
-@dataclass(frozen=True)
-class CertifiedConvergent:
+class CertifiedConvergent(NamedTuple):
     depth: int  # values are within epsilon of the limit from this depth on
     epsilon: Dyadic  # proven tail-variation bound (here stabilization is
     # exact, so any requested ε ≥ 0 is proven; the verdict echoes it)
@@ -66,8 +67,7 @@ class CertifiedConvergent:
         return f"CertifiedConvergent(depth {self.depth}, tail ≤ {self.epsilon})"
 
 
-@dataclass(frozen=True)
-class Inconclusive:
+class Inconclusive(NamedTuple):
     reason: str
 
     kind = "Inconclusive"
@@ -79,8 +79,7 @@ class Inconclusive:
 Verdict = Union[CertifiedDivergent, CertifiedConvergent, Inconclusive]
 
 
-@dataclass
-class OscillationReport:
+class OscillationReport(NamedTuple):
     point: Point
     window: Optional[tuple[int, int]]
     variation: Dyadic
@@ -113,8 +112,7 @@ def check_identity(table: MartingaleTable) -> bool:
     return first_identity_violation(table) is None
 
 
-@dataclass(frozen=True)
-class UpcrossingStats:
+class UpcrossingStats(NamedTuple):
     a: Dyadic
     b: Dyadic
     depth: int

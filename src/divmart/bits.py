@@ -94,7 +94,7 @@ class BitString:
 
 EMPTY = BitString("")
 
-_POINT_RE = re.compile(r"^([01]*)\(([01]+)\)$")
+_POINT_RE = re.compile(r"([01]*)\(([01]+)\)")
 
 
 class Point:
@@ -110,7 +110,7 @@ class Point:
 
     @staticmethod
     def parse(text: str) -> "Point":
-        m = _POINT_RE.match(text)
+        m = _POINT_RE.fullmatch(text)
         if m is None:
             raise ParseError(
                 f"bad point syntax {text!r}: expected prefix(period), e.g. '01(10)'"

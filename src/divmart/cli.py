@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import re
 import sys
 from typing import TYPE_CHECKING, Callable, Optional
@@ -89,9 +90,9 @@ def _parse_precision(text: str) -> Dyadic:
     from .dyadic import Dyadic
 
     s = text.replace(" ", "")
-    m = re.fullmatch(r"2\^-(\d+)", s)
+    m = re.fullmatch(r"2\^-([0-9]+)", s)
     if m is None:
-        m = re.fullmatch(r"(\d+)", s)
+        m = re.fullmatch(r"([0-9]+)", s)
     if m is None:
         raise ParseError(f"bad precision {text!r}; write e.g. '2^-6'")
     return Dyadic.pow2(-int(m.group(1)))
@@ -469,8 +470,15 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> None:
     """Exact martingales on the binary tree with prescribed divergence sets."""
-    options = vars(_parser().parse_args(argv))
-    options.pop("run")(**options)
+    try:
+        options = vars(_parser().parse_args(argv))
+        options.pop("run")(**options)
+    except BrokenPipeError:
+        # The reader of stdout has gone (`divmart trace ... | head`).  Point
+        # stdout at os.devnull, so the flush at interpreter exit writes
+        # nowhere, and exit 1 as the interpreter does on EPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise SystemExit(1)
 
 
 if __name__ == "__main__":

@@ -20,11 +20,10 @@ interpolants.
 Representation note: every set built along the pipeline is *denotationally
 clopen* but may be far too large to materialize (its description involves
 complements of deep target stages).  Sets are therefore unions of disjoint
-lazy *pieces* — materialized clopen sets, "cylinder minus target-stage"
-chunks, and "clopen minus earlier level" differences — each answering exact
-one-cylinder measure queries as (num, exp) integer pairs.  Measure zero is
-emptiness for such sets, so covers/membership reduce to exact dyadic
-comparisons.
+lazy *pieces* of two kinds — materialized clopen sets and "cylinder minus
+target-stage" chunks — each answering exact one-cylinder measure queries as
+(num, exp) integer pairs.  Measure zero is emptiness for such sets, so
+covers/membership reduce to exact dyadic comparisons.
 
 Queries are branch-local.  A level C = lusin_menchoff(F, M) is F, kept as
 its base, plus a gap index: the gaps are F's complement cylinders, already
@@ -120,41 +119,7 @@ class StageComplementChunk:
         return f"StageComplementChunk({self.support!r}, stage={self.k})"
 
 
-class DifferencePiece:
-    """Clopen W minus an earlier piece-set (used to union a new clopen
-    region into a level without materializing the overlap)."""
-
-    __slots__ = ("positive", "minus")
-
-    def __init__(self, positive: ClopenSet, minus: "ClosedPieceSet") -> None:
-        self.positive = positive
-        self.minus = minus
-
-    def measure_pair_in(self, n: int, v: int) -> tuple[int, int]:
-        inside = kernel.intersect(self.positive._ac, ((n, v),))
-        if not inside:
-            return 0, 0
-        num, exp = kernel.measure(inside)
-        d = self.minus._measure_ac(inside)
-        return _add_pair(num, exp, -d.num, d.exp)
-
-    def contains_point(self, beta: Point) -> bool:
-        return self.positive.contains_point(beta) and not self.minus.contains_point(
-            beta
-        )
-
-    def restrict(self, t: BitString) -> Optional["DifferencePiece"]:
-        c = self.positive.restrict(t)
-        if c is None:
-            return None
-        piece = DifferencePiece(c, self.minus)
-        return None if piece.measure_pair_in(0, 0)[0] == 0 else piece
-
-    def __repr__(self) -> str:
-        return f"DifferencePiece({self.positive!r} \\ ...)"
-
-
-Piece = Union[ClopenSet, StageComplementChunk, DifferencePiece]
+Piece = Union[ClopenSet, StageComplementChunk]
 
 
 # ---------------------------------------------------------------------------
@@ -165,20 +130,21 @@ class ClosedPieceSet:
     """A union of disjoint pieces.  The pieces are denotationally clopen, so
     all measure queries are exact and measure-positivity equals nonemptiness.
 
-    A set built from another as "its pieces + new pieces" keeps that set as
-    its *base* and passes only the new pieces (`_all_pieces` yields the
-    base's pieces, then its own).  Its own pieces are *loose* (the `pieces`
-    argument) or indexed by gap (the `gaps` argument, kept as `gaps`).  A
-    level made by `lusin_menchoff` has only indexed ones: `gaps` holds one
-    (cylinder, fill pieces) pair per gap of its base, a gap being a maximal
-    cylinder of the base's complement, in breadth-first order, and the same
-    cylinders as a sorted (n, v) antichain are what `kernel.locate` reads.
+    Every set is a *base* plus fills indexed by the base's gaps, a gap being
+    a maximal cylinder of the base's complement: `gaps` holds one (cylinder,
+    fill pieces) pair per gap of the base, in breadth-first order, and the
+    same cylinders as a sorted (n, v) antichain are what `kernel.locate`
+    reads.  No base is the empty set, whose one gap is ε, so
+    `from_clopen(c)` is the gap ε filled with c.  `_all_pieces` yields the
+    base chain's pieces, then the fills gap by gap.  A level made by
+    `lusin_menchoff` fills the gaps of F; a separator's F_i widens the
+    fills of the backbone before it (see `SeparatorFunction.backbone`).
 
     Every per-cylinder operation takes one path (`_local`): `kernel.locate`
     finds the gap holding N_t, or the gaps inside it.  When a gap g holds
     N_t, the base misses N_t and every other fill lies in a disjoint gap, so
-    only g's fills (and the loose pieces) can meet it.  Otherwise the base
-    can, and so can the fills of the gaps inside N_t.  So:
+    only g's fills can meet it.  Otherwise the base can, and so can the
+    fills of the gaps inside N_t.  So:
 
     - `measure_in(t)` (and `_measure_ac`, for an antichain k) sums the
       candidates' answers over k's cylinders, plus the base's answer when
@@ -190,18 +156,13 @@ class ClosedPieceSet:
       of the deepest gap, and the base when no gap holds β;
     - `_restricted(t)` restricts the candidates to N_t, base first, which is
       `p.restrict(t)` over all of `_all_pieces()` with the empty answers
-      left out: a piece that cannot meet N_t restricts to nothing.
-
-    Sets with no index (`from_clopen`, `union_with_clopen`) keep their
-    pieces loose, so every own piece is a candidate everywhere."""
+      left out: a piece that cannot meet N_t restricts to nothing."""
 
     def __init__(
         self,
-        pieces: Sequence[Piece],
         base: Optional["ClosedPieceSet"] = None,
         gaps: Sequence[tuple[BitString, tuple]] = (),
     ) -> None:
-        self._loose = tuple(pieces)
         self.gaps = tuple(gaps)
         self._gap_ac = tuple((s.n, s.v) for s, _ in self.gaps)
         self._base = base
@@ -209,26 +170,24 @@ class ClosedPieceSet:
 
     @staticmethod
     def from_clopen(c: ClopenSet) -> "ClosedPieceSet":
-        return ClosedPieceSet([] if c.is_empty else [c])
+        return ClosedPieceSet(gaps=[(EMPTY, () if c.is_empty else (c,))])
 
     def _all_pieces(self) -> Iterator[Piece]:
-        """Every piece: the base chain's, then the loose ones, then the
-        fills gap by gap."""
+        """Every piece: the base chain's, then the fills gap by gap."""
         if self._base is not None:
             yield from self._base._all_pieces()
-        yield from self._loose
         for _, fill in self.gaps:
             yield from fill
 
     def _local(self, n: int, v: int) -> tuple[bool, tuple]:
-        """Whether the base can meet N_(n,v), and the own pieces that can."""
+        """Whether the base can meet N_(n,v), and the fills that can."""
         holder, slices = kernel.locate(self._gap_ac, n, v)
         if holder is not None:
-            return False, self._loose + self.gaps[holder][1]
+            return False, self.gaps[holder][1]
         if not slices:
-            return True, self._loose
+            return True, ()
         gaps = self.gaps
-        return True, self._loose + tuple(
+        return True, tuple(
             p for lo, hi in slices for i in range(lo, hi) for p in gaps[i][1]
         )
 
@@ -284,11 +243,6 @@ class ClosedPieceSet:
             if r is not None:
                 out.append(r)
         return out
-
-    def union_with_clopen(self, w: ClopenSet) -> "ClosedPieceSet":
-        if w.is_empty:
-            return self
-        return ClosedPieceSet([DifferencePiece(w, self)], base=self)
 
     def decomposition(self) -> list[BitString]:
         """Canonical (breadth-first maximal-cylinder) antichain of the
@@ -363,7 +317,7 @@ def lusin_menchoff(
     fs = ClosedPieceSet.from_clopen(f) if isinstance(f, ClopenSet) else f
     # The decomposition is breadth-first, so the fills index C by gap.
     gaps = [(s, _inner_approx(m, s, budget(n))) for n, s in enumerate(fs.decomposition())]
-    return ClosedPieceSet((), base=fs, gaps=gaps)
+    return ClosedPieceSet(base=fs, gaps=gaps)
 
 
 def _inner_approx(m: MHandle, s: BitString, eps: Dyadic) -> tuple[Piece, ...]:
@@ -468,7 +422,7 @@ def check_interpolation(
     margins_ok = True
     for index, (s, fill) in enumerate(c.gaps):
         for p in fill:
-            if not _piece_inside_m(p, m, s):
+            if not _piece_inside_m(p, m):
                 fills_inside_m = False
                 failures.append(f"fill {index} at {s!r} escapes M")
         got = c.measure_in(s)
@@ -503,23 +457,18 @@ def check_interpolation(
     )
 
 
-def _piece_inside_m(p: Piece, m: MHandle, s: BitString) -> bool:
+def _piece_inside_m(p: Piece, m: MHandle) -> bool:
     size = Dyadic(*p.measure_pair_in(0, 0))
     if isinstance(m, ClopenSet):
         return Dyadic(*_pair_over(p, m._ac)) == size
     if isinstance(m, ClosedPieceSet):
-        # Exact for a clopen piece and a chunk: p lies inside M when M holds
-        # all of it.
+        # p lies inside M when M holds all of it.
         if isinstance(p, ClopenSet):
             return m._measure_ac(p._ac) == size
-        if isinstance(p, StageComplementChunk):
-            # λ(M ∩ (N_t \ stage(k))) = λ(M ∩ N_t) − λ(M ∩ N_t ∩ stage(k)).
-            t = p.support
-            in_stage = kernel.intersect(p.gdelta.stage(p.k)._ac, ((t.n, t.v),))
-            return m.measure_in(t) - m._measure_ac(in_stage) == size
-        # A difference piece keeps the necessary bound: it cannot outweigh M
-        # inside its cylinder.
-        return size <= m.measure_in(s)
+        # λ(M ∩ (N_t \ stage(k))) = λ(M ∩ N_t) − λ(M ∩ N_t ∩ stage(k)).
+        t = p.support
+        in_stage = kernel.intersect(p.gdelta.stage(p.k)._ac, ((t.n, t.v),))
+        return m.measure_in(t) - m._measure_ac(in_stage) == size
     if isinstance(m, GDeltaSet):
         # M = complement of the target; a stage-complement chunk misses
         # stage(k) ⊇ target by construction.  Anything else must avoid
@@ -542,11 +491,6 @@ def _sample_f_points(fs: ClosedPieceSet) -> list[Point]:
             cand = _leftmost_point(p.support)
             if p.contains_point(cand):
                 pts.append(cand)
-        elif isinstance(p, DifferencePiece):
-            for cyl in p.positive.cylinders[:1]:
-                cand = _leftmost_point(cyl)
-                if p.contains_point(cand):
-                    pts.append(cand)
     return pts[:_DENSITY_SAMPLES]
 
 
@@ -567,11 +511,11 @@ class SeparatorFunction:
     the dyadic level family: h(β) = 1 - sup{ζ : β ∈ C_ζ}.
 
     Levels C_ζ are built lazily: the backbone C_{1/2^m} interpolates between
-    (previous backbone ∪ ¬stage(m)) and the complement of G, and each
-    in-between dyadic gets an interpolant between its two neighbours at the
-    coarser denominator.  Every level is denotationally clopen, so
-    membership and level measures are exact; the only inexactness in h is
-    the grading granularity 2^(-n) itself.
+    F_m = (previous backbone ∪ ¬stage(m)) and the complement of G (see
+    `backbone`), and each in-between dyadic gets an interpolant between its
+    two neighbours at the coarser denominator.  Every level is
+    denotationally clopen, so membership and level measures are exact; the
+    only inexactness in h is the grading granularity 2^(-n) itself.
 
     `evaluate` and `mean_in` return closed dyadic intervals [lo, hi] with
     hi - lo ≤ precision, as `StepFunction`'s do.
@@ -585,14 +529,30 @@ class SeparatorFunction:
         self._backbone: list[ClosedPieceSet] = []
 
     def backbone(self, m: int) -> ClosedPieceSet:
+        """C_{1/2^m} = lusin_menchoff(F_m, complement of G), F_0 = C.
+
+        C is inside every backbone level, so F_i = backbone(i−1) ∪ ¬stage(i)
+        exhausts the complement of G by C ∪ ¬stage(i).  F_i has a level's
+        shape.  backbone(i−1) is its base B plus a fill N_s \\ stage(k_s) in
+        each gap s of B, and stages are nested, so F_i is B with each fill
+        widened to N_s \\ stage(max(k_s, i)); no ¬stage(i) is built.  A fill
+        that is not empty keeps its index, since k_s ≥ i: s lies in
+        stage(i−1) (B holds ¬stage(i−1), and stage(0) is full), so
+        N_s \\ stage(k) is empty for k < i.  An empty fill becomes
+        N_s \\ stage(i), dropped when its measure is 0."""
         while len(self._backbone) <= m:
             i = len(self._backbone)
-            if i == 0:
-                f: ClosedPieceSet = self.c  # ¬stage(0) is empty
-            else:
-                # C is already inside every backbone level, so this exhausts
-                # the complement of G by C ∪ ¬stage(i).
-                f = self._backbone[i - 1].union_with_clopen(self.g.stage(i).complement())
+            f = self.c
+            if i > 0:
+                prev = self._backbone[i - 1]
+                gaps = []
+                for s, fill in prev.gaps:
+                    if fill:
+                        gaps.append((s, fill))
+                    else:
+                        chunk = StageComplementChunk(s, self.g, i)
+                        gaps.append((s, (chunk,) if chunk._size[0] else ()))
+                f = ClosedPieceSet(base=prev._base, gaps=gaps)
             self._backbone.append(lusin_menchoff(f, self.g))
         return self._backbone[m]
 

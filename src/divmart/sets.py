@@ -402,7 +402,7 @@ def parse_rate(text: str) -> Callable[[int], Dyadic]:
     s = text.replace(" ", "")
     if s == "2^-n":
         return lambda n: Dyadic.pow2(-n)
-    m = re.fullmatch(r"2\^-\(n([+-])(\d+)\)", s)
+    m = re.fullmatch(r"2\^-\(n([+-])([0-9]+)\)", s)
     if m:
         c = int(m.group(2))
         if m.group(1) == "+":

@@ -30,7 +30,6 @@ with the failing budget, never a silent wrong answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Sequence, Union
 
@@ -169,23 +168,35 @@ class WitnessFamily:
         return self.sample(n)
 
 
-@dataclass(repr=False)
 class StageCertificate:
     """Stage n of the construction: the open region G*_n and its witness
     antichain (union = G**_n); G*_n enters the alternating sum S_n with
     sign (-1)^n.  Certificates chain through `prev`, so the whole
     region sequence G*_0 ⊇ … ⊇ G*_n is reachable from the newest one.
+    `stage_index` is the presentation stage realizing gstar, if any.
 
     `verified` holds the witness cylinders at which the certificate was
     checked to lie inside every region G*_0, …, G*_n (see
-    _check_mean_proximity); empty until the check has run."""
+    _check_mean_proximity); empty until the check has run, which assigns
+    it."""
 
-    index: int
-    gstar: Region
-    witnesses: WitnessFamily
-    stage_index: Optional[int]  # presentation stage realizing gstar, if any
-    prev: Optional["StageCertificate"] = None
-    verified: tuple[BitString, ...] = ()
+    __slots__ = ("index", "gstar", "witnesses", "stage_index", "prev", "verified")
+
+    def __init__(
+        self,
+        index: int,
+        gstar: Region,
+        witnesses: WitnessFamily,
+        stage_index: Optional[int],
+        prev: Optional["StageCertificate"] = None,
+        verified: tuple[BitString, ...] = (),
+    ) -> None:
+        self.index = index
+        self.gstar = gstar
+        self.witnesses = witnesses
+        self.stage_index = stage_index
+        self.prev = prev
+        self.verified = verified
 
     def extends_verified(self, w: BitString) -> bool:
         """Does w extend a verified witness?  Then N_w lies inside every

@@ -2,12 +2,17 @@
 on-disk document formats."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from decimal import Decimal, Inexact, localcontext
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import divmart
 from clirun import run_cli
 from divmart.cli import SUITES
 from divmart.dyadic import Dyadic
@@ -138,6 +143,48 @@ def test_trace_rejects_bad_point_and_precision(tmp_path):
     assert bad_prec.exit_code == 2 and "bad precision" in bad_prec.stderr
 
 
+@pytest.mark.parametrize(
+    "component, args",
+    [
+        # a point, precision or rate with a final newline, or with digits
+        # that are not ASCII, is malformed
+        ({"kind": "even-zeros"}, ["trace", "--point", "(0)\n"]),
+        ({"kind": "even-zeros"}, ["trace", "--point", "(0)", "--precision", "٣"]),
+        ({"kind": "even-zeros"}, ["trace", "--point", "(0)", "--precision", "2^-٣"]),
+        ({"kind": "singleton", "point": "(1)\n"}, ["measure"]),
+        ({"kind": "explicit", "stages": [["0000"], []], "rate": "2^-(n+٣)"}, ["measure"]),
+        ({"kind": "explicit", "stages": [["0000"], []], "rate": "2^-(n+3)\n"}, ["measure"]),
+    ],
+    ids=["point-newline", "precision-digit", "precision-exponent-digit", "spec-point-newline",
+         "rate-digit", "rate-newline"],
+)
+def test_near_miss_points_precisions_and_rates_exit_two(tmp_path, component, args):
+    spec = write_spec(tmp_path, {"kind": "sigma3", "components": [component]})
+    res = run_cli([args[0], "--spec", spec, *args[1:]])
+    assert res.exit_code == 2, res.output
+    assert res.stdout == "" and "Traceback" not in res.stderr
+
+
+def test_a_closed_stdout_exits_one_without_a_traceback(tmp_path):
+    # 172 kB of CSV, more than a pipe holds: the command is still writing
+    # when the reader closes the pipe after the first line.
+    spec = write_spec(tmp_path, EVEN)
+    src = str(Path(divmart.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "divmart.cli", "trace", "--spec", spec,
+         "--point", "(0)", "--depth", "2000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    with proc:
+        assert proc.stdout.readline() == b"l,lo_dyadic,hi_dyadic,lo_decimal,hi_decimal\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert err == b""
+
+
 # ---------------------------------------------------------------------------
 # oscillate
 
@@ -263,6 +310,23 @@ def test_verify_moy_on_a_singleton(tmp_path):
     res = run_cli(["verify", "--spec", spec, "--suite", "moy"])
     assert res.exit_code == 0, res.output
     assert res.stdout.splitlines() == MOY_SINGLETON
+
+
+def test_verify_moy_on_a_multi_stage_explicit_component(tmp_path):
+    # The separator is built for the first component: its backbones widen
+    # their fills across the listed stages, then read the empty last one.
+    spec = write_spec(tmp_path, {"kind": "sigma3", "components": [
+        {"kind": "explicit", "stages": [["00"], ["000"], []]}, {"kind": "even-zeros"}]})
+    res = run_cli(["verify", "--spec", spec, "--suite", "moy"])
+    assert res.exit_code == 0, res.output
+    assert res.stderr == ""
+    assert res.stdout.splitlines() == [
+        "PASS moy (0) h=3/2^2..13/2^4 stays-within-2^-4-from-depth=2",
+        "PASS moy 0(01) h=1/2^1..9/2^4 stays-within-2^-4-from-depth=2",
+        "PASS moy (1) h=0..0 stays-within-2^-4-from-depth=1",
+        "PASS moy (10) h=0..0 stays-within-2^-4-from-depth=1",
+        "PASS moy 1(0) h=0..0 stays-within-2^-4-from-depth=1",
+    ]
 
 
 def test_verify_union_divergence_includes_the_singleton(tmp_path):
