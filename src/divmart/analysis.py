@@ -101,10 +101,13 @@ class OscillationReport(NamedTuple):
 
 def first_identity_violation(table: MartingaleTable) -> Optional[BitString]:
     """First interior node (breadth-first) violating the exact fairness
-    identity f(s) = (f(s0) + f(s1))/2, or None."""
-    for s, v in table.interior_nodes():
-        if v != (table.value(s.child(0)) + table.value(s.child(1))).half():
-            return s
+    identity f(s) = (f(s0) + f(s1))/2, or None.  Reads `table.values`
+    once: the children of breadth-first index i are 2i + 1 and 2i + 2."""
+    values = table.values
+    for i in range((1 << table.depth) - 1):
+        if values[i] != (values[2 * i + 1] + values[2 * i + 2]).half():
+            l = (i + 1).bit_length() - 1
+            return BitString.raw(l, i + 1 - (1 << l))
     return None
 
 
@@ -126,23 +129,27 @@ class UpcrossingStats(NamedTuple):
 def doob_diagnostic(table: MartingaleTable, a: Dyadic, b: Dyadic) -> UpcrossingStats:
     """Exact mean number of upcrossings of (a, b) along root-to-leaf paths.
     For a [0,1]-valued martingale Doob's inequality gives
-    (b - a)·mean ≤ 1, asserted here."""
+    (b - a)·mean ≤ 1, asserted here.  Reads `table.values` once, and
+    walks it by breadth-first index (the children of i are 2i + 1 and
+    2i + 2)."""
     if not (Dyadic.zero() <= a < b <= Dyadic.one()):
         raise ValueError("need 0 ≤ a < b ≤ 1")
     depth = table.depth
+    values = table.values
+    leaves = (1 << depth) - 1  # the first index at depth `depth`
 
-    def walk(s: BitString, armed: bool, count: int) -> int:
-        v = table.value(s)
+    def walk(i: int, armed: bool, count: int) -> int:
+        v = values[i]
         if armed and v >= b:
             count += 1
             armed = False
         if not armed and v <= a:
             armed = True
-        if len(s) == depth:
+        if i >= leaves:
             return count
-        return walk(s.child(0), armed, count) + walk(s.child(1), armed, count)
+        return walk(2 * i + 1, armed, count) + walk(2 * i + 2, armed, count)
 
-    total = walk(BitString(""), False, 0)
+    total = walk(0, False, 0)
     mean = Dyadic(total, depth)
     stats = UpcrossingStats(a, b, depth, mean)
     assert stats.doob_product <= Dyadic.one(), "Doob upcrossing bound violated"

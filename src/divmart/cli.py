@@ -98,6 +98,15 @@ def _parse_precision(text: str) -> Dyadic:
     return Dyadic.pow2(-int(m.group(1)))
 
 
+def _integer(text: str) -> int:
+    """The argparse type of --depth and --truncation: an optional '-' and
+    ASCII digits.  int() alone also takes '+3', ' 3\\n', '1_0' and '٣'.
+    A negative value passes here, so that _check_sizes reports it."""
+    if re.fullmatch(r"-?[0-9]+", text) is None:
+        raise argparse.ArgumentTypeError(f"invalid integer: {text!r}")
+    return int(text)
+
+
 def _check_sizes(**sizes: int) -> None:
     """Negative --depth/--truncation values are malformed input (exit 2)."""
     bad = [name for name, n in sizes.items() if n < 0]
@@ -438,32 +447,32 @@ def _parser() -> argparse.ArgumentParser:
     option = command(synthesize)
     option("--spec", "set description (JSON)", required=True)
     option("--out", "output file (default stdout)")
-    option("--depth", "table depth D", type=int, default=8)
-    option("--truncation", "truncation index k", type=int, default=3)
+    option("--depth", "table depth D", type=_integer, default=8)
+    option("--truncation", "truncation index k", type=_integer, default=3)
 
     option = command(trace)
     option("--spec", "set description or table document (JSON)", required=True)
     option("--point", "e.g. '01(10)'", required=True)
-    option("--depth", type=int, default=16)
+    option("--depth", type=_integer, default=16)
     option("--precision", default="2^-6")
 
     option = command(oscillate)
     option("--spec", "set description (JSON)", required=True)
     option("--point", required=True)
-    option("--depth", "stage budget for certificates", type=int,
+    option("--depth", "stage budget for certificates", type=_integer,
            default=DEFAULT_STAGE_BUDGET)
     option("--precision", "ε for the convergence certificate", default="2^-6")
 
     option = command(measure)
     option("--spec", "set description (JSON)", required=True)
-    option("--depth", "stage index n", type=int, default=10)
+    option("--depth", "stage index n", type=_integer, default=10)
 
     option = command(verify)
     option("--spec", "set description (JSON)", required=True)
     option("--suite", required=True, choices=SUITES)
     option("--samples", 'JSON list of points or {"points": [...]}')
-    option("--depth", type=int, default=8)
-    option("--truncation", type=int, default=3)
+    option("--depth", type=_integer, default=8)
+    option("--truncation", type=_integer, default=3)
     option("--precision", "ε for convergence certificates", default="2^-6")
     return parser
 

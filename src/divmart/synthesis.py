@@ -95,30 +95,38 @@ Region = Union[StageRegion, ClopenSet]
 # table descent
 
 # The state a descent entry hands down to a node's children: the sum of the
-# terms that settled at or above the node, and each live term's index with
-# the state of its own descent (None for a term without one).
-DescentState = tuple[Dyadic, tuple[tuple[int, Any], ...]]
+# terms that settled at or above the node, as an integer numerator and
+# exponent (num·2^-exp, not canonical), and each live term's index with the
+# state of its own descent.
+DescentState = tuple[int, int, tuple[tuple[int, Any], ...]]
 
 
 def _descend_sum(
-    up: DescentState, term: Callable[[int, Any], tuple[Dyadic, bool, Any]]
+    up: DescentState, term: Callable[[int, Any], tuple[int, int, bool, Any]]
 ) -> tuple[Dyadic, bool, DescentState]:
     """(Σ of the terms at s, settled, state for s's children), given `up`,
-    the state at s's parent.  term(i, sub) gives term i's value at s, whether
-    it is settled (the same at every node below s), and its own state.  A
-    settled term moves into the sum and is never asked again below s; the
-    node is settled when every term is."""
-    settled_sum, live = up
-    total = settled_sum
+    the state at s's parent.  term(i, sub) gives term i's value at s as
+    num·2^-exp, returned as (num, exp, settled, state): settled when the
+    term is the same at every node below s.  Both sums are integers over
+    one exponent, and the node's value is the one Dyadic built from them.
+    A settled term moves into the settled sum and is never asked again
+    below s; the node is settled when every term is."""
+    num, exp, live = up
+    total = num
     still = []
-    for i, sub in live:
-        value, settled, down = term(i, sub)
-        total = total + value
+    for i, state in live:
+        a, e, settled, down = term(i, state)
+        if e > exp:  # both sums move to the larger exponent
+            total <<= e - exp
+            num <<= e - exp
+            exp = e
+        a <<= exp - e
+        total += a
         if settled:
-            settled_sum = settled_sum + value
+            num += a
         else:
             still.append((i, down))
-    return total, not still, (settled_sum, tuple(still))
+    return Dyadic(total, exp), not still, (num, exp, tuple(still))
 
 
 # ---------------------------------------------------------------------------
@@ -408,16 +416,22 @@ class SynthesizedMartingale:
         """(M_k(s), settled, state) given the state at s's parent (None at
         the root), as a descent entry (see _descend_sum).  The terms are
         the signed relative measures (-1)^j · r_j(s), j ≤ k+1, that
-        table_value adds up.  Term j is settled when r_j(s) is 0 or 1:
-        measure is monotone, so r_j(t) is then the same for every t
+        table_value adds up.  Term j's state is its region G*_j, resolved
+        once at the root.  Each term reads λ(G*_j ∩ N_s) = m once and gives
+        r_j(s) = m·2^len(s) as (±m.num, m.exp - len(s)), or (0, 0) for m = 0.
+        Term j is settled when r_j(s) is 0 or 1, that is when its exponent
+        is 0: measure is monotone, so r_j(t) is then the same for every t
         extending s, and region j is not asked again below s."""
+        l = len(s)
 
-        def term(j: int, _: None) -> tuple[Dyadic, bool, None]:
-            r = self.relative_measure(j, s)
-            return (-r if j % 2 else r), r.exp == 0, None
+        def term(j: int, region: Region) -> tuple[int, int, bool, Region]:
+            m = region.measure_in(s)
+            e = m.exp - l if m.num else 0
+            return (-m.num if j & 1 else m.num), e, not e, region
 
         if up is None:
-            up = Dyadic.zero(), tuple((j, None) for j in range(k + 2))
+            self.stage(k + 1)
+            up = 0, 0, tuple((j, self._stages[j].gstar) for j in range(k + 2))
         return _descend_sum(up, term)
 
     def eval(self, s: BitString, precision: Dyadic) -> tuple[Dyadic, Dyadic]:
@@ -515,12 +529,14 @@ class CombinedMartingale:
         part settled at an ancestor is never asked again, and a live part
         gets back the state it gave at s's parent."""
 
-        def term(n: int, part_up: Any) -> tuple[Dyadic, bool, Any]:
+        def term(n: int, part_up: Any) -> tuple[int, int, bool, Any]:
             value, settled, down = self.parts[n].descend(k, s, part_up)
-            return (value * SCALE).mul_pow2(-2 * n), settled, down
+            # value·(3/4)·4^-n, as num·2^-exp
+            return 3 * value.num, value.exp + 2 + 2 * n, settled, down
 
         if up is None:
-            up = self._tail_value(), tuple((n, None) for n in range(len(self.parts)))
+            tail = self._tail_value()
+            up = tail.num, tail.exp, tuple((n, None) for n in range(len(self.parts)))
         return _descend_sum(up, term)
 
     def truncated_table(self, k: int, depth: int) -> MartingaleTable:

@@ -1,22 +1,26 @@
 """Exact finite martingale tables and their on-disk document format.
 
-A table stores one dyadic value per node of the binary tree up to a fixed
-depth, flat in breadth-first order (index 2^l - 1 + v for the node of
-length l and value v).  Everything here is exact: identity checks compare
-dyadics with zero tolerance, and serialization round-trips losslessly.
+A table is one dyadic value per node of the binary tree up to a fixed
+depth, in breadth-first order (index 2^l - 1 + v for the node of length l
+and value v).  Everything here is exact: identity checks compare dyadics
+with zero tolerance, and serialization round-trips losslessly.
 
-Document I/O costs scale with the number of distinct values, not with the
-number of nodes.  A settled subtree shares its root's value object, so a
-depth-20 table of 2,097,151 nodes holds a few thousand value objects.
-`to_document` converts each value object once and `dumps_document`
-encodes each distinct element of `values` once; only C-level passes
-(`map`, `zip`, `str.join`) touch every node.  `from_document` still visits
-every node, but parses each distinct (num, exp) pair once.
+A table keeps its values as identity runs: maximal stretches of
+breadth-first indices holding one value object.  A settled subtree shares
+its root's value object, one run per level below it, so a depth-20 table
+of 2,097,151 nodes has a few thousand runs.  Building, `value(s)` (one
+bisection) and document writing cost per run, not per node: only C-level
+passes (`repeat`, `groupby`, `list`) touch every node.  `from_document`
+still visits every node, but parses each distinct (num, exp) pair once.
+Reading `values` expands the runs into a flat list.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
+from itertools import chain, groupby, islice, repeat
+from operator import sub
 from typing import Any, Callable, Iterator, Optional
 
 from .bits import BitString
@@ -26,9 +30,9 @@ from .errors import HorizonExhausted, ParseError
 FORMAT_VERSION = 1
 DOCUMENT_KIND = "martingale-table"
 
-# Table-size budget: the most nodes a table may be built with, 2^21 - 1
-# (depth 20).  Building preallocates every slot, so a deeper request fails
-# up front instead of exhausting memory.
+# Table-size budget: the most nodes a table may have, 2^21 - 1 (depth 20).
+# A table's runs are few, but its document holds every node, so a deeper
+# request fails up front instead of writing an unbounded document.
 TABLE_NODE_CAP = (1 << 21) - 1
 
 
@@ -37,7 +41,11 @@ def _node_index(s: BitString) -> int:
 
 
 class MartingaleTable:
-    """Total dyadic-valued map on tree nodes of length ≤ depth."""
+    """Total dyadic-valued map on tree nodes of length ≤ depth.
+
+    Run i holds the value object `_objs[i]` at the breadth-first indices
+    from `_starts[i]` up to the next run's start (the last run ends at the
+    table's size); neighbouring runs hold distinct objects."""
 
     def __init__(self, depth: int, values: list):
         if depth < 0:
@@ -46,7 +54,14 @@ class MartingaleTable:
         if len(values) != want:
             raise ValueError(f"need {want} values for depth {depth}, got {len(values)}")
         self.depth = depth
-        self.values = list(values)
+        self._starts: list[int] = []
+        self._objs: list = []
+        i = 0
+        for _, run in groupby(values, id):
+            run = list(run)
+            self._starts.append(i)
+            self._objs.append(run[0])
+            i += len(run)
 
     @staticmethod
     def from_entries(
@@ -58,13 +73,13 @@ class MartingaleTable:
         node below s carries the same value), and a state handed down as
         `up` to both children of s; the root gets up = None.  The state
         lets an entry skip work that an ancestor already settled.  A
-        settled node's value is written over its whole subtree, one slice
-        per deeper level, and entry is never asked below it; a live node's
-        two children join the next level's frontier.  The table is
-        therefore exactly the one that entry gives at every node, whenever
-        the settled claims are true.
+        settled node's value object is kept as one run per deeper level,
+        the node's subtree on that level, and entry is never asked below
+        it; a live node's two children are asked on the next level.
+        The table is therefore exactly the one that entry gives at every
+        node, whenever the settled claims are true.
 
-        Raises HorizonExhausted, before allocating anything, when the table
+        Raises HorizonExhausted, before computing anything, when the table
         would have more than TABLE_NODE_CAP nodes."""
         if depth < 0:
             raise ValueError("depth must be ≥ 0")
@@ -75,52 +90,72 @@ class MartingaleTable:
                 f"(depth ≤ {TABLE_NODE_CAP.bit_length() - 1})",
                 f"depth {depth} needs {size} nodes",
             )
-        values: list = [None] * size
-        frontier = [(0, None)]
+        starts: list[int] = []
+        objs: list = []
+        # Level l, in order of position v: (v, True, value) for a settled
+        # run, from v up to the next item's position, and (v, False, up) for
+        # a live node, which asks entry.  A settled run starts at 2v one
+        # level down, and a live node's children are at 2v and 2v + 1.
+        row = [(0, False, None)]
         for l in range(depth + 1):
             base = (1 << l) - 1
-            live = []
-            for v, up in frontier:
-                value, settled, down = entry(BitString.raw(l, v), up)
-                values[base + v] = value
-                if not settled:
-                    live += ((2 * v, down), (2 * v + 1, down))
-                    continue
-                for below in range(1, depth - l + 1):
-                    start = (1 << (l + below)) - 1 + (v << below)
-                    values[start : start + (1 << below)] = [value] * (1 << below)
-            frontier = live
-        return MartingaleTable(depth, values)
+            below = []
+            for v, settled, x in row:
+                if settled:
+                    value = x
+                else:
+                    value, settled, down = entry(BitString.raw(l, v), x)
+                if not objs or objs[-1] is not value:
+                    starts.append(base + v)
+                    objs.append(value)
+                if settled:
+                    below.append((2 * v, True, value))
+                else:
+                    below += ((2 * v, False, down), (2 * v + 1, False, down))
+            row = below
+        table = MartingaleTable.__new__(MartingaleTable)
+        table.depth, table._starts, table._objs = depth, starts, objs
+        return table
+
+    def _lengths(self) -> Iterator[int]:
+        starts = self._starts
+        size = (2 << self.depth) - 1
+        return map(sub, chain(islice(starts, 1, None), (size,)), starts)
+
+    @property
+    def values(self) -> list:
+        """Every node's value object, flat in breadth-first order: the runs,
+        expanded on each read."""
+        return list(chain.from_iterable(map(repeat, self._objs, self._lengths())))
 
     def value(self, s: BitString) -> Dyadic:
         if len(s) > self.depth:
             raise KeyError(f"node {s!r} deeper than table depth {self.depth}")
-        return self.values[_node_index(s)]
+        return self._objs[bisect_right(self._starts, _node_index(s)) - 1]
 
     def nodes(self) -> Iterator[tuple[BitString, Dyadic]]:
+        """Every (node, value), breadth-first, from one read of `values`."""
+        values = iter(self.values)
         for l in range(self.depth + 1):
             for v in range(1 << l):
-                s = BitString.raw(l, v)
-                yield s, self.values[_node_index(s)]
+                yield BitString.raw(l, v), next(values)
 
     def interior_nodes(self) -> Iterator[tuple[BitString, Dyadic]]:
-        for l in range(self.depth):
-            for v in range(1 << l):
-                s = BitString.raw(l, v)
-                yield s, self.values[_node_index(s)]
+        return islice(self.nodes(), (1 << self.depth) - 1)
 
     def to_document(self, spec_echo: Optional[dict] = None, truncation: Optional[int] = None) -> dict:
         """The table as a document.  Nodes that share a value object share
         one `values` entry dict, converted once."""
-        values = self.values
-        as_json = {i: v.to_json() for i, v in _distinct(values).items()}
+        objs = self._objs
+        as_json = {i: v.to_json() for i, v in _distinct(objs).items()}
+        jsons = map(as_json.__getitem__, map(id, objs))
         return {
             "version": FORMAT_VERSION,
             "kind": DOCUMENT_KIND,
             "spec": spec_echo,
             "truncation": truncation,
             "depth": self.depth,
-            "values": list(map(as_json.__getitem__, map(id, values))),
+            "values": list(chain.from_iterable(map(repeat, jsons, self._lengths()))),
         }
 
     @staticmethod
@@ -189,18 +224,28 @@ def dumps_document(doc: dict) -> str:
     terminated.  Byte-identical for identical documents, and to
     json.dumps(doc, sort_keys=True, separators=(",", ":")) plus a newline.
 
-    A top-level `values` list is written by encoding each distinct element
-    object once and joining the texts, so the shared entry dicts of
-    to_document cost one encoding each; every other key is encoded whole."""
+    A top-level `values` list is written run by run: each stretch of one
+    element object is that object's text repeated, and each distinct
+    object is encoded once, so the shared entry dicts of to_document cost
+    one encoding each; every other key is encoded whole."""
     values = doc.get("values") if type(doc) is dict else None
     if type(values) is not list or not all(type(key) is str for key in doc):
         return _canonical(doc) + "\n"
-    texts = {i: _canonical(x) for i, x in _distinct(values).items()}
+    texts: dict = {}
+    runs, sep = ["["], ""
+    for i, run in groupby(values, id):
+        run = list(run)
+        text = texts.get(i)
+        if text is None:
+            text = texts[i] = _canonical(run[0])
+        runs += (sep, text, ("," + text) * (len(run) - 1))
+        sep = ","
+    runs.append("]")
     pieces = []
     for key in sorted(doc):
         pieces.append(("," if pieces else "{") + _canonical(key) + ":")
         if key == "values":
-            pieces += ("[", ",".join(map(texts.__getitem__, map(id, values))), "]")
+            pieces += runs
         else:
             pieces.append(_canonical(doc[key]))
     pieces.append("}\n")

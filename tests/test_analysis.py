@@ -7,7 +7,7 @@ upcrossing count on a four-leaf table.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from divmart.analysis import (
     CertifiedConvergent,
@@ -261,6 +261,34 @@ def test_identity_violation_localized(even):
     assert first_identity_violation(bad) == BitString.raw(5, 2)
 
 
+def test_table_checks_expand_the_table_once(even, monkeypatch):
+    # A run-kept table answers value(s) by a bisection and expands its runs
+    # on each read of `values`: the per-node checks read one expansion.
+    table = even.truncated_table(3, 12)
+    expand = MartingaleTable.values.fget
+    reads = []
+
+    def counted(self):
+        reads.append(1)
+        return expand(self)
+
+    def refused(self, s):
+        raise AssertionError("value(s) asked by a whole-table check")
+
+    monkeypatch.setattr(MartingaleTable, "values", property(counted))
+    monkeypatch.setattr(MartingaleTable, "value", refused)
+    checks = [
+        lambda: first_identity_violation(table),
+        lambda: doob_diagnostic(table, Dyadic(1, 2), Dyadic(3, 2)),
+        lambda: list(table.nodes()),
+        lambda: list(table.interior_nodes()),
+    ]
+    for check in checks:
+        reads.clear()
+        check()
+        assert len(reads) == 1
+
+
 def test_doob_upcrossings_hand_count():
     # Leaves (0, 1, 0, 0): exactly one of the four paths dips to 1/4 and
     # then rises above 3/4, so the mean upcrossing count is 1/4.
@@ -296,6 +324,8 @@ dyadic_values = st.integers(min_value=0, max_value=16).map(lambda k: Dyadic(k, 4
     st.integers(min_value=0, max_value=14),
     st.integers(min_value=1, max_value=15),
 )
+# path 11 upcrosses (1/4, 3/4) below the last interior node
+@example(leaves=[Dyadic(0), Dyadic(0), Dyadic(0), Dyadic(1)], a16=4, delta=8)
 def test_doob_bound_on_random_tables(leaves, a16, delta):
     b16 = min(a16 + delta, 16)
     if b16 == a16:
@@ -305,3 +335,19 @@ def test_doob_bound_on_random_tables(leaves, a16, delta):
     stats = doob_diagnostic(table, Dyadic(a16, 4), Dyadic(b16, 4))
     assert stats.doob_product <= Dyadic.one()
     assert stats.mean_upcrossings >= Dyadic.zero()
+    assert stats.mean_upcrossings == upcrossings_by_paths(table, Dyadic(a16, 4), Dyadic(b16, 4))
+
+
+def upcrossings_by_paths(table, a, b) -> Dyadic:
+    """The mean upcrossing count, path by path through table.value(s)."""
+    total = 0
+    for leaf in range(1 << table.depth):
+        armed, count = False, 0
+        for l in range(table.depth + 1):
+            v = table.value(BitString.raw(l, leaf >> (table.depth - l)))
+            if armed and v >= b:
+                count, armed = count + 1, False
+            if not armed and v <= a:
+                armed = True
+        total += count
+    return Dyadic(total, table.depth)

@@ -146,17 +146,25 @@ def test_trace_rejects_bad_point_and_precision(tmp_path):
 @pytest.mark.parametrize(
     "component, args",
     [
-        # a point, precision or rate with a final newline, or with digits
-        # that are not ASCII, is malformed
+        # a point, precision, rate or integer flag with a final newline, or
+        # with digits that are not ASCII, is malformed; int() takes all of
+        # the integer flags below
         ({"kind": "even-zeros"}, ["trace", "--point", "(0)\n"]),
         ({"kind": "even-zeros"}, ["trace", "--point", "(0)", "--precision", "٣"]),
         ({"kind": "even-zeros"}, ["trace", "--point", "(0)", "--precision", "2^-٣"]),
         ({"kind": "singleton", "point": "(1)\n"}, ["measure"]),
         ({"kind": "explicit", "stages": [["0000"], []], "rate": "2^-(n+٣)"}, ["measure"]),
         ({"kind": "explicit", "stages": [["0000"], []], "rate": "2^-(n+3)\n"}, ["measure"]),
+        ({"kind": "even-zeros"}, ["measure", "--depth", "٣"]),
+        ({"kind": "even-zeros"}, ["measure", "--depth", " 3\n"]),
+        ({"kind": "even-zeros"}, ["measure", "--depth", "+3"]),
+        ({"kind": "even-zeros"}, ["measure", "--depth", "1_0"]),
+        ({"kind": "even-zeros"}, ["synthesize", "--depth", "2", "--truncation", "+1"]),
+        ({"kind": "even-zeros"}, ["verify", "--suite", "identity", "--depth", "２"]),
     ],
     ids=["point-newline", "precision-digit", "precision-exponent-digit", "spec-point-newline",
-         "rate-digit", "rate-newline"],
+         "rate-digit", "rate-newline", "depth-digit", "depth-blanks", "depth-plus",
+         "depth-underscore", "truncation-plus", "verify-depth-fullwidth-digit"],
 )
 def test_near_miss_points_precisions_and_rates_exit_two(tmp_path, component, args):
     spec = write_spec(tmp_path, {"kind": "sigma3", "components": [component]})

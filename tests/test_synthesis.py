@@ -718,6 +718,20 @@ def test_descent_matches_the_per_node_table(singletons, explicit, tail, step, k,
             assert set(want[start : start + (1 << below)]) == {value}, (s, below)
 
 
+class RecordingRegion:
+    """A region that reports each measure query as (node, settled): the
+    relative measure is 0 or 1 there."""
+
+    def __init__(self, region, report) -> None:
+        self.region = region
+        self.report = report
+
+    def measure_in(self, t):
+        m = self.region.measure_in(t)
+        self.report(str(t), m.num == 0 or m == Dyadic.pow2(-len(t)))
+        return m
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     singletons=st.lists(points, max_size=2),
@@ -751,14 +765,13 @@ def test_masked_descent_never_asks_a_settled_term(singletons, explicit, step, k,
             record(n, str(s), settled)
             return value, settled, down
 
-        def relative_measure(j, s, part=part, n=n):
-            r = type(part).relative_measure(part, j, s)
-            record((n, j), str(s), r.exp == 0)
-            return r
-
         part.descend = descend
         if isinstance(part, SynthesizedMartingale):
-            part.relative_measure = relative_measure
+            # The descent resolves region j as stage j's gstar at the root;
+            # each term then asks its region once per node.
+            for j in range(k + 2):
+                cert = part.stage(j)
+                cert.gstar = RecordingRegion(cert.gstar, lambda *a, t=(n, j): record(t, *a))
     assert f.truncated_table(k, depth).values == unmasked.values
     for term, name in asked:
         assert not any((term, name[:l]) in settled_at for l in range(len(name))), (term, name)

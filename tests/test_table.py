@@ -2,10 +2,11 @@
 format (canonical JSON, lossless round-trips, strict parsing)."""
 
 import json
+from itertools import groupby
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from divmart import table as table_module
 from divmart.bits import BitString
@@ -13,7 +14,16 @@ from divmart.cli import _stage_metadata
 from divmart.dyadic import Dyadic
 from divmart.errors import HorizonExhausted, ParseError
 from divmart.sets import SigmaThreeSet
-from divmart.synthesis import sigma3_pipeline
+from divmart.fine import StepFunction
+from divmart.synthesis import (
+    SCALE,
+    CombinedMartingale,
+    ConstantPart,
+    EmbeddedMartingale,
+    SynthesizedMartingale,
+    sigma3_pipeline,
+    union_combine,
+)
 from divmart.table import (
     DOCUMENT_KIND,
     FORMAT_VERSION,
@@ -110,8 +120,9 @@ def test_table_size_budget():
     assert f"needs {(1 << 22) - 1} nodes" in str(exc.value)
     with pytest.raises(HorizonExhausted):
         MartingaleTable.from_entries(40, lambda s, up: (Dyadic.zero(), False, None))
-    # The cap itself is allowed: a settled root fills depth 20 by slices.
+    # The cap itself is allowed: a settled root is one run to depth 20.
     t = MartingaleTable.from_entries(20, lambda s, up: (Dyadic(1, 1), True, None))
+    assert len(t._objs) == 1
     assert len(t.values) == TABLE_NODE_CAP
     assert leaf_values(t)[-1] == Dyadic(1, 1)
 
@@ -399,3 +410,175 @@ def test_reader_matches_per_value_parsing_on_random_documents(depth, raw, picks)
         assert str(e) == want
         return
     assert [(d.num, d.exp) for d in got] == [(d.num, d.exp) for d in want]
+
+
+# ---------------------------------------------------------------------------
+# Run-kept tables against the flat-list table and the Dyadic descent they
+# replace: the same values, node by node and object by object, the same
+# documents and the same round trips.
+
+
+class FlatTable:
+    """The flat-list table: one slot per node in breadth-first order, a
+    settled subtree written as one slice per deeper level."""
+
+    def __init__(self, depth: int, values: list):
+        assert len(values) == (2 << depth) - 1
+        self.depth = depth
+        self.values = list(values)
+
+    @staticmethod
+    def from_entries(depth, entry) -> "FlatTable":
+        values = [None] * ((2 << depth) - 1)
+        frontier = [(0, None)]
+        for l in range(depth + 1):
+            base = (1 << l) - 1
+            live = []
+            for v, up in frontier:
+                value, settled, down = entry(BitString.raw(l, v), up)
+                values[base + v] = value
+                if not settled:
+                    live += ((2 * v, down), (2 * v + 1, down))
+                    continue
+                for below in range(1, depth - l + 1):
+                    start = (1 << (l + below)) - 1 + (v << below)
+                    values[start : start + (1 << below)] = [value] * (1 << below)
+            frontier = live
+        return FlatTable(depth, values)
+
+    def nodes(self):
+        return [(BitString.raw(l, v), self.values[(1 << l) - 1 + v])
+                for l in range(self.depth + 1) for v in range(1 << l)]
+
+    def to_document(self, spec_echo=None, truncation=None) -> dict:
+        as_json = {id(v): v.to_json() for v in self.values}
+        return {"version": FORMAT_VERSION, "kind": DOCUMENT_KIND, "spec": spec_echo,
+                "truncation": truncation, "depth": self.depth,
+                "values": [as_json[id(v)] for v in self.values]}
+
+
+def run_lengths(values: list) -> list:
+    return [len(list(run)) for _, run in groupby(values, id)]
+
+
+def assert_same_table(got: MartingaleTable, want: FlatTable, spec=None, truncation=None):
+    """got against the flat reference: values (exact pairs and sharing),
+    value(s) at every node, nodes(), the document bytes against json.dumps,
+    and the round trip through the document."""
+    values = got.values
+    assert got.depth == want.depth
+    assert [(v.num, v.exp) for v in values] == [(v.num, v.exp) for v in want.values]
+    assert run_lengths(values) == run_lengths(want.values)
+    nodes = want.nodes()
+    assert [got.value(s) for s, _ in nodes] == [v for _, v in nodes]
+    assert all(got.value(s) is v for s, v in zip((s for s, _ in nodes), values))
+    assert [(str(s), v) for s, v in got.nodes()] == [(str(s), v) for s, v in nodes]
+    interior = (1 << got.depth) - 1
+    assert [(str(s), v) for s, v in got.interior_nodes()] == [
+        (str(s), v) for s, v in nodes[:interior]]
+    text = dumps_document(got.to_document(spec_echo=spec, truncation=truncation))
+    assert text == plain_dumps(want.to_document(spec_echo=spec, truncation=truncation))
+    back, spec_back, k = MartingaleTable.from_document(loads_document(text))
+    assert back.depth == got.depth and (spec_back, k) == (spec, truncation)
+    assert [(v.num, v.exp) for v in back.values] == [(v.num, v.exp) for v in values]
+    # The reader shares one object per (num, exp) pair, so it keeps runs.
+    assert len(back._objs) <= len(got._objs)
+    assert dumps_document(back.to_document(spec_echo=spec, truncation=truncation)) == text
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    depth=st.integers(min_value=0, max_value=7),
+    cuts=st.sets(st.text(alphabet="01", max_size=7), max_size=12),
+    pool=st.lists(dyadics, min_size=1, max_size=4),
+    picks=st.lists(st.integers(0, 7), min_size=255, max_size=255),
+)
+def test_run_kept_table_matches_the_flat_table(depth, cuts, pool, picks):
+    # Nodes draw their value objects from a pool holding each value twice,
+    # as two equal but distinct objects, so neighbours share objects (one
+    # run) or hold equal distinct ones (two runs); a cut node is settled.
+    pool = pool + [Dyadic(d.num, d.exp) for d in pool]
+
+    def entry(s, up):
+        return pool[picks[(1 << len(s)) - 1 + s.v] % len(pool)], str(s) in cuts, None
+
+    got = MartingaleTable.from_entries(depth, entry)
+    want = FlatTable.from_entries(depth, entry)
+    assert [id(v) for v in got.values] == [id(v) for v in want.values]
+    assert [id(v) for v in MartingaleTable(depth, want.values).values] == [
+        id(v) for v in want.values]
+    assert_same_table(got, want, spec={"cuts": sorted(cuts)}, truncation=depth)
+
+
+def dyadic_descend_sum(up, term):
+    """The descent's sum in Dyadic arithmetic: every term a Dyadic."""
+    settled_sum, live = up
+    total = settled_sum
+    still = []
+    for i, sub in live:
+        value, settled, down = term(i, sub)
+        total = total + value
+        if settled:
+            settled_sum = settled_sum + value
+        else:
+            still.append((i, down))
+    return total, not still, (settled_sum, tuple(still))
+
+
+def dyadic_descend(f, k: int, s: BitString, up):
+    """f.descend with Dyadic sums and terms: r_j(s) from relative_measure,
+    a part's value scaled by SCALE·4^-n."""
+    if isinstance(f, SynthesizedMartingale):
+        def term(j, _):
+            r = f.relative_measure(j, s)
+            return (-r if j % 2 else r), r.exp == 0, None
+
+        if up is None:
+            up = Dyadic.zero(), tuple((j, None) for j in range(k + 2))
+        return dyadic_descend_sum(up, term)
+    if isinstance(f, CombinedMartingale):
+        def term(n, part_up):
+            value, settled, down = dyadic_descend(f.parts[n], k, s, part_up)
+            return (value * SCALE).mul_pow2(-2 * n), settled, down
+
+        if up is None:
+            up = f._tail_value(), tuple((n, None) for n in range(len(f.parts)))
+        return dyadic_descend_sum(up, term)
+    return f.descend(k, s, up)  # ConstantPart, EmbeddedMartingale: no sum
+
+
+README_COMPONENTS = [
+    {"kind": "even-zeros"},
+    {"kind": "singleton", "point": "(1)"},
+    {"kind": "explicit", "stages": [["00"], ["000"], []], "rate": "2^-n"},
+]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kinds=st.lists(st.sampled_from(README_COMPONENTS), min_size=1, max_size=3),
+    point=st.builds(lambda pre, per: f"{pre}({per})", st.text(alphabet="01", max_size=4),
+                    st.text(alphabet="01", min_size=1, max_size=3)),
+    steps=st.integers(0, 2).flatmap(
+        lambda d: st.lists(st.integers(0, 8).map(lambda n: Dyadic(n, 3)),
+                           min_size=1 << d, max_size=1 << d)),
+    constant=st.integers(0, 8).map(lambda n: Dyadic(n, 3)),
+    tail=st.none() | st.integers(0, 8).map(lambda n: Dyadic(n, 3)),
+    k=st.integers(min_value=0, max_value=5),
+    depth=st.integers(min_value=0, max_value=10),
+)
+@example(kinds=README_COMPONENTS, point="(1)", steps=[Dyadic(1, 3), Dyadic(1)],
+         constant=Dyadic(5, 3), tail=Dyadic(1, 1), k=3, depth=10)
+def test_run_kept_tables_match_the_flat_dyadic_descent(kinds, point, steps, constant, tail, k,
+                                                       depth):
+    # The README spec's three component kinds (the singleton's point drawn),
+    # an embedded step function and a constant part, alone and combined.
+    comps = [dict(c, point=point) if c["kind"] == "singleton" else c for c in kinds]
+    spec = {"kind": "sigma3", "components": comps}
+    parts = list(sigma3_pipeline(SigmaThreeSet.from_spec(spec)).parts)
+    parts += [EmbeddedMartingale(StepFunction(len(steps).bit_length() - 1, steps)),
+              ConstantPart(constant)]
+    for f in parts + [union_combine(parts, tail_constant=tail)]:
+        want = FlatTable.from_entries(depth, lambda s, up: dyadic_descend(f, k, s, up))
+        got = MartingaleTable.from_entries(depth, lambda s, up: f.descend(k, s, up))
+        assert_same_table(got, want, spec=spec, truncation=k)
