@@ -27,8 +27,8 @@ from typing import NamedTuple, Optional, Union
 
 from .bits import BitString, Point
 from .dyadic import Dyadic
-from .errors import UndefinedAtPoint
-from .sets import DEFAULT_STAGE_BUDGET, Membership
+from .errors import DEFAULT_STAGE_BUDGET, UndefinedAtPoint
+from .sets import Membership
 from .synthesis import (
     SCALE,
     CombinedMartingale,

@@ -23,7 +23,7 @@ import re
 import sys
 from typing import TYPE_CHECKING, Callable, Optional
 
-from .errors import HorizonExhausted, ParseError
+from .errors import DEFAULT_STAGE_BUDGET, HorizonExhausted, ParseError
 
 if TYPE_CHECKING:
     from .bits import Point
@@ -185,8 +185,6 @@ def synthesize(spec: str, out: Optional[str], depth: int, truncation: int):
 
 
 def _trace_rows(path: str, beta: Point, depth: int, precision: Dyadic):
-    from .sets import SigmaThreeSet
-    from .synthesis import sigma3_pipeline
     from .table import DOCUMENT_KIND, MartingaleTable
 
     doc = _load_json(path)
@@ -200,6 +198,9 @@ def _trace_rows(path: str, beta: Point, depth: int, precision: Dyadic):
             v = table.value(beta.prefix(l))
             yield l, v, v
         return
+    from .sets import SigmaThreeSet
+    from .synthesis import sigma3_pipeline
+
     pipeline = sigma3_pipeline(SigmaThreeSet.from_spec(doc))
     for l in range(depth + 1):
         lo, hi = pipeline.eval(beta.prefix(l), precision)
@@ -284,7 +285,7 @@ def _suite_identity(b, points, depth, truncation, eps, lines) -> bool:
 
 def _suite_divergence(b, points, depth, truncation, eps, lines) -> bool:
     from .analysis import certify_divergence
-    from .sets import DEFAULT_STAGE_BUDGET, Membership
+    from .sets import Membership
     from .synthesis import sigma3_pipeline
 
     pipeline = sigma3_pipeline(b)
@@ -303,7 +304,7 @@ def _suite_divergence(b, points, depth, truncation, eps, lines) -> bool:
 
 def _suite_convergence(b, points, depth, truncation, eps, lines) -> bool:
     from .analysis import certify_convergence
-    from .sets import DEFAULT_STAGE_BUDGET, Membership
+    from .sets import Membership
     from .synthesis import sigma3_pipeline
 
     pipeline = sigma3_pipeline(b)
@@ -355,7 +356,7 @@ def _suite_moy(b, points, depth, truncation, eps, lines) -> bool:
     stay within 2^(-4) of the evaluated separator value by depth 24."""
     from .dyadic import Dyadic
     from .fine import mean_trace, urysohn
-    from .sets import DEFAULT_STAGE_BUDGET, Membership
+    from .sets import Membership
 
     tolerance = Dyadic(1, 4)  # 2^(-4): grading granularity of the separator
     comp: GDeltaSet = b.components[0] if b.components else None
@@ -421,8 +422,6 @@ def verify(spec: str, suite: str, samples: Optional[str], depth: int,
 
 
 def _parser() -> argparse.ArgumentParser:
-    from .sets import DEFAULT_STAGE_BUDGET
-
     parser = argparse.ArgumentParser(
         prog="divmart", description=main.__doc__, allow_abbrev=False
     )

@@ -31,10 +31,6 @@ from .clopen import ClopenSet
 from .dyadic import Dyadic
 from .errors import HorizonExhausted, ParseError
 
-# How many stages a membership test or a certificate search examines
-# unless told otherwise (the `oscillate --depth` default).
-DEFAULT_STAGE_BUDGET = 12
-
 
 class Membership(enum.Enum):
     IN = "In"
@@ -152,6 +148,13 @@ class EvenZeros(GDeltaSet):
     is the 2^(n-1) strings of length 2n-1 with zeros at even positions (the
     final even position 2n-2 is the last constrained one; position 2n-1 is
     free, so length-2n descriptions merge).
+
+    Every stage query is closed form.  `measure_stage_in` tests t's bits
+    against the even-position mask of their length, except when they are
+    all zero: then no even position holds a 1, whatever the length, and no
+    mask is built.  Every stage chain witness is all zeros (the 0-th
+    antichain cylinder), so building stage n builds no mask, though each
+    stage's witnesses have a new length.
     """
 
     kind = "even-zeros"
@@ -189,7 +192,8 @@ class EvenZeros(GDeltaSet):
 
     def measure_stage_in(self, n: int, t: BitString) -> Dyadic:
         bound = min(len(t), 2 * n)
-        if (t.v >> (len(t) - bound)) & _even_mask(bound):
+        v = t.v >> (len(t) - bound)
+        if v and v & _even_mask(bound):
             return Dyadic.zero()
         if len(t) >= 2 * n:
             return Dyadic.pow2(-len(t))
@@ -222,7 +226,11 @@ class EvenZeros(GDeltaSet):
 
 
 class Singleton(GDeltaSet):
-    """One eventually-periodic point; stage(n) is its length-n cylinder."""
+    """One eventually-periodic point; stage(n) is its length-n cylinder.
+
+    Every stage query is closed form.  stage(n)'s antichain is the one
+    cylinder point|n, so `stage_count` is 1 and `stage_sample` is
+    [point|n] (nothing for a count of 0), with no ClopenSet built."""
 
     kind = "singleton"
     halving = True
@@ -255,6 +263,12 @@ class Singleton(GDeltaSet):
             a = t.n - (self.point.prefix(t.n).v ^ t.v).bit_length()
             self._last_agreement = (key, a)
         return a
+
+    def stage_count(self, n: int) -> int:
+        return 1
+
+    def stage_sample(self, n: int, count: int) -> list:
+        return [self.point.prefix(n)] if count > 0 else []
 
     def stage_cylinder_containing(self, n: int, beta: Point) -> Optional[BitString]:
         w = self.point.prefix(n)

@@ -239,13 +239,18 @@ def build_stage(prev: StageCertificate, target: GDeltaSet) -> StageCertificate:
     and G*_{n+1} is stage(m): building n stages costs O(n) queries.  Past
     the search span from m_n + 1 the budget is HorizonExhausted, as the
     search would say; one query checks (5) at a witness, so a target that
-    is wrongly declared halving raises ValueError.  Any other target, and
-    a halving one whose witnesses have run out, searches a stage for each
-    witness (_find_stage_index)."""
+    is wrongly declared halving raises ValueError.  That witness is the
+    first of prev.verified, which prev's own check set to prev's first
+    witness (_check_mean_proximity), so stage n is not sampled again.  A
+    prev whose check never ran has none verified: (5) is then checked at
+    its first witness, and the new witness fails the prefix test.  A step
+    costs one witness sample and two region queries.  Any other target,
+    and a halving one whose witnesses have run out, searches a stage for
+    each witness (_find_stage_index)."""
     n = prev.index
     threshold = Dyadic.pow2(-n - _BUDGET_EXP_OFFSET)
 
-    reps = prev.witnesses.sample(1) if target.halving else []
+    reps = (prev.verified[:1] or prev.witnesses.sample(1)) if target.halving else []
     if reps:
         rep = reps[0]
         start = prev.stage_index + 1

@@ -13,9 +13,12 @@ from pathlib import Path
 import pytest
 
 import divmart
+from divmart.dyadic import Dyadic
+from divmart.table import MartingaleTable, dumps_document
 
 SRC = str(Path(divmart.__file__).resolve().parents[1])
 EVEN = {"kind": "sigma3", "components": [{"kind": "even-zeros"}]}
+TABLE = MartingaleTable(2, [Dyadic(1, 1)] * 7)
 
 # `dataclasses` loads `inspect`: several milliseconds of start-up.
 SLOW = ("click", "dataclasses", "inspect")
@@ -56,6 +59,7 @@ def test_import_cli_loads_no_parser_library_and_no_construction():
     [
         ("synthesize --spec even.json --depth 4", False, False),
         ("trace --spec even.json --point (0) --depth 4", False, False),
+        ("trace --spec table.json --point (0) --depth 2", False, False),
         ("oscillate --spec even.json --point (0)", True, False),
         ("measure --spec even.json --depth 3", True, False),
         ("verify --spec even.json --suite identity", True, False),
@@ -64,10 +68,13 @@ def test_import_cli_loads_no_parser_library_and_no_construction():
 )
 def test_each_command_loads_what_it_runs(tmp_path, argv, analysis, fine):
     (tmp_path / "even.json").write_text(json.dumps(EVEN))
+    (tmp_path / "table.json").write_text(dumps_document(TABLE.to_document()))
     loaded = run_python(COMMAND, LOADED, *argv.split(), cwd=tmp_path)
     assert ("divmart.analysis" in loaded) == analysis, loaded
     assert ("divmart.fine" in loaded) == fine, loaded
     assert not set(SLOW) & set(loaded), loaded
+    if "table.json" in argv:  # a table is read back, not built
+        assert not {"divmart.sets", "divmart.synthesis"} & set(loaded), loaded
 
 
 def test_every_public_name_resolves_to_its_home_module():

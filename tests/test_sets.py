@@ -112,6 +112,15 @@ def test_membership_tristate():
     assert K.membership(deep, 25) is Membership.OUT
 
 
+def test_measure_stage_in_matches_the_stage_to_length_10():
+    # The all-zero t of each length take the shortcut that builds no mask;
+    # every other t is tested against the mask.
+    for n in range(7):
+        stage = K.stage(n)
+        for t in all_bitstrings(10):
+            assert K.measure_stage_in(n, t) == stage.measure_in(t), (n, t)
+
+
 def test_meets_target():
     assert K.meets_target(BitString("0"))
     assert K.meets_target(BitString("0101"))
@@ -223,6 +232,19 @@ def test_singleton_geometry():
     q = Point.parse("011(01)")
     assert p.same_sequence(q)
     assert s.exit_stage(q) is None
+
+
+@pytest.mark.parametrize("text", [
+    "(0)", "(1)", "(10)", "01(011)", "1101(0)", "0(1101001)",
+    "1011001110001111(01)", "(0110100110010110)",
+])
+def test_singleton_samples_its_stage_in_closed_form(text):
+    s = Singleton(Point.parse(text))
+    for n in range(65):
+        stage = s.stage(n)
+        assert s.stage_count(n) == stage.cylinder_count() == 1
+        for c in range(4):
+            assert s.stage_sample(n, c) == stage.sample_cylinders(c), (n, c)
 
 
 def test_singleton_measure_stage_in_cases():

@@ -27,7 +27,14 @@ from divmart.dyadic import Dyadic
 from divmart.errors import HorizonExhausted
 from divmart.fine import StepFunction
 from divmart import synthesis
-from divmart.sets import EvenZeros, ExplicitGDelta, GDeltaSet, Singleton, parse_rate
+from divmart.sets import (
+    EvenZeros,
+    ExplicitGDelta,
+    GDeltaSet,
+    Singleton,
+    _even_mask,
+    parse_rate,
+)
 from divmart.synthesis import (
     SCALE,
     CombinedMartingale,
@@ -36,6 +43,7 @@ from divmart.synthesis import (
     StageCertificate,
     StageRegion,
     SynthesizedMartingale,
+    WitnessFamily,
     embed_continuous,
     gdelta_martingale,
     sigma3_pipeline,
@@ -867,6 +875,54 @@ def test_stage_chain_costs_linear_region_queries(target):
     assert regions.call_count <= 2 * n
     # Stage searches included, the target is queried O(log n) times a stage.
     assert stage_queries.call_count <= 20 * n
+
+
+@pytest.mark.parametrize("target", [EvenZeros(), Singleton(Point.parse("01(011)"))],
+                         ids=["even-zeros", "singleton"])
+def test_a_halving_step_samples_one_witness(target):
+    # Condition (5) is checked at the witness stage n's check verified, so
+    # a step samples only its new witness, and asks the target twice: (5)
+    # there, and whether G*_(n+1) covers the new witness.  The root's check
+    # asks once more.
+    n = 200
+    kind = type(target)
+    with patch.object(
+        kind, "stage_sample", autospec=True, side_effect=kind.stage_sample
+    ) as samples, patch.object(
+        kind, "measure_stage_in", autospec=True, side_effect=kind.measure_stage_in
+    ) as queries:
+        gdelta_martingale(target).stage(n)
+    assert samples.call_count == n
+    assert queries.call_count == 2 * n + 1
+
+
+def test_the_even_zeros_chain_builds_no_mask():
+    # Every witness of the chain is all zeros, a new length at each stage;
+    # measure_stage_in answers them without the mask of that length.
+    before = _even_mask.cache_info().misses
+    gdelta_martingale(EvenZeros()).stage(1000)
+    assert _even_mask.cache_info().misses == before
+
+
+@pytest.mark.parametrize("target", [EvenZeros(), Singleton(Point.parse("01(011)"))],
+                         ids=["even-zeros", "singleton"])
+def test_build_stage_after_a_stage_whose_check_never_ran(target):
+    # Condition (5) is checked at stage 3's first witness, as when its
+    # check has run; the new witness then extends no verified one.  (Taking
+    # the per-witness path instead would enumerate 2^14 witnesses of the
+    # even-zeros stage and raise HorizonExhausted.)
+    real = gdelta_martingale(target).stage(3)
+    forged = StageCertificate(3, real.gstar, real.witnesses, real.stage_index, real.prev)
+    assert forged.verified == () and forged.witnesses.count()
+    with pytest.raises(ValueError, match="extends no verified witness of stage 3"):
+        synthesis.build_stage(forged, target)
+    # A stage with no witnesses leaves (5) nothing to be checked at: the
+    # per-witness path builds the empty stage.
+    empty = ClopenSet.empty()
+    dead = StageCertificate(3, empty, WitnessFamily(empty, target), None, real.prev)
+    cert = synthesis.build_stage(dead, target)
+    assert cert.gstar == empty and cert.stage_index is None
+    assert cert.verified == () and cert.witnesses.count() == 0
 
 
 def test_a_witness_outside_the_verified_ones_fails_the_check(even):
