@@ -12,6 +12,16 @@ separators, and Doob diagnostics.
 Every public name is imported from its home module on first use (PEP 562),
 so `import divmart` loads no submodule, and a command or a script pays
 only for the modules it touches.
+
+Every public name has a caller in the package, in its benchmark harness
+(perfbench/) or in the README.  Call the name that does the work: a
+target is `EvenZeros()`, `Singleton(point)` or `ExplicitGDelta(stages,
+parse_rate(text))`, parts combine as `CombinedMartingale(parts, tail)`,
+a step function embeds as `EmbeddedMartingale(h)`, and a table passes
+the identity check when `first_identity_violation(table)` is None.  The
+one wrapper left, `gdelta_martingale(target)`, is
+`SynthesizedMartingale(target)`, kept because `measure` and the harness
+call it.
 """
 
 from importlib import import_module
@@ -50,24 +60,17 @@ _HOMES = {
     "UpcrossingStats": "analysis",
     "certify_convergence": "analysis",
     "certify_divergence": "analysis",
-    "check_identity": "analysis",
     "check_interpolation": "fine",
-    "density_ratio": "sets",
     "divergence_measure_bound": "analysis",
     "doob_diagnostic": "analysis",
-    "embed_continuous": "synthesis",
-    "even_zeros": "sets",
     "first_identity_violation": "analysis",
     "gdelta_martingale": "synthesis",
     "limit_function": "analysis",
     "lusin_menchoff": "fine",
     "mean_trace": "fine",
-    "membership": "sets",
     "osc_window": "analysis",
     "parse_rate": "sets",
     "sigma3_pipeline": "synthesis",
-    "singleton": "sets",
-    "union_combine": "synthesis",
     "urysohn": "fine",
 }
 _SUBMODULES = frozenset(_HOMES.values())

@@ -111,10 +111,6 @@ def first_identity_violation(table: MartingaleTable) -> Optional[BitString]:
     return None
 
 
-def check_identity(table: MartingaleTable) -> bool:
-    return first_identity_violation(table) is None
-
-
 class UpcrossingStats(NamedTuple):
     a: Dyadic
     b: Dyadic
@@ -326,22 +322,19 @@ def _single_convergence(
 ) -> Optional[tuple[int, Dyadic]]:
     """Depth L and exact limit for a point that leaves some region G*_{j*}:
     beyond L every region is either fully entered or fully avoided by
-    N_{β|L}, so the value is exactly constant."""
-    jstar = None
+    N_{β|L}, so the value is exactly constant.  One pass over the regions
+    asks each for the cylinder holding β, up to the first that has none:
+    L is the longest of those cylinders and G*_{j*}'s refutation depth."""
+    depth = 0
     for j in range(stage_budget + 1):
-        if not f.stage(j).gstar.contains_point(beta):
-            jstar = j
-            break
-    if jstar is None:
-        return None
-    depth = f.stage(jstar).gstar.refutation_depth(beta)
-    for j in range(jstar):
-        w = f.stage(j).gstar.cylinder_containing(beta)
-        if w is None:  # regions are nested; unreachable for j < jstar
-            raise AssertionError("region chain lost the point before exit")
+        region = f.stage(j).gstar
+        w = region.cylinder_containing(beta)
+        if w is None:
+            depth = max(depth, region.refutation_depth(beta))
+            limit = Dyadic.one() if (j - 1) % 2 == 0 else Dyadic.zero()
+            return depth, limit
         depth = max(depth, len(w))
-    limit = Dyadic.one() if (jstar - 1) % 2 == 0 else Dyadic.zero()
-    return depth, limit
+    return None
 
 
 def certify_convergence(

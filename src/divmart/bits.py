@@ -7,15 +7,15 @@ pairs instead of character strings.
 
 A ``Point`` is an eventually periodic element of 2^omega written
 ``prefix(period)``, e.g. ``"01(10)"`` for 0110101010...  Two syntactically
-different points can denote the same sequence; ``same_sequence`` decides
-semantic equality (decidable for this class), while ``==`` is structural.
+different points can denote the same sequence; ``first_difference`` is None
+exactly when they do (decidable for this class), while ``==`` is structural.
 """
 
 from __future__ import annotations
 
 import re
 from math import lcm
-from typing import Iterator, Optional
+from typing import Optional
 
 from .errors import ParseError
 
@@ -39,28 +39,11 @@ class BitString:
         s.v = v
         return s
 
-    @staticmethod
-    def zeros(n: int) -> "BitString":
-        return BitString.raw(n, 0)
-
     def __len__(self) -> int:
         return self.n
 
-    def bit(self, i: int) -> int:
-        if not 0 <= i < self.n:
-            raise IndexError(i)
-        return (self.v >> (self.n - 1 - i)) & 1
-
-    def __iter__(self) -> Iterator[int]:
-        return (self.bit(i) for i in range(self.n))
-
     def child(self, b: int) -> "BitString":
         return BitString.raw(self.n + 1, (self.v << 1) | b)
-
-    def parent(self) -> "BitString":
-        if self.n == 0:
-            raise ValueError("empty string has no parent")
-        return BitString.raw(self.n - 1, self.v >> 1)
 
     def prefix(self, l: int) -> "BitString":
         if not 0 <= l <= self.n:
@@ -139,10 +122,6 @@ class Point:
         return max(len(self.prefix_bits), len(other.prefix_bits)) + lcm(
             len(self.period_bits), len(other.period_bits)
         )
-
-    def same_sequence(self, other: "Point") -> bool:
-        bound = self._agreement_bound(other)
-        return self.prefix(bound).v == other.prefix(bound).v
 
     def first_difference(self, other: "Point") -> Optional[int]:
         """Least index where the sequences differ, or None if equal."""

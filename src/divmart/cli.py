@@ -17,7 +17,6 @@ it).
 from __future__ import annotations
 
 import argparse
-import functools
 import os
 import re
 import sys
@@ -48,21 +47,6 @@ _DEFAULT_POINTS = (
     "01(1)",
     "000(10)",
 )
-
-
-def _guarded(fn: Callable) -> Callable:
-    @functools.wraps(fn)
-    def inner(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except ParseError as e:
-            print(f"parse error: {e}", file=sys.stderr)
-            raise SystemExit(2)
-        except HorizonExhausted as e:
-            print(e, file=sys.stderr)
-            raise SystemExit(3)
-
-    return inner
 
 
 def _read(path: str) -> str:
@@ -162,7 +146,6 @@ def _stage_metadata(pipeline) -> list[dict]:
 # commands
 
 
-@_guarded
 def synthesize(spec: str, out: Optional[str], depth: int, truncation: int):
     """Write the exact truncated martingale table M_k to depth D."""
     from .sets import SigmaThreeSet
@@ -207,7 +190,6 @@ def _trace_rows(path: str, beta: Point, depth: int, precision: Dyadic):
         yield l, lo, hi
 
 
-@_guarded
 def trace(spec: str, point: str, depth: int, precision: str):
     """CSV of certified value intervals along a branch."""
     _check_sizes(depth=depth)
@@ -219,7 +201,6 @@ def trace(spec: str, point: str, depth: int, precision: str):
     print("\n".join(out))
 
 
-@_guarded
 def oscillate(spec: str, point: str, depth: int, precision: str):
     """Certify divergence or convergence of the synthesized martingale at a
     point; exit 1 when neither certificate is found within the budget."""
@@ -244,7 +225,6 @@ def oscillate(spec: str, point: str, depth: int, precision: str):
         raise SystemExit(1)
 
 
-@_guarded
 def measure(spec: str, depth: int):
     """Exact per-component λ(G*_n): an upper bound on the divergence-set
     measure of each part."""
@@ -402,7 +382,6 @@ _SUITE_RUNNERS = {
 }
 
 
-@_guarded
 def verify(spec: str, suite: str, samples: Optional[str], depth: int,
            truncation: int, precision: str):
     """Run a verification suite; exit 0 iff every check passes."""
@@ -478,9 +457,16 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> None:
     """Exact martingales on the binary tree with prescribed divergence sets."""
+    # The one place where a divmart error becomes an exit code.
     try:
         options = vars(_parser().parse_args(argv))
         options.pop("run")(**options)
+    except ParseError as e:
+        print(f"parse error: {e}", file=sys.stderr)
+        raise SystemExit(2)
+    except HorizonExhausted as e:
+        print(e, file=sys.stderr)
+        raise SystemExit(3)
     except BrokenPipeError:
         # The reader of stdout has gone (`divmart trace ... | head`).  Point
         # stdout at os.devnull, so the flush at interpreter exit writes

@@ -77,9 +77,6 @@ class ClopenSet:
     def complement(self) -> "ClopenSet":
         return ClopenSet(kernel.complement(self._ac))
 
-    def minus(self, other: "ClopenSet") -> "ClopenSet":
-        return self.intersect(other.complement())
-
     # -- measure & membership -------------------------------------------
 
     @property
@@ -140,7 +137,7 @@ class ClopenSet:
         return len(self._ac)
 
     def is_subset_of(self, other: "ClopenSet") -> bool:
-        return self.minus(other).is_empty
+        return self.intersect(other.complement()).is_empty
 
     # -- dunder ----------------------------------------------------------
 

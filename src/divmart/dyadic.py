@@ -5,7 +5,7 @@ certificate bounds.  Plain ``fractions.Fraction`` would work arithmetically,
 but the canonical (numerator, exponent) pair is part of the on-disk format
 and the restriction to powers of two is a correctness guard: any operation
 that would leave the dyadic lattice (e.g. dividing by 3) simply does not
-exist here.
+exist here.  Nor is there a conversion to float: the core is float-free.
 
 Canonical form: ``num`` is odd or zero, and ``exp == 0`` when ``num == 0``.
 ``exp`` is always a natural number, so every value is an integer multiple of
@@ -175,12 +175,10 @@ class Dyadic:
         return self._cmp(other) >= 0
 
     def __hash__(self) -> int:
-        return hash((self.num, self.exp))
+        # An integer hashes as the int it equals (Dyadic(3) == 3).
+        return hash(self.num) if self.exp == 0 else hash((self.num, self.exp))
 
     # -- rendering -----------------------------------------------------
-
-    def __float__(self) -> float:
-        return self.num / (1 << self.exp)
 
     def decimal(self) -> str:
         """Exact decimal expansion (dyadics always terminate in base 10)."""
@@ -204,12 +202,12 @@ class Dyadic:
     def __repr__(self) -> str:
         if self.exp == 0:
             return f"Dyadic({_int_to_decimal(self.num)})"
-        return f"Dyadic({_int_to_decimal(self.num)}, {self.exp})"
+        return f"Dyadic({_int_to_decimal(self.num)}, {_int_to_decimal(self.exp)})"
 
     def __str__(self) -> str:
         if self.exp == 0:
             return _int_to_decimal(self.num)
-        return f"{_int_to_decimal(self.num)}/2^{self.exp}"
+        return f"{_int_to_decimal(self.num)}/2^{_int_to_decimal(self.exp)}"
 
     # -- serialization -------------------------------------------------
 

@@ -98,9 +98,6 @@ class GDeltaSet:
 
     halving = False  # stage(m) holds 2^-(m - k) of each cylinder of stage(k)
 
-    def to_spec_dict(self) -> dict:
-        raise NotImplementedError
-
 
 def _least_index(holds: Callable[[int], bool], start: int, last: int) -> Optional[int]:
     """The least k in [start, last] with holds(k), or None when holds(last)
@@ -221,9 +218,6 @@ class EvenZeros(GDeltaSet):
     def meets_target(self, t: BitString) -> bool:
         return t.v & _even_mask(t.n) == 0
 
-    def to_spec_dict(self) -> dict:
-        return {"kind": "even-zeros"}
-
 
 class Singleton(GDeltaSet):
     """One eventually-periodic point; stage(n) is its length-n cylinder.
@@ -287,8 +281,16 @@ class Singleton(GDeltaSet):
     def meets_target(self, t: BitString) -> bool:
         return self.point.starts_with(t)
 
-    def to_spec_dict(self) -> dict:
-        return {"kind": "singleton", "point": str(self.point)}
+
+def _exceeds_rate(m: Dyadic, e: int) -> bool:
+    """m > 2^-e, for a measure m ≤ 1, compared by exponents.  A rate
+    2^-e ≥ 1 bounds every measure; one below 2^-m.exp is exceeded by every
+    nonzero m; otherwise m.num is compared with 2^(m.exp - e)."""
+    if e <= 0:
+        return False
+    if e > m.exp:
+        return m.num > 0
+    return m.num > 1 << (m.exp - e)
 
 
 class ExplicitGDelta(GDeltaSet):
@@ -302,16 +304,15 @@ class ExplicitGDelta(GDeltaSet):
     stages are used up.  Decreasingness and the declared rate are checked
     on the listed stages up front (stage(0) must be full; rate is checked
     from stage 1 on, since λ(stage(0)) = 1 always).
+
+    The rate 2^-(n + c) is given once, as its offset c (see parse_rate).
+    It is checked exactly for a c of any size: a stage's measure is
+    compared with the rate by exponents, so no power 2^|c| is built.
     """
 
     kind = "explicit"
 
-    def __init__(
-        self,
-        stages: Sequence[ClopenSet],
-        rate_fn: Callable[[int], Dyadic],
-        rate_text: str,
-    ) -> None:
+    def __init__(self, stages: Sequence[ClopenSet], rate: int) -> None:
         stages = list(stages)
         if not stages:
             raise ParseError("explicit description needs at least one stage")
@@ -321,13 +322,13 @@ class ExplicitGDelta(GDeltaSet):
             if not stages[n + 1].is_subset_of(stages[n]):
                 raise ParseError(f"explicit stages not decreasing at index {n + 1}")
         for n in range(1, len(stages)):
-            if stages[n].measure > rate_fn(n):
+            m = stages[n].measure
+            if _exceeds_rate(m, n + rate):
                 raise ParseError(
-                    f"stage {n} has measure {stages[n].measure} "
-                    f"exceeding declared rate {rate_fn(n)}"
+                    f"stage {n} has measure {m} "
+                    f"exceeding declared rate {Dyadic.pow2(-(n + rate))}"
                 )
         self.stages = stages
-        self.rate_text = rate_text
 
     def stage(self, n: int) -> ClopenSet:
         return self.stages[min(n, len(self.stages) - 1)]
@@ -341,13 +342,6 @@ class ExplicitGDelta(GDeltaSet):
 
     def meets_target(self, t: BitString) -> bool:
         return self.stages[-1].meets(t)
-
-    def to_spec_dict(self) -> dict:
-        return {
-            "kind": "explicit",
-            "stages": [[str(c) for c in st.cylinders] for st in self.stages],
-            "rate": self.rate_text,
-        }
 
 
 class SigmaThreeSet:
@@ -365,12 +359,6 @@ class SigmaThreeSet:
             return Membership.OUT
         return Membership.UNDECIDED
 
-    def to_spec_dict(self) -> dict:
-        return {
-            "kind": "sigma3",
-            "components": [c.to_spec_dict() for c in self.components],
-        }
-
     @staticmethod
     def from_spec(doc: dict) -> "SigmaThreeSet":
         if not isinstance(doc, dict) or doc.get("kind") != "sigma3":
@@ -381,48 +369,35 @@ class SigmaThreeSet:
         return SigmaThreeSet([component_from_spec(c) for c in comps])
 
 
-# -- spec-level operations --------------------------------------------------
-
-
-def even_zeros() -> EvenZeros:
-    return EvenZeros()
-
-
-def singleton(beta: Point) -> Singleton:
-    return Singleton(beta)
-
-
-def membership(s, beta: Point, depth: int) -> Membership:
-    """Tri-state membership for a component or a finite union of them."""
-    return s.membership(beta, depth)
-
-
-def density_ratio(m, beta: Point, l: int) -> Dyadic:
-    """λ(M ∩ N_{β|l}) / λ(N_{β|l}) for a clopen set or stage region."""
-    t = beta.prefix(l)
-    return m.measure_in(t).mul_pow2(l)
-
-
 # -- rate strings ------------------------------------------------------------
 
 _RATE_FORMS = ("2^-n", "2^-(n+c)", "2^-(n-c)")
 
 
-def parse_rate(text: str) -> Callable[[int], Dyadic]:
-    """Accepted decay-rate strings: 2^-n, 2^-(n+c), 2^-(n-c) (c a literal
-    natural number).  All denote exact powers of two."""
+def parse_rate(text: str) -> int:
+    """The offset c of a decay-rate string, whose rate is 2^-(n + c).
+    Accepted forms: 2^-n (c = 0), 2^-(n+c) and 2^-(n-c) (offset -c), with
+    c a literal natural number.  c may have as many digits as the
+    interpreter converts to an integer (sys.get_int_max_str_digits(),
+    4300 by default); a longer one is a parse error.  The rate is checked
+    exactly at any size (see ExplicitGDelta)."""
     if not isinstance(text, str):
         raise ParseError(f"rate must be a string, got {type(text).__name__}")
     s = text.replace(" ", "")
     if s == "2^-n":
-        return lambda n: Dyadic.pow2(-n)
+        return 0
     m = re.fullmatch(r"2\^-\(n([+-])([0-9]+)\)", s)
-    if m:
-        c = int(m.group(2))
-        if m.group(1) == "+":
-            return lambda n: Dyadic.pow2(-(n + c))
-        return lambda n: Dyadic.pow2(-(n - c))
-    raise ParseError(f"unsupported rate {text!r}; accepted forms: {_RATE_FORMS}")
+    if m is None:
+        raise ParseError(f"unsupported rate {text!r}; accepted forms: {_RATE_FORMS}")
+    digits = m.group(2)
+    try:
+        c = int(digits)
+    except ValueError:  # past the interpreter's integer-string digit limit
+        raise ParseError(
+            f"rate constant of {len(digits)} digits is longer than "
+            f"the interpreter's limit for integer strings"
+        ) from None
+    return c if m.group(1) == "+" else -c
 
 
 # Longest bit string an explicit stage may list: a named limit on input
@@ -463,10 +438,8 @@ def component_from_spec(doc: dict) -> GDeltaSet:
                 "repeats forever, so the component would be that nonempty "
                 "clopen set, which is not null"
             )
-        rate_text = doc.get("rate", "2^-n")
         return ExplicitGDelta(
             [ClopenSet.from_strings(st) for st in stages],
-            parse_rate(rate_text),
-            rate_text,
+            parse_rate(doc.get("rate", "2^-n")),
         )
     raise ParseError(f"unknown component kind {kind!r}")

@@ -69,9 +69,6 @@ class StageRegion:
     def covers(self, t: BitString) -> bool:
         return self.measure_in(t) == Dyadic.pow2(-len(t))
 
-    def contains_point(self, beta: Point) -> bool:
-        return self.target.stage_cylinder_containing(self.m, beta) is not None
-
     def cylinder_containing(self, beta: Point) -> Optional[BitString]:
         return self.target.stage_cylinder_containing(self.m, beta)
 
@@ -497,9 +494,10 @@ SCALE = Dyadic(3, 2)  # 3/4: brings Σ 4^(-n)·[0,1] = [0, 4/3] back into [0,1]
 
 class CombinedMartingale:
     """f = (3/4)·Σ_n 4^(-n)·f_n over the listed parts, extended by an exact
-    constant tail (all further parts ≡ tail_constant; zero when omitted).
-    Values stay in [0,1]; a point diverges iff some part diverges there, at
-    scaled oscillation ≥ 4^(-m)/8 for the minimal divergent index m."""
+    constant tail (all further parts ≡ tail_constant; zero when omitted),
+    so with no parts it is the constant tail.  Values stay in [0,1]; a
+    point diverges iff some part diverges there, at scaled oscillation
+    ≥ 4^(-m)/8 for the minimal divergent index m."""
 
     def __init__(self, parts: Sequence[Part], tail_constant: Optional[Dyadic] = None):
         self.parts = list(parts)
@@ -550,19 +548,10 @@ class CombinedMartingale:
         return MartingaleTable.from_entries(depth, lambda s, up: self.descend(k, s, up))
 
 
-def union_combine(
-    parts: Sequence[Part], tail_constant: Optional[Dyadic] = None
-) -> CombinedMartingale:
-    """Combine the parts into one martingale diverging exactly where some
-    part diverges.  Finite lists are zero-extended unless a constant tail is
-    given; an empty list yields the constant martingale tail_constant (or 0)."""
-    return CombinedMartingale(parts, tail_constant)
-
-
 def sigma3_pipeline(b: SigmaThreeSet) -> CombinedMartingale:
     """The full construction: one stagewise part per component of the finite
     union, combined geometrically."""
-    return union_combine([gdelta_martingale(c) for c in b.components])
+    return CombinedMartingale([gdelta_martingale(c) for c in b.components])
 
 
 # ---------------------------------------------------------------------------
@@ -590,11 +579,6 @@ class EmbeddedMartingale:
         return self.value(s), len(s) >= self.depth, None
 
     def truncated_table(self, k: int, depth: int) -> MartingaleTable:
-        return self.table(depth)
-
-    def table(self, depth: int) -> MartingaleTable:
-        return MartingaleTable.from_entries(depth, lambda s, up: self.descend(0, s, up))
-
-
-def embed_continuous(h: StepFunction) -> EmbeddedMartingale:
-    return EmbeddedMartingale(h)
+        """φ(h)'s table to the given depth, for every k: φ(h) has no
+        truncation."""
+        return MartingaleTable.from_entries(depth, lambda s, up: self.descend(k, s, up))

@@ -140,9 +140,6 @@ class MartingaleTable:
             for v in range(1 << l):
                 yield BitString.raw(l, v), next(values)
 
-    def interior_nodes(self) -> Iterator[tuple[BitString, Dyadic]]:
-        return islice(self.nodes(), (1 << self.depth) - 1)
-
     def to_document(self, spec_echo: Optional[dict] = None, truncation: Optional[int] = None) -> dict:
         """The table as a document.  Nodes that share a value object share
         one `values` entry dict, converted once."""

@@ -16,9 +16,9 @@ import pytest
 from divmart.analysis import (
     certify_convergence,
     certify_divergence,
-    check_identity,
     divergence_measure_bound,
     doob_diagnostic,
+    first_identity_violation,
     limit_function,
 )
 from divmart.bits import BitString, Point
@@ -26,11 +26,11 @@ from divmart.dyadic import Dyadic
 from divmart.fine import StepFunction, mean_trace, urysohn
 from divmart.sets import EvenZeros, SigmaThreeSet, Singleton
 from divmart.synthesis import (
+    CombinedMartingale,
     ConstantPart,
-    embed_continuous,
+    EmbeddedMartingale,
     gdelta_martingale,
     sigma3_pipeline,
-    union_combine,
 )
 
 BUDGET = 12
@@ -70,7 +70,7 @@ def deep_table(even_pipeline):
 
 def test_1_exact_identity_at_depth_12(deep_table):
     table, elapsed = deep_table
-    ok = check_identity(table) and elapsed < 60.0
+    ok = first_identity_violation(table) is None and elapsed < 60.0
     assert report(
         1, ok,
         f"exact martingale identity, even-zeros k=3 depth=12 "
@@ -158,7 +158,7 @@ def test_5_constant_preservation():
     failures = []
     for c in constants:
         for k in (1, 2, 3):
-            f = union_combine([ConstantPart(c)] * k, tail_constant=c)
+            f = CombinedMartingale([ConstantPart(c)] * k, tail_constant=c)
             for s in nodes:
                 lo, hi = f.eval(s, Dyadic(1, 20))
                 if not (lo == hi == c):
@@ -185,8 +185,8 @@ def _random_steps(count: int, max_depth: int):
 def test_6_embedding_round_trip():
     failures = []
     for i, h in enumerate(_random_steps(20, 6)):
-        emb = embed_continuous(h)
-        if not check_identity(emb.table(h.depth + 2)):
+        emb = EmbeddedMartingale(h)
+        if first_identity_violation(emb.truncated_table(0, h.depth + 2)) is not None:
             failures.append(f"step{i}:identity")
             continue
         for tail in ("(0)", "(1)", "(10)"):
@@ -211,11 +211,11 @@ def test_7_doob_upcrossing_bound(deep_table, even_pipeline, even_set):
     )
     tables.append(union.truncated_table(1, 10))
     tables.append(
-        union_combine([ConstantPart(Dyadic(5, 3))] * 2,
+        CombinedMartingale([ConstantPart(Dyadic(5, 3))] * 2,
                       tail_constant=Dyadic(5, 3)).truncated_table(1, 8)
     )
     for h in _random_steps(3, 6):
-        tables.append(embed_continuous(h).table(h.depth + 2))
+        tables.append(EmbeddedMartingale(h).truncated_table(0, h.depth + 2))
     a, b = Dyadic(1, 2), Dyadic(3, 2)
     failures = []
     for i, table in enumerate(tables):
@@ -255,12 +255,12 @@ def _naive_interior(table, depth):
 
 def test_9_leaf_average_oracle(even_pipeline):
     failures = []
-    emb = embed_continuous(
+    emb = EmbeddedMartingale(
         StepFunction(3, [Dyadic(i, 3) for i in range(8)])
     )
     for name, table in (
         ("synthesized", even_pipeline.truncated_table(1, 10)),
-        ("embedded", emb.table(10)),
+        ("embedded", emb.truncated_table(0, 10)),
     ):
         naive = _naive_interior(table, 10)
         for (l, v), want in naive.items():

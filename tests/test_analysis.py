@@ -17,7 +17,6 @@ from divmart.analysis import (
     UpcrossingStats,
     certify_convergence,
     certify_divergence,
-    check_identity,
     divergence_measure_bound,
     doob_diagnostic,
     first_identity_violation,
@@ -30,11 +29,11 @@ from divmart.errors import UndefinedAtPoint
 from divmart.fine import StepFunction
 from divmart.sets import EvenZeros, SigmaThreeSet, Singleton
 from divmart.synthesis import (
+    CombinedMartingale,
     ConstantPart,
-    embed_continuous,
+    EmbeddedMartingale,
     gdelta_martingale,
     sigma3_pipeline,
-    union_combine,
 )
 from divmart.table import MartingaleTable
 
@@ -82,7 +81,7 @@ def test_divergence_refused_off_the_target(even):
 def test_divergence_inconclusive_for_everywhere_convergent_martingales():
     want = Inconclusive("martingale converges everywhere")
     assert certify_divergence(ConstantPart(Dyadic(1, 1)), Point.parse("(0)")).verdict == want
-    phi = embed_continuous(StepFunction(1, [Dyadic.one(), Dyadic.zero()]))
+    phi = EmbeddedMartingale(StepFunction(1, [Dyadic.one(), Dyadic.zero()]))
     assert certify_divergence(phi, Point.parse("(0)")).verdict == want
 
 
@@ -124,7 +123,7 @@ def test_convergence_of_degenerate_parts():
     c = ConstantPart(Dyadic(5, 3))
     rep = certify_convergence(c, Point.parse("(10)"), EPS)
     assert rep.verdict == CertifiedConvergent(0, EPS) and rep.limit == Dyadic(5, 3)
-    phi = embed_continuous(StepFunction(2, [Dyadic.one(), Dyadic.zero(), Dyadic(1, 1), Dyadic(1, 2)]))
+    phi = EmbeddedMartingale(StepFunction(2, [Dyadic.one(), Dyadic.zero(), Dyadic(1, 1), Dyadic(1, 2)]))
     rep = certify_convergence(phi, Point.parse("10(1)"), EPS)
     assert rep.verdict == CertifiedConvergent(2, EPS)
     assert rep.limit == Dyadic(1, 1)  # the step value on the 10-cylinder
@@ -148,7 +147,7 @@ def test_combined_divergence_bounds(pipe):
 
 
 def test_combined_divergence_single_part_wrapper(even):
-    pipe1 = union_combine([even])
+    pipe1 = CombinedMartingale([even])
     rep = certify_divergence(pipe1, Point.parse("(0)"))
     assert rep.verdict == CertifiedDivergent(Dyadic(1, 3))
     assert rep.variation == Dyadic(714597, 20)
@@ -197,7 +196,7 @@ def test_osc_window_monotone_in_the_window(even):
 
 
 def test_osc_window_exact_for_embeddings():
-    phi = embed_continuous(StepFunction(1, [Dyadic.one(), Dyadic.zero()]))
+    phi = EmbeddedMartingale(StepFunction(1, [Dyadic.one(), Dyadic.zero()]))
     assert osc_window(phi, Point.parse("(0)"), 0, 4) == Dyadic(1, 1)
     assert osc_window(phi, Point.parse("(0)"), 1, 4) == Dyadic.zero()
 
@@ -253,11 +252,10 @@ def test_divergence_measure_bound_shrinks(even):
 
 def test_identity_violation_localized(even):
     table = even.truncated_table(1, 6)
-    assert check_identity(table)
+    assert first_identity_violation(table) is None
     values = list(table.values)
     values[(1 << 6) - 1 + 5] = values[(1 << 6) - 1 + 5] + Dyadic(1, 8)
     bad = MartingaleTable(6, values)
-    assert not check_identity(bad)
     assert first_identity_violation(bad) == BitString.raw(5, 2)
 
 
@@ -281,7 +279,6 @@ def test_table_checks_expand_the_table_once(even, monkeypatch):
         lambda: first_identity_violation(table),
         lambda: doob_diagnostic(table, Dyadic(1, 2), Dyadic(3, 2)),
         lambda: list(table.nodes()),
-        lambda: list(table.interior_nodes()),
     ]
     for check in checks:
         reads.clear()
@@ -292,10 +289,10 @@ def test_table_checks_expand_the_table_once(even, monkeypatch):
 def test_doob_upcrossings_hand_count():
     # Leaves (0, 1, 0, 0): exactly one of the four paths dips to 1/4 and
     # then rises above 3/4, so the mean upcrossing count is 1/4.
-    phi = embed_continuous(
+    phi = EmbeddedMartingale(
         StepFunction(2, [Dyadic.zero(), Dyadic.one(), Dyadic.zero(), Dyadic.zero()])
     )
-    stats = doob_diagnostic(phi.table(2), Dyadic(1, 2), Dyadic(3, 2))
+    stats = doob_diagnostic(phi.truncated_table(0, 2), Dyadic(1, 2), Dyadic(3, 2))
     assert stats == UpcrossingStats(Dyadic(1, 2), Dyadic(3, 2), 2, Dyadic(1, 2))
     assert stats.doob_product == Dyadic(1, 3)
 
@@ -331,7 +328,7 @@ def test_doob_bound_on_random_tables(leaves, a16, delta):
     if b16 == a16:
         b16 = a16 + 1
     depth = (len(leaves)).bit_length() - 1
-    table = embed_continuous(StepFunction(depth, leaves)).table(depth)
+    table = EmbeddedMartingale(StepFunction(depth, leaves)).truncated_table(0, depth)
     stats = doob_diagnostic(table, Dyadic(a16, 4), Dyadic(b16, 4))
     assert stats.doob_product <= Dyadic.one()
     assert stats.mean_upcrossings >= Dyadic.zero()

@@ -18,7 +18,7 @@ from divmart.cli import SUITES
 from divmart.dyadic import Dyadic
 from divmart.sets import EXPLICIT_BITS_LIMIT
 from divmart.table import MartingaleTable
-from divmart.analysis import check_identity
+from divmart.analysis import first_identity_violation
 
 EVEN = {"kind": "sigma3", "components": [{"kind": "even-zeros"}]}
 UNION = {
@@ -55,7 +55,7 @@ def test_synthesize_document(tmp_path):
     assert [st["stage_index"] for st in stages["stages"]] == [0, 4, 9]
     table, spec_echo, k = MartingaleTable.from_document(doc)
     assert spec_echo == EVEN and k == 1
-    assert check_identity(table)
+    assert first_identity_violation(table) is None
 
 
 def test_synthesize_deterministic(tmp_path):
@@ -171,6 +171,32 @@ def test_near_miss_points_precisions_and_rates_exit_two(tmp_path, component, arg
     res = run_cli([args[0], "--spec", spec, *args[1:]])
     assert res.exit_code == 2, res.output
     assert res.stdout == "" and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize(
+    "rate, code, message",
+    [
+        ("2^-(n-99999999999999)", 0, ""),
+        ("2^-(n+99999999999999)", 2,
+         "parse error: stage 1 has measure 1/2^1 exceeding declared rate 1/2^100000000000000\n"),
+        ("2^-(n+" + "9" * 5000 + ")", 2,
+         "parse error: rate constant of 5000 digits is longer than the "
+         "interpreter's limit for integer strings\n"),
+    ],
+    ids=["loose", "tight", "too-many-digits"],
+)
+def test_a_rate_with_a_large_constant_is_exact_or_a_parse_error(tmp_path, rate, code, message):
+    # The rate is compared with each stage's measure by exponents: 2^c for
+    # a large c would not fit in memory.
+    if "digits" in message and sys.get_int_max_str_digits() == 0:
+        pytest.skip("the interpreter converts integer strings of any length")
+    component = {"kind": "explicit", "stages": [["0"], []], "rate": rate}
+    spec = write_spec(tmp_path, {"kind": "sigma3", "components": [component]})
+    start = time.perf_counter()
+    res = run_cli(["measure", "--spec", spec])
+    assert time.perf_counter() - start < 1.0
+    assert res.exit_code == code, res.output
+    assert res.stderr == message
 
 
 def test_a_closed_stdout_exits_one_without_a_traceback(tmp_path):
@@ -575,9 +601,16 @@ valid_points = st.builds(
     "{}({})".format, bit_text, st.text(alphabet="01", min_size=1, max_size=3)
 )
 point_text = st.one_of(valid_points, valid_points, st.text(alphabet="01()x", max_size=8))
+# Rate constants: small ones, and ones of up to ten digits past the
+# interpreter's limit for integer strings (an exact check below it, a
+# parse error past it).
+DIGIT_LIMIT = sys.get_int_max_str_digits() or 4300
+rate_constants = st.integers(0, 40).map(str) | st.builds(
+    lambda digit, k: digit * k, st.sampled_from("19"), st.integers(1, DIGIT_LIMIT + 10)
+)
 rate_text = (
     st.sampled_from(["2^-n", "2^ - n", "3^-n", ""])
-    | st.builds("2^-(n{}{})".format, st.sampled_from("+-"), st.integers(0, 40))
+    | st.builds("2^-(n{}{})".format, st.sampled_from("+-"), rate_constants)
     | st.text(alphabet="2^-(n+)1 ", max_size=9)
 )
 # Nested paths of cylinders (decreasing stages, the last one empty or not).

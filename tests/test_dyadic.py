@@ -59,6 +59,20 @@ def test_int_mixing():
         Dyadic(1, 1) + 0.5  # floats never mix in
 
 
+def test_no_float_conversion():
+    # The core is float-free: a Dyadic never becomes a float.
+    with pytest.raises(TypeError):
+        float(Dyadic(1, 1))
+
+
+@given(st.integers(-(1 << 70), 1 << 70))
+def test_an_integer_hashes_as_the_int_it_equals(k):
+    d = Dyadic(k)
+    assert d == k and hash(d) == hash(k)
+    assert len({d, k}) == 1 and {k: "x"}[d] == "x"
+    assert hash(Dyadic(k, 3)) == hash(Dyadic(8 * k, 6))
+
+
 def test_comparisons():
     assert Dyadic(1, 2) < Dyadic(1, 1) <= Dyadic(2, 2)
     assert Dyadic(1, 1) >= 0

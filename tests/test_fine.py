@@ -216,7 +216,7 @@ def _explicit_path(w: str, null: bool) -> ExplicitGDelta:
     """Stages N_(w|1) ⊇ ... ⊇ N_w, then the empty stage when `null`; without
     it the last cylinder repeats and small budgets are never met."""
     stages = [ClopenSet.from_strings([w[:i]]) for i in range(1, len(w) + 1)]
-    return ExplicitGDelta(stages + [ClopenSet.empty()] * null, parse_rate("2^-n"), "2^-n")
+    return ExplicitGDelta(stages + [ClopenSet.empty()] * null, parse_rate("2^-n"))
 
 
 search_targets = st.one_of(
@@ -849,7 +849,7 @@ def test_evaluate_beyond_the_work_cap_fails_as_the_bisection_does(j, n):
 def _materialize(p) -> ClopenSet:
     if isinstance(p, ClopenSet):
         return p
-    return ClopenSet.cylinder(p.support).minus(p.gdelta.stage(p.k))
+    return ClopenSet.cylinder(p.support).intersect(p.gdelta.stage(p.k).complement())
 
 
 def _pieces_under_test():
@@ -972,7 +972,7 @@ def _widening_target(kind: str, prefix: str, period: str):
     target is empty."""
     if kind == "explicit":
         stages = [ClopenSet.from_strings(c) for c in _EXPLICIT_STAGES]
-        return ExplicitGDelta(stages, parse_rate("2^-n"), "2^-n"), "0" * 32
+        return ExplicitGDelta(stages, parse_rate("2^-n")), "0" * 32
     return _target_and_bits(kind, "0" * 16, prefix, period)
 
 

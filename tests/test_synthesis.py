@@ -44,10 +44,8 @@ from divmart.synthesis import (
     StageRegion,
     SynthesizedMartingale,
     WitnessFamily,
-    embed_continuous,
     gdelta_martingale,
     sigma3_pipeline,
-    union_combine,
 )
 from divmart.table import MartingaleTable
 
@@ -232,7 +230,7 @@ def _outcome(target, w, threshold, start, search):
 def test_stage_search_matches_linear_scan(steps, frozen, t, l, start, span):
     exps = list(accumulate(steps))
     threshold = Dyadic.pow2(-t)
-    w = BitString.zeros(l)
+    w = BitString.raw(l, 0)
     with patch.object(synthesis, "_STAGE_SEARCH_SPAN", span):
         want = _outcome(StepTarget(exps, frozen), w, threshold, start,
                         find_stage_index_reference)
@@ -427,8 +425,9 @@ def leaf_average_below(table, s):
 def test_truncated_table_is_a_martingale(even):
     table = even.truncated_table(1, 6)
     assert first_identity_violation(table) is None
-    for s, v in table.interior_nodes():
-        assert v == leaf_average_below(table, s)
+    for s, v in table.nodes():
+        if len(s) < table.depth:
+            assert v == leaf_average_below(table, s)
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +437,7 @@ def test_truncated_table_is_a_martingale(even):
 @pytest.fixture(scope="module")
 def explicit_target():
     stages = [ClopenSet.from_strings(["0" * k]) for k in range(17)]
-    return ExplicitGDelta(stages, parse_rate("2^-n"), "2^-n")
+    return ExplicitGDelta(stages, parse_rate("2^-n"))
 
 
 def test_explicit_target_builds_clopen_regions(explicit_target):
@@ -500,6 +499,36 @@ def test_convergence_through_materialized_regions(explicit_target, text, depth, 
     for l in range(depth, depth + 6):
         assert g.eval(beta.prefix(l), Dyadic.one()) == bracket
         assert g.partial_mean(3, beta.prefix(l)) == Dyadic(limit, 0)
+
+
+def _counted(cls, name):
+    return patch.object(cls, name, autospec=True, side_effect=getattr(cls, name))
+
+
+def test_convergence_asks_each_region_for_the_point_once(explicit_target):
+    # One pass per part: G*_0, …, G*_j* are each asked once for the
+    # cylinder holding β, where j* is the first region without β, and no
+    # region is asked whether it contains β.
+    parts = [gdelta_martingale(EvenZeros()), gdelta_martingale(explicit_target)]
+    beta = Point.parse("0000000001(1)")
+    jstars = [
+        next(j for j in range(4) if part.stage(j).gstar.cylinder_containing(beta) is None)
+        for part in parts
+    ]
+    assert jstars == [2, 3]
+    with _counted(StageRegion, "cylinder_containing") as stage_asks, \
+            _counted(ClopenSet, "cylinder_containing") as clopen_asks, \
+            _counted(ClopenSet, "contains_point") as contains:
+        rep = certify_convergence(CombinedMartingale(parts), beta, Dyadic(1, 6), 3)
+    assert rep.convergent
+    # (A StageRegion of an explicit target asks its stage's ClopenSet in
+    # turn; only the questions put to the regions are counted.)
+    asked = [c.args[0] for c in stage_asks.call_args_list + clopen_asks.call_args_list]
+    for part, jstar in zip(parts, jstars):
+        counts = [sum(r is cert.gstar for r in asked) for cert in part._stages]
+        assert counts == [1] * (jstar + 1)
+    assert contains.call_count == 0
+    assert not hasattr(StageRegion, "contains_point")
 
 
 class DeadAfterStageZero(GDeltaSet):
@@ -583,7 +612,7 @@ def test_constant_part_validation():
 def test_union_of_constants_is_the_constant():
     c = Dyadic(5, 3)
     for k in (1, 2, 3, 5):
-        f = union_combine([ConstantPart(c)] * k, tail_constant=c)
+        f = CombinedMartingale([ConstantPart(c)] * k, tail_constant=c)
         for name in ["", "0", "01", "0110", "111"]:
             s = BitString(name)
             assert f.eval(s, Dyadic(1, 6)) == (c, c)
@@ -591,16 +620,16 @@ def test_union_of_constants_is_the_constant():
 
 
 def test_empty_union_is_zero():
-    f = union_combine([])
+    f = CombinedMartingale([])
     assert f.eval(EMPTY, Dyadic(1, 4)) == (Dyadic.zero(), Dyadic.zero())
-    g = union_combine([], tail_constant=Dyadic(1, 1))
+    g = CombinedMartingale([], tail_constant=Dyadic(1, 1))
     assert g.eval(EMPTY, Dyadic(1, 4)) == (Dyadic(1, 1), Dyadic(1, 1))
     with pytest.raises(ValueError):
-        union_combine([], tail_constant=Dyadic(-1, 1))
+        CombinedMartingale([], tail_constant=Dyadic(-1, 1))
 
 
 def test_union_scaling_of_a_single_part(even):
-    f = union_combine([even])
+    f = CombinedMartingale([even])
     # At N_1 the part is exactly 1, so the union is exactly 3/4.
     assert f.eval(BitString("1"), Dyadic(1, 8)) == (SCALE, SCALE)
     with pytest.raises(ValueError):
@@ -608,7 +637,7 @@ def test_union_scaling_of_a_single_part(even):
 
 
 def test_union_table_is_the_scaled_sum(even, single):
-    f = union_combine([even, single], tail_constant=Dyadic(1, 1))
+    f = CombinedMartingale([even, single], tail_constant=Dyadic(1, 1))
     for name in ["", "0", "1", "010"]:
         s = BitString(name)
         want = (
@@ -635,7 +664,7 @@ def test_pipeline_wraps_components(even):
 
 def test_embedded_indicator_means():
     h = StepFunction(1, [Dyadic.one(), Dyadic.zero()])
-    phi = embed_continuous(h)
+    phi = EmbeddedMartingale(h)
     assert isinstance(phi, EmbeddedMartingale)
     assert phi.value(EMPTY) == Dyadic(1, 1)
     assert phi.value(BitString("0")) == Dyadic.one()
@@ -643,7 +672,7 @@ def test_embedded_indicator_means():
     # Constant below the step resolution.
     assert phi.value(BitString("0110")) == phi.value(BitString("01"))
     assert phi.eval(EMPTY, Dyadic(1, 9)) == (Dyadic(1, 1), Dyadic(1, 1))
-    assert phi.table(4).values == phi.truncated_table(3, 4).values
+    assert phi.truncated_table(0, 4).values == phi.truncated_table(3, 4).values
 
 
 dyadic_values = st.integers(min_value=0, max_value=64).map(lambda k: Dyadic(k, 6))
@@ -657,8 +686,8 @@ dyadic_values = st.integers(min_value=0, max_value=64).map(lambda k: Dyadic(k, 6
 )
 def test_embedded_tables_are_martingales(values):
     depth = (len(values)).bit_length() - 1
-    phi = embed_continuous(StepFunction(depth, values))
-    table = phi.table(depth + 1)
+    phi = EmbeddedMartingale(StepFunction(depth, values))
+    table = phi.truncated_table(0, depth + 1)
     assert first_identity_violation(table) is None
     # The embedding recovers the step exactly at its own resolution.
     for i, v in enumerate(values):
@@ -679,7 +708,6 @@ explicit_paths = st.text(alphabet="01", min_size=1, max_size=5).map(
         [ClopenSet.from_strings([w[:i]]) for i in range(1, len(w) + 1)]
         + [ClopenSet.empty()],
         parse_rate("2^-n"),
-        "2^-n",
     )
 )
 step_functions = st.integers(min_value=0, max_value=3).flatmap(
@@ -710,8 +738,8 @@ def test_descent_matches_the_per_node_table(singletons, explicit, tail, step, k,
     parts += [gdelta_martingale(Singleton(p)) for p in singletons]
     parts.append(gdelta_martingale(explicit))
     if step is not None:
-        parts.append(embed_continuous(step))
-    f = union_combine(parts, tail_constant=tail)
+        parts.append(EmbeddedMartingale(step))
+    f = CombinedMartingale(parts, tail_constant=tail)
     want = reference_table(f, k, depth)
     assert f.truncated_table(k, depth).values == want
     for part in parts:
@@ -753,8 +781,8 @@ def test_masked_descent_never_asks_a_settled_term(singletons, explicit, step, k,
     parts += [gdelta_martingale(Singleton(p)) for p in singletons]
     parts.append(gdelta_martingale(explicit))
     if step is not None:
-        parts.append(embed_continuous(step))
-    f = union_combine(parts)
+        parts.append(EmbeddedMartingale(step))
+    f = CombinedMartingale(parts)
     # The descent without the mask: every node starts from no state, so
     # every part and region is asked at every live node.
     unmasked = MartingaleTable.from_entries(depth, lambda s, up: f.descend(k, s, None))
@@ -789,7 +817,7 @@ def test_masked_descent_query_counts():
     parts = [gdelta_martingale(EvenZeros())] + [
         gdelta_martingale(Singleton(Point.parse(p))) for p in ("01(011)", "(1)")
     ]
-    f = union_combine(parts)
+    f = CombinedMartingale(parts)
     spies = [patch.object(part, "descend", wraps=part.descend) for part in parts]
     with patch.object(
         StageRegion, "measure_in", autospec=True, side_effect=StageRegion.measure_in
@@ -815,7 +843,7 @@ def test_masked_descent_query_counts():
 
 
 def test_constant_tail_and_empty_union_settle_at_the_root():
-    for f in (union_combine([]), union_combine([ConstantPart(Dyadic(5, 3))], Dyadic(1, 1))):
+    for f in (CombinedMartingale([]), CombinedMartingale([ConstantPart(Dyadic(5, 3))], Dyadic(1, 1))):
         assert f.descend(4, EMPTY, None)[1]
         assert f.truncated_table(4, 6).values == reference_table(f, 4, 6)
 
@@ -989,7 +1017,7 @@ class LaggingHalving(GDeltaSet):
         self.lag = lag
 
     def stage(self, m):
-        return ClopenSet.cylinder(BitString.zeros(m if m <= 4 else self.lag(m)))
+        return ClopenSet.cylinder(BitString.raw(m if m <= 4 else self.lag(m), 0))
 
     def meets_target(self, t):
         return t.v == 0
@@ -1062,7 +1090,7 @@ def built_target(members, decoys, depths):
         return ClopenSet.from_cylinders(cyls)
 
     stages = [stage(d) for d in sorted(depths)] + [last]
-    return ExplicitGDelta(stages, parse_rate(LOOSE_RATE), LOOSE_RATE)
+    return ExplicitGDelta(stages, parse_rate(LOOSE_RATE))
 
 
 def self_covering(target):

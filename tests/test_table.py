@@ -22,7 +22,6 @@ from divmart.synthesis import (
     EmbeddedMartingale,
     SynthesizedMartingale,
     sigma3_pipeline,
-    union_combine,
 )
 from divmart.table import (
     DOCUMENT_KIND,
@@ -50,7 +49,6 @@ def test_breadth_first_layout():
     assert t.value(BitString("1")) == Dyadic(3, 2)
     assert t.value(BitString("01")) == Dyadic(1, 1)
     assert [str(s) for s, _ in t.nodes()] == ["", "0", "1", "00", "01", "10", "11"]
-    assert [str(s) for s, _ in t.interior_nodes()] == ["", "0", "1"]
     assert leaf_values(t) == [Dyadic.zero(), Dyadic(1, 1), Dyadic(1, 1), Dyadic.one()]
 
 
@@ -69,8 +67,9 @@ def leaf_average_below(table: MartingaleTable, s: BitString) -> Dyadic:
 
 def test_leaf_average_matches_interior_values():
     t = small_table()
-    for s, v in t.interior_nodes():
-        assert leaf_average_below(t, s) == v
+    for s, v in t.nodes():
+        if len(s) < t.depth:
+            assert leaf_average_below(t, s) == v
 
 
 def test_construction_validation():
@@ -473,9 +472,6 @@ def assert_same_table(got: MartingaleTable, want: FlatTable, spec=None, truncati
     assert [got.value(s) for s, _ in nodes] == [v for _, v in nodes]
     assert all(got.value(s) is v for s, v in zip((s for s, _ in nodes), values))
     assert [(str(s), v) for s, v in got.nodes()] == [(str(s), v) for s, v in nodes]
-    interior = (1 << got.depth) - 1
-    assert [(str(s), v) for s, v in got.interior_nodes()] == [
-        (str(s), v) for s, v in nodes[:interior]]
     text = dumps_document(got.to_document(spec_echo=spec, truncation=truncation))
     assert text == plain_dumps(want.to_document(spec_echo=spec, truncation=truncation))
     back, spec_back, k = MartingaleTable.from_document(loads_document(text))
@@ -578,7 +574,7 @@ def test_run_kept_tables_match_the_flat_dyadic_descent(kinds, point, steps, cons
     parts = list(sigma3_pipeline(SigmaThreeSet.from_spec(spec)).parts)
     parts += [EmbeddedMartingale(StepFunction(len(steps).bit_length() - 1, steps)),
               ConstantPart(constant)]
-    for f in parts + [union_combine(parts, tail_constant=tail)]:
+    for f in parts + [CombinedMartingale(parts, tail_constant=tail)]:
         want = FlatTable.from_entries(depth, lambda s, up: dyadic_descend(f, k, s, up))
         got = MartingaleTable.from_entries(depth, lambda s, up: f.descend(k, s, up))
         assert_same_table(got, want, spec=spec, truncation=k)
