@@ -21,7 +21,9 @@ a step function embeds as `EmbeddedMartingale(h)`, and a table passes
 the identity check when `first_identity_violation(table)` is None.  The
 one wrapper left, `gdelta_martingale(target)`, is
 `SynthesizedMartingale(target)`, kept because `measure` and the harness
-call it.
+call it.  Each answer has one source: a point is in a target or a union
+exactly when its `exit_stage` is None, and a truncation mean is the
+descent sum that also fills a table.
 """
 
 from importlib import import_module
@@ -46,7 +48,6 @@ _HOMES = {
     "Inconclusive": "analysis",
     "KERNEL_NAME": "kernel",
     "MartingaleTable": "table",
-    "Membership": "sets",
     "OscillationReport": "analysis",
     "ParseError": "errors",
     "Point": "bits",

@@ -28,12 +28,12 @@ from typing import NamedTuple, Optional, Union
 from .bits import BitString, Point
 from .dyadic import Dyadic
 from .errors import DEFAULT_STAGE_BUDGET, UndefinedAtPoint
-from .sets import Membership
 from .synthesis import (
     SCALE,
     CombinedMartingale,
     ConstantPart,
     EmbeddedMartingale,
+    Part,
     SynthesizedMartingale,
 )
 from .table import MartingaleTable
@@ -155,13 +155,9 @@ def doob_diagnostic(table: MartingaleTable, a: Dyadic, b: Dyadic) -> UpcrossingS
 # ---------------------------------------------------------------------------
 # windows
 
-Analyzable = Union[
-    SynthesizedMartingale, CombinedMartingale, EmbeddedMartingale, ConstantPart
-]
-
 
 def osc_window(
-    f: Analyzable, beta: Point, n: int, l: int, precision: Optional[Dyadic] = None
+    f: Part, beta: Point, n: int, l: int, precision: Optional[Dyadic] = None
 ) -> Dyadic:
     """Certified lower bound on the value spread along β between depths n
     and l: the maximum pairwise distance of the evaluation intervals (width
@@ -230,7 +226,7 @@ def _single_divergence(
 
 
 def certify_divergence(
-    f: Analyzable, beta: Point, stage_budget: int = DEFAULT_STAGE_BUDGET
+    f: Part, beta: Point, stage_budget: int = DEFAULT_STAGE_BUDGET
 ) -> OscillationReport:
     """Prove osc(f, β) ≥ 1/2 (single part) or ≥ 4^(-m)/8 (combined with
     minimal divergent part index m) from witness metadata; Inconclusive when
@@ -240,7 +236,7 @@ def certify_divergence(
             beta, None, Dyadic.zero(), Inconclusive("martingale converges everywhere")
         )
     if isinstance(f, SynthesizedMartingale):
-        if f.target.membership(beta, stage_budget) is not Membership.IN:
+        if f.target.exit_stage(beta) is not None:
             return OscillationReport(
                 beta, None, Dyadic.zero(),
                 Inconclusive("point not certified inside the target"),
@@ -265,9 +261,7 @@ def _combined_divergence(
 ) -> OscillationReport:
     m = None
     for i, part in enumerate(f.parts):
-        if isinstance(part, SynthesizedMartingale) and (
-            part.target.membership(beta, stage_budget) is Membership.IN
-        ):
+        if isinstance(part, SynthesizedMartingale) and part.target.exit_stage(beta) is None:
             m = i
             break
     if m is None:
@@ -338,7 +332,7 @@ def _single_convergence(
 
 
 def certify_convergence(
-    f: Analyzable,
+    f: Part,
     beta: Point,
     epsilon: Dyadic,
     stage_budget: int = DEFAULT_STAGE_BUDGET,
@@ -387,7 +381,7 @@ def certify_convergence(
 
 
 def limit_function(
-    f: Analyzable,
+    f: Part,
     beta: Point,
     epsilon: Dyadic,
     stage_budget: int = DEFAULT_STAGE_BUDGET,

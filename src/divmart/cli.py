@@ -32,7 +32,7 @@ if TYPE_CHECKING:
 SUITES = ("identity", "divergence", "convergence", "doob", "moy")
 
 # Deterministic default sample points for the verification suites; each
-# suite filters them through exact membership, so only applicable ones run.
+# suite filters them by their exact exit stage, so only applicable ones run.
 _DEFAULT_POINTS = (
     "(0)",
     "0(01)",
@@ -79,7 +79,14 @@ def _parse_precision(text: str) -> Dyadic:
         m = re.fullmatch(r"([0-9]+)", s)
     if m is None:
         raise ParseError(f"bad precision {text!r}; write e.g. '2^-6'")
-    return Dyadic.pow2(-int(m.group(1)))
+    digits = m.group(1)
+    try:
+        return Dyadic.pow2(-int(digits))
+    except ValueError:  # past the interpreter's integer-string digit limit
+        raise ParseError(
+            f"precision exponent of {len(digits)} digits is longer than "
+            f"the interpreter's limit for integer strings"
+        ) from None
 
 
 def _integer(text: str) -> int:
@@ -121,13 +128,10 @@ def _load_samples(path: Optional[str], default: list[str]) -> list[Point]:
 
 
 def _stage_metadata(pipeline) -> list[dict]:
-    from .synthesis import SynthesizedMartingale
-
+    """The stage chain of each part of a `sigma3_pipeline`, all of them
+    synthesized parts."""
     meta = []
     for i, part in enumerate(pipeline.parts):
-        if not isinstance(part, SynthesizedMartingale):
-            meta.append({"part": i, "kind": "constant"})
-            continue
         stages = []
         for cert in part._stages:
             m = cert.gstar.measure
@@ -265,14 +269,13 @@ def _suite_identity(b, points, depth, truncation, eps, lines) -> bool:
 
 def _suite_divergence(b, points, depth, truncation, eps, lines) -> bool:
     from .analysis import certify_divergence
-    from .sets import Membership
     from .synthesis import sigma3_pipeline
 
     pipeline = sigma3_pipeline(b)
     ok = True
     tested = 0
     for beta in points:
-        if b.membership(beta, DEFAULT_STAGE_BUDGET) is not Membership.IN:
+        if b.exit_stage(beta) is not None:
             continue
         tested += 1
         rep = certify_divergence(pipeline, beta)
@@ -284,14 +287,14 @@ def _suite_divergence(b, points, depth, truncation, eps, lines) -> bool:
 
 def _suite_convergence(b, points, depth, truncation, eps, lines) -> bool:
     from .analysis import certify_convergence
-    from .sets import Membership
     from .synthesis import sigma3_pipeline
 
     pipeline = sigma3_pipeline(b)
     ok = True
     tested = 0
     for beta in points:
-        if b.membership(beta, DEFAULT_STAGE_BUDGET) is not Membership.OUT:
+        e = b.exit_stage(beta)
+        if e is None or e > DEFAULT_STAGE_BUDGET:
             continue
         tested += 1
         rep = certify_convergence(pipeline, beta, eps)
@@ -336,7 +339,6 @@ def _suite_moy(b, points, depth, truncation, eps, lines) -> bool:
     stay within 2^(-4) of the evaluated separator value by depth 24."""
     from .dyadic import Dyadic
     from .fine import mean_trace, urysohn
-    from .sets import Membership
 
     tolerance = Dyadic(1, 4)  # 2^(-4): grading granularity of the separator
     comp: GDeltaSet = b.components[0] if b.components else None
@@ -346,7 +348,8 @@ def _suite_moy(b, points, depth, truncation, eps, lines) -> bool:
     ok = True
     tested = 0
     for beta in points:
-        if comp.membership(beta, DEFAULT_STAGE_BUDGET) is not Membership.OUT:
+        e = comp.exit_stage(beta)
+        if e is None or e > DEFAULT_STAGE_BUDGET:
             continue
         tested += 1
         target = h.evaluate(beta, tolerance)

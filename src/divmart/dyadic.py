@@ -151,10 +151,23 @@ class Dyadic:
     # -- comparisons ---------------------------------------------------
 
     def _cmp(self, other: _IntLike) -> int:
+        """The sign of self - other.  Numerators over one exponent decide,
+        and so do their signs when those differ.  Values of one sign are
+        ordered by the position of their top bit, bit_length - exp, when
+        that differs; only values whose top bits agree are shifted to one
+        exponent, by at most the difference of their bit lengths.  Shifting
+        first would build a number of max(exp) bits, 12 TB for 2^-(10^14)."""
         o = self._coerce(other)
-        e = max(self.exp, o.exp)
-        a = self.num << (e - self.exp)
-        b = o.num << (e - o.exp)
+        a, b = self.num, o.num
+        d = self.exp - o.exp
+        if d and (a > 0 < b or a < 0 > b):
+            t = a.bit_length() - b.bit_length() - d
+            if t:
+                return 1 if (t > 0) == (a > 0) else -1
+            if d > 0:
+                b <<= d
+            else:
+                a <<= -d
         return (a > b) - (a < b)
 
     def __eq__(self, other: object) -> bool:

@@ -21,7 +21,6 @@ Explicitly-listed stage documents take the materialized path instead.
 
 from __future__ import annotations
 
-import enum
 import functools
 import re
 from typing import Callable, Optional, Sequence
@@ -30,15 +29,6 @@ from .bits import EMPTY, BitString, Point
 from .clopen import ClopenSet
 from .dyadic import Dyadic
 from .errors import HorizonExhausted, ParseError
-
-
-class Membership(enum.Enum):
-    IN = "In"
-    OUT = "Out"
-    UNDECIDED = "Undecided"
-
-    def __str__(self) -> str:
-        return self.value
 
 
 class GDeltaSet:
@@ -87,14 +77,6 @@ class GDeltaSet:
     def stage_sample(self, n: int, count: int) -> list:
         """First `count` antichain cylinders of stage(n), breadth-first."""
         return self.stage(n).sample_cylinders(count)
-
-    def membership(self, beta: Point, depth: int) -> Membership:
-        """Depth-indexed tri-state: Out requires exiting one of the first
-        `depth` stages; In is exact (decidable for this input class)."""
-        e = self.exit_stage(beta)
-        if e is None:
-            return Membership.IN
-        return Membership.OUT if e <= depth else Membership.UNDECIDED
 
     halving = False  # stage(m) holds 2^-(m - k) of each cylinder of stage(k)
 
@@ -351,13 +333,14 @@ class SigmaThreeSet:
     def __init__(self, components: Sequence[GDeltaSet]) -> None:
         self.components = list(components)
 
-    def membership(self, beta: Point, depth: int) -> Membership:
-        verdicts = [c.membership(beta, depth) for c in self.components]
-        if any(v is Membership.IN for v in verdicts):
-            return Membership.IN
-        if all(v is Membership.OUT for v in verdicts):
-            return Membership.OUT
-        return Membership.UNDECIDED
+    def exit_stage(self, beta: Point) -> Optional[int]:
+        """None when some component contains beta; otherwise the first n by
+        which beta has left stage(n) of every component, the largest
+        component exit stage (0 for the empty union)."""
+        stages = [c.exit_stage(beta) for c in self.components]
+        if None in stages:
+            return None
+        return max(stages, default=0)
 
     @staticmethod
     def from_spec(doc: dict) -> "SigmaThreeSet":

@@ -178,30 +178,33 @@ class StageCertificate:
     antichain (union = G**_n); G*_n enters the alternating sum S_n with
     sign (-1)^n.  Certificates chain through `prev`, so the whole
     region sequence G*_0 ⊇ … ⊇ G*_n is reachable from the newest one.
-    `stage_index` is the presentation stage realizing gstar, if any.
+    The witnesses and `stage_index` are read off the region.
 
     `verified` holds the witness cylinders at which the certificate was
     checked to lie inside every region G*_0, …, G*_n (see
     _check_mean_proximity); empty until the check has run, which assigns
     it."""
 
-    __slots__ = ("index", "gstar", "witnesses", "stage_index", "prev", "verified")
+    __slots__ = ("index", "gstar", "witnesses", "prev", "verified")
 
     def __init__(
         self,
         index: int,
         gstar: Region,
-        witnesses: WitnessFamily,
-        stage_index: Optional[int],
+        target: GDeltaSet,
         prev: Optional["StageCertificate"] = None,
-        verified: tuple[BitString, ...] = (),
     ) -> None:
         self.index = index
         self.gstar = gstar
-        self.witnesses = witnesses
-        self.stage_index = stage_index
+        self.witnesses = WitnessFamily(gstar, target)
         self.prev = prev
-        self.verified = verified
+        self.verified: tuple[BitString, ...] = ()
+
+    @property
+    def stage_index(self) -> Optional[int]:
+        """The presentation stage that gstar is, or None for a
+        materialized region."""
+        return self.gstar.m if isinstance(self.gstar, StageRegion) else None
 
     def extends_verified(self, w: BitString) -> bool:
         """Does w extend a verified witness?  Then N_w lies inside every
@@ -261,8 +264,7 @@ def build_stage(prev: StageCertificate, target: GDeltaSet) -> StageCertificate:
                 f"halving: λ(stage({m}) ∩ N_{_witness_text(rep)}) = {measure} "
                 f"is not below {threshold}·2^-{len(rep)}"
             )
-        region = StageRegion(target, m)
-        cert = StageCertificate(n + 1, region, WitnessFamily(region, target), m, prev)
+        cert = StageCertificate(n + 1, StageRegion(target, m), target, prev)
         _check_mean_proximity(cert, cert.witnesses.sample(1))
         return cert
 
@@ -271,10 +273,9 @@ def build_stage(prev: StageCertificate, target: GDeltaSet) -> StageCertificate:
         m = _find_stage_index(target, w, threshold, n + 1)
         piece = target.stage(m).intersect(ClopenSet.cylinder(w))
         pieces = pieces.union(piece)
-    witnesses = WitnessFamily(pieces, target)
-    cert = StageCertificate(n + 1, pieces, witnesses, None, prev)
+    cert = StageCertificate(n + 1, pieces, target, prev)
     # Every witness, uncapped: the cap applies when the next stage asks all().
-    _check_mean_proximity(cert, witnesses.sample(pieces.cylinder_count()))
+    _check_mean_proximity(cert, cert.witnesses.sample(pieces.cylinder_count()))
     return cert
 
 
@@ -371,7 +372,21 @@ def _check_mean_proximity(cert: StageCertificate, witnesses: Sequence[BitString]
     cert.verified = tuple(witnesses)
 
 
-class SynthesizedMartingale:
+class Part:
+    """A martingale the union combinator takes as a part.  Each kind answers
+    eval(s, precision) with a certified interval for f(s), and
+    descend(k, s, up) with the descent entry of its truncation M_k at s
+    (see _descend_sum); a kind without truncation gives the same M_k for
+    every k."""
+
+    def truncated_table(self, k: int, depth: int) -> MartingaleTable:
+        """The table of M_k to the given depth, built by one descent that
+        stops at settled nodes: M_k is constant on the whole subtree below
+        a settled node (see MartingaleTable.from_entries)."""
+        return MartingaleTable.from_entries(depth, lambda s, up: self.descend(k, s, up))
+
+
+class SynthesizedMartingale(Part):
     """Martingale with divergence set exactly the given measure-zero target.
 
     f(s) is approached from below by the exact truncation means
@@ -380,10 +395,13 @@ class SynthesizedMartingale:
     genuinely nested certified intervals.
     """
 
+    # Bound in the class as well: the benchmark's tracer (perfbench/)
+    # counts table builds by the methods a class itself holds.
+    truncated_table = Part.truncated_table
+
     def __init__(self, target: GDeltaSet) -> None:
         self.target = target
-        region = StageRegion(target, 0)
-        root = StageCertificate(0, region, WitnessFamily(region, target), 0)
+        root = StageCertificate(0, StageRegion(target, 0), target)
         _check_mean_proximity(root, (EMPTY,))
         self._stages: list[StageCertificate] = [root]
 
@@ -400,25 +418,18 @@ class SynthesizedMartingale:
         """λ(G*_j ∩ N_s) / λ(N_s), exact."""
         return self.stage(j).gstar.measure_in(s).mul_pow2(len(s))
 
-    def partial_mean(self, k: int, s: BitString) -> Dyadic:
-        """⨍_{N_s} S_k dλ = Σ_{j≤k} (-1)^j · relative_measure(j, s)."""
-        total = Dyadic.zero()
-        for j in range(k + 1):
-            r = self.relative_measure(j, s)
-            total = total - r if j % 2 else total + r
-        return total
-
     def table_value(self, k: int, s: BitString) -> Dyadic:
-        """M_k(s) = ⨍_{N_s} S_{k+1} dλ, the exact truncated table."""
-        return self.partial_mean(k + 1, s)
+        """M_k(s) = ⨍_{N_s} S_{k+1} dλ = Σ_{j≤k+1} (-1)^j · r_j(s), the
+        exact truncated table, for k ≥ -1."""
+        return self.descend(k, s, None)[0]
 
     def descend(
         self, k: int, s: BitString, up: Optional[DescentState]
     ) -> tuple[Dyadic, bool, DescentState]:
         """(M_k(s), settled, state) given the state at s's parent (None at
         the root), as a descent entry (see _descend_sum).  The terms are
-        the signed relative measures (-1)^j · r_j(s), j ≤ k+1, that
-        table_value adds up.  Term j's state is its region G*_j, resolved
+        the signed relative measures (-1)^j · r_j(s), j ≤ k+1, whose sum
+        table_value reads.  Term j's state is its region G*_j, resolved
         once at the root.  Each term reads λ(G*_j ∩ N_s) = m once and gives
         r_j(s) = m·2^len(s) as (±m.num, m.exp - len(s)), or (0, 0) for m = 0.
         Term j is settled when r_j(s) is 0 or 1, that is when its exponent
@@ -447,19 +458,12 @@ class SynthesizedMartingale:
                 return lo, lo + err
             k += 2
 
-    def truncated_table(self, k: int, depth: int) -> MartingaleTable:
-        """The table of M_k to the given depth, built by one descent that
-        stops at settled nodes: where every region G*_j, j ≤ k+1, covers N_s
-        or misses it, M_k is constant on the whole subtree below s (see
-        MartingaleTable.from_entries)."""
-        return MartingaleTable.from_entries(depth, lambda s, up: self.descend(k, s, up))
-
     # -- witness-level checks -------------------------------------------
 
     def witness_mean_error(self, n: int, w: BitString) -> Dyadic:
-        """|⨍_{N_w} S_n dλ − S_n(β on target)|, exact (condition (6))."""
-        diff = self.partial_mean(n, w) - _parity_value(n)
-        return abs(diff)
+        """|⨍_{N_w} S_n dλ − S_n(β on target)|, exact (condition (6)).
+        ⨍_{N_w} S_n dλ is M_(n-1)(w); M_(-1) is the single term r_0."""
+        return abs(self.table_value(n - 1, w) - _parity_value(n))
 
 
 def gdelta_martingale(target: GDeltaSet) -> SynthesizedMartingale:
@@ -472,7 +476,7 @@ def gdelta_martingale(target: GDeltaSet) -> SynthesizedMartingale:
 # combination
 
 
-class ConstantPart:
+class ConstantPart(Part):
     """Degenerate part: the constant martingale c (converges everywhere)."""
 
     def __init__(self, c: Dyadic) -> None:
@@ -487,17 +491,17 @@ class ConstantPart:
         return self.c, True, None
 
 
-Part = Union[SynthesizedMartingale, ConstantPart]
-
 SCALE = Dyadic(3, 2)  # 3/4: brings Σ 4^(-n)·[0,1] = [0, 4/3] back into [0,1]
 
 
-class CombinedMartingale:
+class CombinedMartingale(Part):
     """f = (3/4)·Σ_n 4^(-n)·f_n over the listed parts, extended by an exact
     constant tail (all further parts ≡ tail_constant; zero when omitted),
     so with no parts it is the constant tail.  Values stay in [0,1]; a
     point diverges iff some part diverges there, at scaled oscillation
     ≥ 4^(-m)/8 for the minimal divergent index m."""
+
+    truncated_table = Part.truncated_table  # see SynthesizedMartingale
 
     def __init__(self, parts: Sequence[Part], tail_constant: Optional[Dyadic] = None):
         self.parts = list(parts)
@@ -542,11 +546,6 @@ class CombinedMartingale:
             up = tail.num, tail.exp, tuple((n, None) for n in range(len(self.parts)))
         return _descend_sum(up, term)
 
-    def truncated_table(self, k: int, depth: int) -> MartingaleTable:
-        """The table of M_k, descending only below nodes where some part is
-        not yet settled (see SynthesizedMartingale.truncated_table)."""
-        return MartingaleTable.from_entries(depth, lambda s, up: self.descend(k, s, up))
-
 
 def sigma3_pipeline(b: SigmaThreeSet) -> CombinedMartingale:
     """The full construction: one stagewise part per component of the finite
@@ -558,7 +557,7 @@ def sigma3_pipeline(b: SigmaThreeSet) -> CombinedMartingale:
 # embedding of step functions
 
 
-class EmbeddedMartingale:
+class EmbeddedMartingale(Part):
     """φ(h)(s) = ⨍_{N_s} h dλ for a depth-d step function h: exact at every
     node, constant below depth d, and recovering h as its limit function."""
 
@@ -577,8 +576,3 @@ class EmbeddedMartingale:
         """(φ(h)(s), settled, None): h is constant on N_s once len(s) ≥ its
         depth."""
         return self.value(s), len(s) >= self.depth, None
-
-    def truncated_table(self, k: int, depth: int) -> MartingaleTable:
-        """φ(h)'s table to the given depth, for every k: φ(h) has no
-        truncation."""
-        return MartingaleTable.from_entries(depth, lambda s, up: self.descend(k, s, up))

@@ -158,6 +158,16 @@ def test_combined_divergence_needs_a_member_component(pipe):
     assert rep.verdict == Inconclusive("no component certified to contain the point")
 
 
+def test_combined_divergence_needs_the_earlier_parts_constant():
+    # 0^300(1) is in the singleton (part 1) and leaves even-zeros (part 0)
+    # at stage 151, past the budget of 12: part 0 is not certified constant
+    # along the point, so its divergence cannot be isolated.
+    beta = Point.parse("0" * 300 + "(1)")
+    f = sigma3_pipeline(SigmaThreeSet([EvenZeros(), Singleton(beta)]))
+    rep = certify_divergence(f, beta, 12)
+    assert rep.verdict == Inconclusive("part before index 1 not certified constant")
+
+
 def test_combined_convergence_sums_the_limits(pipe):
     rep = certify_convergence(pipe, Point.parse("10(0)"), EPS)
     assert rep.verdict == CertifiedConvergent(2, EPS)
@@ -170,6 +180,14 @@ def test_limit_function_point_interval(pipe):
     with pytest.raises(UndefinedAtPoint) as exc:
         limit_function(pipe, Point.parse("(0)"), EPS)
     assert "diverges" in str(exc.value)
+
+
+def test_limit_function_without_a_certificate(even):
+    # 0^2000(1) leaves even-zeros at stage 1001: neither certificate is
+    # found within the default budget.
+    beta = Point.parse("0" * 2000 + "(1)")
+    with pytest.raises(UndefinedAtPoint, match=r"^no certificate at "):
+        limit_function(even, beta, EPS)
 
 
 def test_default_stage_budget():

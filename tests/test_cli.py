@@ -199,6 +199,32 @@ def test_a_rate_with_a_large_constant_is_exact_or_a_parse_error(tmp_path, rate, 
     assert res.stderr == message
 
 
+@pytest.mark.parametrize("point", ["(0)", "(1)"])
+def test_a_precision_with_a_large_exponent_exhausts_the_stage_budget(tmp_path, point):
+    # Each bracket is compared with 2^-(10^14) by exponents, never by
+    # shifting to a 10^14-bit numerator; the stage chain runs out first.
+    spec = write_spec(tmp_path, EVEN)
+    start = time.perf_counter()
+    res = run_cli(["trace", "--spec", spec, "--point", point, "--depth", "3",
+                   "--precision", "2^-99999999999999"])
+    assert time.perf_counter() - start < 5.0
+    assert res.exit_code == 3, res.output
+    assert res.stderr.startswith("horizon exhausted: stage budget")
+    assert res.stdout == "" and "Traceback" not in res.stderr
+
+
+def test_a_precision_past_the_digit_limit_exits_two(tmp_path):
+    if sys.get_int_max_str_digits() == 0:
+        pytest.skip("the interpreter converts integer strings of any length")
+    spec = write_spec(tmp_path, EVEN)
+    res = run_cli(["trace", "--spec", spec, "--point", "(0)", "--precision", "2^-" + "9" * 5000])
+    assert res.exit_code == 2, res.output
+    assert res.stderr == (
+        "parse error: precision exponent of 5000 digits is longer than "
+        "the interpreter's limit for integer strings\n"
+    )
+
+
 def test_a_closed_stdout_exits_one_without_a_traceback(tmp_path):
     # 172 kB of CSV, more than a pipe holds: the command is still writing
     # when the reader closes the pipe after the first line.
@@ -377,6 +403,10 @@ def test_verify_custom_samples_and_failure(tmp_path):
     res = run_cli(["verify", "--spec", spec, "--suite", "convergence", "--samples", str(samples)])
     assert res.exit_code == 1
     assert "FAIL convergence no off-set sample points" in res.output
+    samples.write_text(json.dumps(["(0)"]))
+    res = run_cli(["verify", "--spec", spec, "--suite", "moy", "--samples", str(samples)])
+    assert res.exit_code == 1
+    assert res.output == "FAIL moy no off-target sample points\n"
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"points": [3]}))
     res = run_cli(["verify", "--spec", spec, "--suite", "identity", "--samples", str(bad)])
@@ -485,6 +515,8 @@ def test_malformed_json_exits_two(tmp_path):
     p.write_text("{nope")
     res = run_cli(["synthesize", "--spec", str(p)])
     assert res.exit_code == 2 and "parse error" in res.stderr
+    res = run_cli(["synthesize", "--spec", str(tmp_path / "missing.json")])
+    assert res.exit_code == 2 and "parse error: cannot read" in res.stderr
 
 
 @pytest.mark.parametrize(
@@ -513,6 +545,14 @@ def test_oversized_json_integer_exits_two(tmp_path):
                  + "1" * 5000 + "}]}")
     res = run_cli(["measure", "--spec", str(p)])
     assert res.exit_code == 2 and "parse error" in res.stderr
+
+
+def test_a_rate_that_is_not_a_string_exits_two(tmp_path):
+    component = {"kind": "explicit", "stages": [["0"], []], "rate": 5}
+    spec = write_spec(tmp_path, {"kind": "sigma3", "components": [component]})
+    res = run_cli(["measure", "--spec", spec])
+    assert res.exit_code == 2
+    assert res.stderr == "parse error: rate must be a string, got int\n"
 
 
 def test_unknown_component_exits_two(tmp_path):

@@ -120,6 +120,37 @@ def test_ordering_matches_fraction(a, b):
     assert (a == b) == (frac(a) == frac(b))
 
 
+def order(x, y) -> tuple:
+    return (x < y, x <= y, x == y, x != y, x >= y, x > y)
+
+
+@given(dyadics, dyadics, st.integers(min_value=0, max_value=10**14))
+def test_ordering_across_an_exponent_gap_matches_fraction(a, b, gap):
+    # b·2^-gap, never shifted to a common exponent with a.  Past a gap of
+    # 100 it is below 2^-60 in size (its numerator is at most 2^40), while
+    # a nonzero a is at least 2^-48: the order is the order at gap 100,
+    # which Fraction can hold.
+    far = Dyadic(b.num, b.exp + gap)
+    near = Fraction(b.num, 1 << (b.exp + min(gap, 100)))
+    assert order(a, far) == order(frac(a), near)
+    assert order(far, a) == order(near, frac(a))
+
+
+@given(
+    st.integers(min_value=-(2**40), max_value=2**40).filter(bool),
+    st.integers(min_value=0, max_value=48),
+    st.integers(min_value=0, max_value=5000),
+    st.integers(min_value=-(2**40), max_value=2**40),
+)
+def test_ordering_of_values_with_one_top_bit_matches_fraction(x, e, gap, r):
+    # x·2^-e against itself moved by r·2^-(e + gap): the top bits agree
+    # unless r is large next to x·2^gap, so the exponents are aligned.
+    a = Dyadic(x, e)
+    b = Dyadic((x << gap) + r, e + gap)
+    assert order(a, b) == order(frac(a), frac(b))
+    assert order(b, a) == order(frac(b), frac(a))
+
+
 @given(dyadics, st.integers(min_value=-30, max_value=30))
 def test_mul_pow2_matches_fraction(a, k):
     assert frac(a.mul_pow2(k)) == frac(a) * Fraction(2) ** k

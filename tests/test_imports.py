@@ -97,7 +97,7 @@ fine = fine is sys.modules["divmart.fine"]
     assert star == divmart.__all__
     assert set(divmart.__all__) <= set(listed)
     assert fine
-    assert len(set(divmart.__all__)) == 42 and set(divmart._HOMES) == set(divmart.__all__)
+    assert len(set(divmart.__all__)) == 41 and set(divmart._HOMES) == set(divmart.__all__)
 
 
 def test_an_unknown_attribute_raises_attribute_error():

@@ -16,7 +16,6 @@ from divmart.sets import (
     EvenZeros,
     ExplicitGDelta,
     GDeltaSet,
-    Membership,
     SigmaThreeSet,
     Singleton,
     _exceeds_rate,
@@ -104,12 +103,32 @@ def test_exit_and_refutation():
         K.stage_refutation_depth(1, Point.parse("001(0)"))
 
 
+def membership(target, beta: Point, depth: int) -> str:
+    """The depth-cut tri-state, kept as the reference for the filters that
+    callers apply to an exit stage.  A component is In when beta
+    never exits it, Out when beta exits one of its first `depth` stages,
+    and Undecided otherwise.  A union is In when some component is In, Out
+    when every component is Out (so the empty union is Out)."""
+    if isinstance(target, SigmaThreeSet):
+        verdicts = [membership(c, beta, depth) for c in target.components]
+        if "In" in verdicts:
+            return "In"
+        if all(v == "Out" for v in verdicts):
+            return "Out"
+        return "Undecided"
+    e = target.exit_stage(beta)
+    if e is None:
+        return "In"
+    return "Out" if e <= depth else "Undecided"
+
+
 def test_membership_tristate():
-    assert K.membership(Point.parse("(0)"), 0) is Membership.IN
-    assert K.membership(Point.parse("(1)"), 3) is Membership.OUT
+    assert membership(K, Point.parse("(0)"), 0) == "In"
+    assert membership(K, Point.parse("(1)"), 3) == "Out"
     deep = Point.parse("0" * 40 + "1(0)")  # exits at stage 21
-    assert K.membership(deep, 3) is Membership.UNDECIDED
-    assert K.membership(deep, 25) is Membership.OUT
+    assert K.exit_stage(deep) == 21
+    assert membership(K, deep, 3) == "Undecided"
+    assert membership(K, deep, 25) == "Out"
 
 
 def test_measure_stage_in_matches_the_stage_to_length_10():
@@ -435,11 +454,47 @@ def test_spec_errors():
 
 def test_sigma3_membership():
     b = SigmaThreeSet([EvenZeros(), Singleton(Point.parse("(1)"))])
-    assert b.membership(Point.parse("(0)"), 5) is Membership.IN
-    assert b.membership(Point.parse("(1)"), 5) is Membership.IN
-    assert b.membership(Point.parse("(10)"), 5) is Membership.OUT
+    assert b.exit_stage(Point.parse("(0)")) is None
+    assert b.exit_stage(Point.parse("(1)")) is None
+    # (10) leaves even-zeros at stage 1 and the singleton (1) at stage 2.
+    assert b.exit_stage(Point.parse("(10)")) == 2
     deep = Point.parse("0" * 40 + "1(0)")
-    assert b.membership(deep, 3) is Membership.UNDECIDED
+    assert b.exit_stage(deep) == 21
+    assert membership(b, deep, 3) == "Undecided"
+    assert SigmaThreeSet([]).exit_stage(Point.parse("(0)")) == 0
+
+
+# Points whose first 1 may follow up to 60 zeros, so they exit even-zeros
+# on both sides of the depths drawn; explicit paths end in an empty stage,
+# so every point exits them.
+deep_points = st.builds(
+    lambda zeros, pre, per: Point.parse(f"{'0' * zeros}{pre}({per})"),
+    st.integers(min_value=0, max_value=60),
+    st.text(alphabet="01", max_size=6),
+    st.text(alphabet="01", min_size=1, max_size=3),
+)
+components = st.one_of(
+    st.just(EvenZeros()),
+    deep_points.map(Singleton),
+    st.text(alphabet="01", min_size=1, max_size=8).map(
+        lambda w: _explicit([[w[:i]] for i in range(len(w) + 1)] + [[]])
+    ),
+)
+
+
+@given(st.lists(components, max_size=4), deep_points, st.integers(min_value=0, max_value=32))
+@example([], Point.parse("(0)"), 0)
+@example([EvenZeros(), Singleton(Point.parse("0" * 40 + "(1)"))], Point.parse("0" * 40 + "1(0)"), 20)
+@settings(max_examples=200)
+def test_exit_stage_filters_match_the_tristate(comps, beta, depth):
+    # `e is None` selects the In points, and `e <= depth` the Out points,
+    # of the union and of each component.
+    b = SigmaThreeSet(comps)
+    for target in [b, *comps]:
+        e = target.exit_stage(beta)
+        want = membership(target, beta, depth)
+        assert (e is None) == (want == "In")
+        assert (e is not None and e <= depth) == (want == "Out")
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from divmart.sets import (
     EvenZeros,
     ExplicitGDelta,
     GDeltaSet,
+    SigmaThreeSet,
     Singleton,
     _even_mask,
     parse_rate,
@@ -43,7 +44,6 @@ from divmart.synthesis import (
     StageCertificate,
     StageRegion,
     SynthesizedMartingale,
-    WitnessFamily,
     gdelta_martingale,
     sigma3_pipeline,
 )
@@ -166,10 +166,10 @@ def test_partial_mean_matches_the_chain_sum(n, l, v):
 
 def test_partial_mean_rejects_a_broken_chain(even):
     cert = even.stage(2)
-    orphan = StageCertificate(2, cert.gstar, cert.witnesses, cert.stage_index, None)
+    orphan = StageCertificate(2, cert.gstar, even.target, None)
     with pytest.raises(ValueError):
         partial_mean_at(orphan, EMPTY)
-    gap = StageCertificate(3, cert.gstar, cert.witnesses, None, even.stage(1))
+    gap = StageCertificate(3, cert.gstar, even.target, even.stage(1))
     with pytest.raises(ValueError):
         partial_mean_at(gap, EMPTY)
 
@@ -498,7 +498,7 @@ def test_convergence_through_materialized_regions(explicit_target, text, depth, 
     assert bracket[0] <= Dyadic(limit, 0) <= bracket[1]
     for l in range(depth, depth + 6):
         assert g.eval(beta.prefix(l), Dyadic.one()) == bracket
-        assert g.partial_mean(3, beta.prefix(l)) == Dyadic(limit, 0)
+        assert g.table_value(2, beta.prefix(l)) == Dyadic(limit, 0)
 
 
 def _counted(cls, name):
@@ -586,6 +586,17 @@ def test_a_halving_chain_without_witnesses_is_not_refused():
 # the union combinator
 
 
+def partial_mean(f: SynthesizedMartingale, n: int, s: BitString) -> Dyadic:
+    """⨍_{N_s} S_n dλ = Σ_{j≤n} (-1)^j · r_j(s), summed term by term in
+    Dyadic arithmetic: the reference for table_value and
+    witness_mean_error, which read the descent's integer sum."""
+    total = Dyadic.zero()
+    for j in range(n + 1):
+        r = f.relative_measure(j, s)
+        total = total - r if j % 2 else total + r
+    return total
+
+
 def table_value(f, k: int, s: BitString) -> Dyadic:
     """M_k(s) of any part or combination, computed node by node: the
     reference the settled-subtree descent is checked against."""
@@ -598,7 +609,7 @@ def table_value(f, k: int, s: BitString) -> Dyadic:
         return f.c
     if isinstance(f, EmbeddedMartingale):
         return f.value(s)
-    return f.table_value(k, s)
+    return partial_mean(f, k + 1, s)
 
 
 def test_constant_part_validation():
@@ -649,8 +660,6 @@ def test_union_table_is_the_scaled_sum(even, single):
 
 
 def test_pipeline_wraps_components(even):
-    from divmart.sets import SigmaThreeSet
-
     pipe = sigma3_pipeline(SigmaThreeSet([EvenZeros(), Singleton(Point.parse("(1)"))]))
     assert len(pipe.parts) == 2
     assert pipe.tail_constant is None
@@ -842,6 +851,22 @@ def test_masked_descent_query_counts():
     assert masked == [253, 25, 25, 975]
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.one_of(st.just(EvenZeros()), points.map(Singleton), explicit_paths),
+                min_size=1, max_size=3))
+def test_table_value_and_witness_mean_error_match_the_dyadic_loop(targets):
+    # Every part of a union's pipeline, at every node of depth ≤ 6: M_k for
+    # k ≤ 4, and the mean error of S_n for n ≤ 5, read as M_(n-1).
+    f = sigma3_pipeline(SigmaThreeSet(targets))
+    for part in f.parts:
+        for s in all_nodes(6):
+            for k in range(5):
+                assert part.table_value(k, s) == partial_mean(part, k + 1, s)
+            for n in range(6):
+                want = abs(partial_mean(part, n, s) - synthesis._parity_value(n))
+                assert part.witness_mean_error(n, s) == want
+
+
 def test_constant_tail_and_empty_union_settle_at_the_root():
     for f in (CombinedMartingale([]), CombinedMartingale([ConstantPart(Dyadic(5, 3))], Dyadic(1, 1))):
         assert f.descend(4, EMPTY, None)[1]
@@ -940,14 +965,15 @@ def test_build_stage_after_a_stage_whose_check_never_ran(target):
     # the per-witness path instead would enumerate 2^14 witnesses of the
     # even-zeros stage and raise HorizonExhausted.)
     real = gdelta_martingale(target).stage(3)
-    forged = StageCertificate(3, real.gstar, real.witnesses, real.stage_index, real.prev)
+    forged = StageCertificate(3, real.gstar, target, real.prev)
+    assert forged.stage_index == real.stage_index == M_CHAIN[3]
     assert forged.verified == () and forged.witnesses.count()
     with pytest.raises(ValueError, match="extends no verified witness of stage 3"):
         synthesis.build_stage(forged, target)
     # A stage with no witnesses leaves (5) nothing to be checked at: the
     # per-witness path builds the empty stage.
     empty = ClopenSet.empty()
-    dead = StageCertificate(3, empty, WitnessFamily(empty, target), None, real.prev)
+    dead = StageCertificate(3, empty, target, real.prev)
     cert = synthesis.build_stage(dead, target)
     assert cert.gstar == empty and cert.stage_index is None
     assert cert.verified == () and cert.witnesses.count() == 0
@@ -955,7 +981,7 @@ def test_build_stage_after_a_stage_whose_check_never_ran(target):
 
 def test_a_witness_outside_the_verified_ones_fails_the_check(even):
     prev = even.stage(2)
-    cert = StageCertificate(3, even.stage(3).gstar, even.stage(3).witnesses, M_CHAIN[3], prev)
+    cert = StageCertificate(3, even.stage(3).gstar, even.target, prev)
     # A genuine witness of G*_3 whose mean is the parity value, but which
     # does not extend the verified witness of stage 2: not certified.
     w = cert.witnesses.containing(Point.parse("(01)"))
@@ -975,10 +1001,10 @@ def test_a_witness_outside_the_verified_ones_fails_the_check(even):
 def test_a_broken_chain_fails_the_check(even):
     cert = even.stage(2)
     w = cert.witnesses.sample(1)
-    orphan = StageCertificate(2, cert.gstar, cert.witnesses, cert.stage_index, None)
+    orphan = StageCertificate(2, cert.gstar, even.target, None)
     with pytest.raises(ValueError, match="chain broken below index 2"):
         synthesis._check_mean_proximity(orphan, w)
-    gap = StageCertificate(3, cert.gstar, cert.witnesses, None, even.stage(1))
+    gap = StageCertificate(3, cert.gstar, even.target, even.stage(1))
     with pytest.raises(ValueError, match="no certificate at index 2"):
         synthesis._check_mean_proximity(gap, w)
 
