@@ -213,8 +213,18 @@ class Singleton(GDeltaSet):
 
     def __init__(self, point: Point) -> None:
         self.point = point
-        # ((len, value) of the last t asked about, its agreement length)
-        self._last_agreement: tuple = (None, 0)
+        # (n, point|n) for the last n asked about
+        self._last_prefix: tuple = (None, None)
+
+    def _prefix(self, n: int) -> BitString:
+        """point|n.  The last one is kept: a halving step samples its new
+        witness point|m and then asks whether a region covers it, and a
+        truncation mean asks about one t at many n."""
+        last, w = self._last_prefix
+        if last != n:
+            w = self.point.prefix(n)
+            self._last_prefix = (n, w)
+        return w
 
     def stage(self, n: int) -> ClopenSet:
         return ClopenSet.cylinder(self.point.prefix(n))
@@ -231,20 +241,14 @@ class Singleton(GDeltaSet):
         return Dyadic.zero()
 
     def _agreement(self, t: BitString) -> int:
-        """Length of the common prefix of t and the point.  The answer for
-        the last t is kept: a truncation mean asks about one t at many n."""
-        key = (t.n, t.v)
-        last, a = self._last_agreement
-        if last != key:
-            a = t.n - (self.point.prefix(t.n).v ^ t.v).bit_length()
-            self._last_agreement = (key, a)
-        return a
+        """Length of the common prefix of t and the point."""
+        return t.n - (self._prefix(t.n).v ^ t.v).bit_length()
 
     def stage_count(self, n: int) -> int:
         return 1
 
     def stage_sample(self, n: int, count: int) -> list:
-        return [self.point.prefix(n)] if count > 0 else []
+        return [self._prefix(n)] if count > 0 else []
 
     def stage_cylinder_containing(self, n: int, beta: Point) -> Optional[BitString]:
         w = self.point.prefix(n)

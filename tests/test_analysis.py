@@ -273,7 +273,8 @@ def test_identity_violation_localized(even):
     assert first_identity_violation(table) is None
     values = list(table.values)
     values[(1 << 6) - 1 + 5] = values[(1 << 6) - 1 + 5] + Dyadic(1, 8)
-    bad = MartingaleTable(6, values)
+    bad = MartingaleTable.from_entries(
+        6, lambda s, up: (values[(1 << len(s)) - 1 + s.v], False, None))
     assert first_identity_violation(bad) == BitString.raw(5, 2)
 
 

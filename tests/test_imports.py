@@ -18,7 +18,7 @@ from divmart.table import MartingaleTable, dumps_document
 
 SRC = str(Path(divmart.__file__).resolve().parents[1])
 EVEN = {"kind": "sigma3", "components": [{"kind": "even-zeros"}]}
-TABLE = MartingaleTable(2, [Dyadic(1, 1)] * 7)
+TABLE = MartingaleTable.from_entries(2, lambda s, up: (Dyadic(1, 1), True, None))
 
 # `dataclasses` loads `inspect`: several milliseconds of start-up.
 SLOW = ("click", "dataclasses", "inspect")

@@ -949,6 +949,18 @@ def test_a_halving_step_samples_one_witness(target):
     assert queries.call_count == 2 * n + 1
 
 
+def test_a_singleton_chain_builds_each_witness_once():
+    # A halving step samples its new witness point|m and then asks whether
+    # G*_(n+1) covers it; both read the singleton's kept prefix, so the
+    # chain builds point|m once for each of m_0, ..., m_n.
+    n = 2000
+    with patch.object(Point, "prefix", autospec=True, side_effect=Point.prefix) as prefixes:
+        gdelta_martingale(Singleton(Point.parse("01(011)"))).stage(n)
+    lengths = [call.args[1] for call in prefixes.call_args_list]
+    assert lengths[: len(M_CHAIN)] == M_CHAIN
+    assert len(lengths) == len(set(lengths)) == n + 1
+
+
 def test_the_even_zeros_chain_builds_no_mask():
     # Every witness of the chain is all zeros, a new length at each stage;
     # measure_stage_in answers them without the mask of that length.

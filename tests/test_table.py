@@ -2,7 +2,6 @@
 format (canonical JSON, lossless round-trips, strict parsing)."""
 
 import json
-from itertools import groupby
 from unittest.mock import patch
 
 import pytest
@@ -33,10 +32,17 @@ from divmart.table import (
 )
 
 
+def table_of(depth: int, values: list) -> MartingaleTable:
+    """The table holding values, flat in breadth-first order: every node a
+    live node of from_entries."""
+    return MartingaleTable.from_entries(
+        depth, lambda s, up: (values[(1 << len(s)) - 1 + s.v], False, None))
+
+
 def small_table() -> MartingaleTable:
     # Leaves 0, 1/2, 1/2, 1 at depth 2; interior values are the exact means.
     leaves = [Dyadic.zero(), Dyadic(1, 1), Dyadic(1, 1), Dyadic.one()]
-    return MartingaleTable(
+    return table_of(
         2,
         [Dyadic(1, 1), Dyadic(1, 2), Dyadic(3, 2)] + leaves,
     )
@@ -74,9 +80,7 @@ def test_leaf_average_matches_interior_values():
 
 def test_construction_validation():
     with pytest.raises(ValueError):
-        MartingaleTable(-1, [])
-    with pytest.raises(ValueError):
-        MartingaleTable(1, [Dyadic.zero()])
+        MartingaleTable.from_entries(-1, lambda s, up: (Dyadic.zero(), True, None))
     t = small_table()
     with pytest.raises(KeyError):
         t.value(BitString("000"))
@@ -139,7 +143,7 @@ def test_document_round_trip_beyond_the_digit_limit():
     # Numerators past CPython's 4,300-digit int/str limit (about 14,000 bits).
     a = Dyadic((1 << 15001) + 1, 15010)
     b = Dyadic(1, 1)
-    t = MartingaleTable(1, [(a + b).half(), a, b])
+    t = table_of(1, [(a + b).half(), a, b])
     assert t.values[0].num.bit_length() > 15000
     text = dumps_document(t.to_document())
     back, _, _ = MartingaleTable.from_document(loads_document(text))
@@ -173,7 +177,7 @@ def test_document_parsing_rejections():
     with pytest.raises(ParseError):
         MartingaleTable.from_document({**good, "depth": "2"})
     # bool is an int subclass, but true is neither depth 1 nor version 1
-    depth_one = MartingaleTable(1, [Dyadic.one()] * 3).to_document()
+    depth_one = table_of(1, [Dyadic.one()] * 3).to_document()
     with pytest.raises(ParseError, match="integer depth"):
         MartingaleTable.from_document({**depth_one, "depth": True})
     with pytest.raises(ParseError, match="unsupported table version True"):
@@ -260,7 +264,7 @@ spec_echoes = st.recursive(
     truncation=st.none() | st.integers(0, 9),
 )
 def test_writer_matches_json_dumps_on_random_tables(depth, pool, picks, spec, truncation):
-    t = MartingaleTable(depth, shared_values(pool, picks)[: (2 << depth) - 1])
+    t = table_of(depth, shared_values(pool, picks)[: (2 << depth) - 1])
     doc = t.to_document(spec_echo=spec, truncation=truncation)
     assert dumps_document(doc) == plain_dumps(doc)
     # The shared entry dicts are the values' own JSON forms.
@@ -331,15 +335,17 @@ def test_writer_keeps_json_dumps_errors():
 
 def test_writer_encodes_each_distinct_value_once():
     # 7 live nodes above depth 3, then 8 settled ones whose subtrees share
-    # their value objects: 15 objects for 8,191 nodes.
+    # their values: 15 value objects from entry, of 4 distinct values (one
+    # per depth up to 3), for 8,191 nodes.  The table keeps one object per
+    # value.
     t = MartingaleTable.from_entries(12, lambda s, up: (Dyadic(len(s), 4), len(s) >= 3, None))
     doc = t.to_document()
-    assert len({id(x) for x in t.values}) == len({id(x) for x in doc["values"]}) == 15
+    assert len({id(x) for x in t.values}) == len({id(x) for x in doc["values"]}) == 4
     with patch("divmart.table._canonical", wraps=table_module._canonical) as spy:
         text = dumps_document(doc)
     assert text == plain_dumps(doc)
     # one call per key name and per key other than values, one per distinct value
-    assert spy.call_count == 2 * len(doc) - 1 + 15
+    assert spy.call_count == 2 * len(doc) - 1 + 4
 
 
 good = Dyadic(1, 1).to_json()
@@ -412,9 +418,223 @@ def test_reader_matches_per_value_parsing_on_random_documents(depth, raw, picks)
 
 
 # ---------------------------------------------------------------------------
+# The reader against json.loads and the per-node parse it replaces, on
+# canonical documents and on perturbed ones.
+
+
+def parse_values_reference(raw: list) -> list:
+    """The per-node parse: [Dyadic.from_json(x) for x in raw], each
+    distinct (num, exp) pair of exactly a str and an int parsed once."""
+    memo: dict = {}
+    values = []
+    for x in raw:
+        if type(x) is dict:
+            num, exp = x.get("num"), x.get("exp")
+            if type(num) is str and type(exp) is int:
+                if (num, exp) not in memo:
+                    memo[num, exp] = Dyadic.from_json(x)
+                values.append(memo[num, exp])
+                continue
+        values.append(Dyadic.from_json(x))
+    return values
+
+
+def reference_read(text: str):
+    """json.loads, then the per-node from_document of a document whose
+    kind and version are right: (document, (depth, value pairs, spec,
+    truncation)), with a ParseError's text in place of what it stops."""
+    try:
+        doc = json.loads(text)
+    except ValueError as e:
+        return f"invalid JSON: {e}"
+    if not isinstance(doc, dict):
+        return "top-level JSON value must be an object"
+    assert doc["kind"] == DOCUMENT_KIND and doc["version"] == FORMAT_VERSION
+    depth, raw = doc["depth"], doc.get("values")
+    if not isinstance(depth, int) or not isinstance(raw, list):
+        return doc, "table document needs integer depth and a values array"
+    if len(raw) != (2 << depth) - 1:
+        return doc, f"a table of depth {depth} needs 2^{depth + 1} - 1 values, got {len(raw)}"
+    try:
+        values = parse_values_reference(raw)
+    except (ValueError, TypeError, OverflowError) as e:
+        return doc, f"bad dyadic in table values: {e}"
+    return doc, (depth, [(v.num, v.exp) for v in values], doc["spec"], doc["truncation"])
+
+
+def new_read(text: str):
+    """loads_document, then from_document, in reference_read's shape."""
+    try:
+        doc = loads_document(text)
+    except ParseError as e:
+        return str(e)
+    try:
+        table, spec, k = MartingaleTable.from_document(doc)
+    except ParseError as e:
+        return doc, str(e)
+    assert_runs_of(table, table.values)
+    return doc, (table.depth, [(v.num, v.exp) for v in table.values], spec, k)
+
+
+def spaced_text(pairs: list, rnd, escapes: bool) -> str:
+    """The object of pairs, in their order, duplicates and all, with JSON
+    whitespace drawn around every token, inner keys shuffled and, with
+    escapes, characters of strings drawn to be written as \\u escapes.  An
+    element of the top-level values array is written once and its text
+    repeated, so a run of one element is a run of one text."""
+    def ws():
+        return "".join(rnd.choice(" \t\n\r") for _ in range(rnd.randrange(3)))
+
+    def string(x):
+        return '"' + "".join(
+            f"\\u{ord(c):04x}" if escapes and ord(c) < 0x10000 and rnd.random() < 0.3
+            else json.dumps(c)[1:-1] for c in x) + '"'
+
+    def obj(items, top=False):
+        return "{" + ws() + ",".join(
+            ws() + string(k) + ws() + ":" + ws()
+            + (array(v, rnd.choice([",", ", ", None])) if top and k == "values"
+               and isinstance(v, list) else value(v)) + ws()
+            for k, v in items) + "}"
+
+    def array(xs, sep=None):
+        # sep None: whitespace drawn at each comma, and each element written
+        # on its own; otherwise one separator and one text per element object
+        texts: dict = {}
+        elements = []
+        for v in xs:
+            if sep is None or id(v) not in texts:
+                texts[id(v)] = value(v)
+            elements.append(texts[id(v)])
+        return "[" + ws() + (sep or "," + ws()).join(elements) + ws() + "]"
+
+    def value(x):
+        if isinstance(x, dict):
+            items = list(x.items())
+            rnd.shuffle(items)
+            return obj(items)
+        if isinstance(x, list):
+            return array(x)
+        if isinstance(x, str):
+            return string(x)
+        return json.dumps(x)
+
+    return ws() + obj(pairs, top=True) + ws()
+
+
+# Scalars whose texts are prefixes of one another's, for runs that end in
+# a longer token.
+prefix_scalars = [1, 12, 1.5, 10, -1, 1e5, "1", "1,1", True, None, [1], [1, [1]], {}]
+
+
+def canonical_element(x) -> str:
+    return json.dumps(x, sort_keys=True, separators=(",", ":"))
+
+
+# Changes to one element's canonical text t: broken, not canonical, or the
+# same value written another way.
+element_edits = [
+    lambda t: t[:-1],
+    lambda t: t + "1",
+    lambda t: t + ",",
+    lambda t: t + "]",
+    lambda t: "1" + t,
+    lambda t: "",
+    lambda t: t.replace(":", ": ", 1),
+    lambda t: t.replace('"num"', '"\\u006eum"'),
+    lambda t: t.replace('"exp"', '"exp":0,"exp"', 1),
+    lambda t: '{"exp":1,"num":"2"}',
+    lambda t: '{"exp":1,"num":1}',
+    lambda t: '{"num":"1","exp":1}',
+    lambda t: '{"exp":1.0,"num":"1"}',
+    lambda t: "12" if t == "1" else t + t,
+]
+
+# Changes to the whole canonical text s.
+text_edits = [
+    lambda s: "\ufeff" + s,
+    lambda s: s + "x",
+    lambda s: s + "}",
+    lambda s: s[:-2],
+    lambda s: s[:-3] + ",]}\n",
+    lambda s: " \t" + s + "\r\n ",
+    lambda s: "[" + s + "]",
+]
+
+SENTINEL = {"sentinel": 0}
+
+
+@st.composite
+def document_texts(draw):
+    depth = draw(st.integers(0, 6))
+    size = (2 << depth) - 1
+    elements = st.one_of(dyadics.map(Dyadic.to_json), dyadics.map(Dyadic.to_json), raw_values,
+                         st.sampled_from(prefix_scalars))
+    pool = draw(st.lists(elements, min_size=1, max_size=3))
+    # runs of one element object, of drawn lengths
+    cuts = sorted(draw(st.sets(st.integers(1, size - 1), max_size=5)) if size > 1 else [])
+    picks = draw(st.lists(st.integers(0, 2), min_size=len(cuts) + 1, max_size=len(cuts) + 1))
+    values = []
+    for pick, start, end in zip(picks, [0] + cuts, cuts + [size]):
+        values += [pool[pick % len(pool)]] * (end - start)
+    # stages: another top-level array, whose elements stay apart
+    doc = {"version": FORMAT_VERSION, "kind": DOCUMENT_KIND, "spec": draw(spec_echoes),
+           "truncation": draw(st.none() | st.integers(0, 9)), "depth": depth, "values": values,
+           "stages": values[:3]}
+    how = draw(st.sampled_from(["canonical", "spaced", "element", "text"]))
+    if how == "canonical":
+        return dumps_document(doc)
+    if how == "spaced":
+        pairs = list(doc.items())
+        draw(st.randoms(use_true_random=False)).shuffle(pairs)
+        # a duplicate key, before or after the real one
+        decoy = draw(st.none() | st.sampled_from([[], values[:1], values, values * 2, 3]))
+        if decoy is not None:
+            key = draw(st.sampled_from(["values", "values", "depth", "spec"]))
+            pairs.insert(draw(st.integers(0, len(pairs))), (key, decoy))
+        return spaced_text(pairs, draw(st.randoms(use_true_random=False)), draw(st.booleans()))
+    if how == "element":
+        # one element, inside a run, written another way
+        k = draw(st.integers(0, size - 1))
+        edit = draw(st.sampled_from(element_edits))
+        head, _, tail = dumps_document(
+            {**doc, "values": values[:k] + [SENTINEL] + values[k + 1:]}
+        ).rpartition(canonical_element(SENTINEL))
+        return head + edit(canonical_element(values[k])) + tail
+    return draw(st.sampled_from(text_edits))(dumps_document(doc))
+
+
+def number_run_text(values: list) -> str:
+    return dumps_document({"version": FORMAT_VERSION, "kind": DOCUMENT_KIND, "spec": None,
+                           "truncation": None, "depth": 2, "values": values})
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=document_texts())
+@example(text=number_run_text([1] * 6 + [12]))
+@example(text=number_run_text([1] * 6 + [1.5]))
+@example(text=number_run_text([1] * 5 + [123, 1]))
+# one value written two ways: one object, one run
+@example(text=number_run_text([{"num": "1", "exp": 1}] * 3 + [{"num": 1, "exp": 1}] * 4))
+# duplicate keys: the last one wins
+@example(text='{"values":[],' + number_run_text([Dyadic(1, 1).to_json()] * 7)[1:])
+@example(text='{"depth":5,' + number_run_text([Dyadic(1, 1).to_json()] * 7)[1:])
+def test_reader_matches_json_loads_and_the_per_node_parse(text):
+    got, want = new_read(text), reference_read(text)
+    assert got == want
+    if isinstance(want, tuple):
+        assert list(got[0]) == list(want[0])  # keys in json.loads's order
+        # Only the top-level values array shares its elements.
+        for key, value in got[0].items():
+            if key != "values" and isinstance(value, list):
+                inner = [id(x) for x in value if isinstance(x, (dict, list))]
+                assert len(set(inner)) == len(inner)
+
+
+# ---------------------------------------------------------------------------
 # Run-kept tables against the flat-list table and the Dyadic descent they
-# replace: the same values, node by node and object by object, the same
-# documents and the same round trips.
+# replace: the same values node by node, the maximal equal-value runs, the
+# same documents and the same round trips.
 
 
 class FlatTable:
@@ -456,29 +676,47 @@ class FlatTable:
                 "values": [as_json[id(v)] for v in self.values]}
 
 
-def run_lengths(values: list) -> list:
-    return [len(list(run)) for _, run in groupby(values, id)]
+def equal_value_runs(values: list) -> list:
+    """(start, (num, exp)) of each maximal run of equal values."""
+    runs = []
+    for i, v in enumerate(values):
+        if not runs or runs[-1][1] != (v.num, v.exp):
+            runs.append((i, (v.num, v.exp)))
+    return runs
+
+
+def assert_runs_of(table: MartingaleTable, flat: list):
+    """table holds one object per distinct value, and its runs are the
+    maximal equal-value runs of the flat values."""
+    one = {}
+    assert all(one.setdefault((v.num, v.exp), v) is v for v in table.values)
+    assert [(i, (v.num, v.exp)) for i, v in zip(table._starts, table._objs)] == (
+        equal_value_runs(flat))
 
 
 def assert_same_table(got: MartingaleTable, want: FlatTable, spec=None, truncation=None):
-    """got against the flat reference: values (exact pairs and sharing),
-    value(s) at every node, nodes(), the document bytes against json.dumps,
-    and the round trip through the document."""
+    """got against the flat reference: values (exact pairs and runs),
+    value(s) at every node, nodes(), the document bytes against json.dumps
+    (each distinct value encoded once), and the round trip through the
+    document."""
     values = got.values
     assert got.depth == want.depth
     assert [(v.num, v.exp) for v in values] == [(v.num, v.exp) for v in want.values]
-    assert run_lengths(values) == run_lengths(want.values)
+    assert_runs_of(got, want.values)
     nodes = want.nodes()
     assert [got.value(s) for s, _ in nodes] == [v for _, v in nodes]
     assert all(got.value(s) is v for s, v in zip((s for s, _ in nodes), values))
     assert [(str(s), v) for s, v in got.nodes()] == [(str(s), v) for s, v in nodes]
-    text = dumps_document(got.to_document(spec_echo=spec, truncation=truncation))
+    doc = got.to_document(spec_echo=spec, truncation=truncation)
+    with patch("divmart.table._canonical", wraps=table_module._canonical) as spy:
+        text = dumps_document(doc)
     assert text == plain_dumps(want.to_document(spec_echo=spec, truncation=truncation))
+    distinct = len({(v.num, v.exp) for v in values})
+    assert spy.call_count == 2 * len(doc) - 1 + distinct
     back, spec_back, k = MartingaleTable.from_document(loads_document(text))
     assert back.depth == got.depth and (spec_back, k) == (spec, truncation)
     assert [(v.num, v.exp) for v in back.values] == [(v.num, v.exp) for v in values]
-    # The reader shares one object per (num, exp) pair, so it keeps runs.
-    assert len(back._objs) <= len(got._objs)
+    assert_runs_of(back, values)
     assert dumps_document(back.to_document(spec_echo=spec, truncation=truncation)) == text
 
 
@@ -491,8 +729,9 @@ def assert_same_table(got: MartingaleTable, want: FlatTable, spec=None, truncati
 )
 def test_run_kept_table_matches_the_flat_table(depth, cuts, pool, picks):
     # Nodes draw their value objects from a pool holding each value twice,
-    # as two equal but distinct objects, so neighbours share objects (one
-    # run) or hold equal distinct ones (two runs); a cut node is settled.
+    # as two equal but distinct objects, so neighbours share objects or
+    # hold equal distinct ones; either way the table keeps one object and
+    # one run.  A cut node is settled.
     pool = pool + [Dyadic(d.num, d.exp) for d in pool]
 
     def entry(s, up):
@@ -500,9 +739,8 @@ def test_run_kept_table_matches_the_flat_table(depth, cuts, pool, picks):
 
     got = MartingaleTable.from_entries(depth, entry)
     want = FlatTable.from_entries(depth, entry)
-    assert [id(v) for v in got.values] == [id(v) for v in want.values]
-    assert [id(v) for v in MartingaleTable(depth, want.values).values] == [
-        id(v) for v in want.values]
+    assert_runs_of(got, want.values)
+    assert_runs_of(table_of(depth, want.values), want.values)
     assert_same_table(got, want, spec={"cuts": sorted(cuts)}, truncation=depth)
 
 
@@ -578,3 +816,21 @@ def test_run_kept_tables_match_the_flat_dyadic_descent(kinds, point, steps, cons
         want = FlatTable.from_entries(depth, lambda s, up: dyadic_descend(f, k, s, up))
         got = MartingaleTable.from_entries(depth, lambda s, up: f.descend(k, s, up))
         assert_same_table(got, want, spec=spec, truncation=k)
+
+
+def test_a_document_without_shared_elements_reads_to_the_same_table():
+    # json.loads gives each element a dict of its own, so each is an
+    # identity run of its own; from_document merges equal neighbours into
+    # the table's runs, which the shared elements of loads_document give.
+    spec = {"kind": "sigma3", "components": README_COMPONENTS}
+    table = sigma3_pipeline(SigmaThreeSet.from_spec(spec)).truncated_table(5, 12)
+    text = dumps_document(table.to_document(spec_echo=spec, truncation=5))
+    shared, plain = loads_document(text), json.loads(text)
+    assert shared == plain
+    assert len({id(x) for x in plain["values"]}) == len(plain["values"]) == 8191
+    assert len({id(x) for x in shared["values"]}) == len(table._starts)
+    for doc in (shared, plain):
+        got = MartingaleTable.from_document(doc)[0]
+        assert got._starts == table._starts
+        assert [(v.num, v.exp) for v in got._objs] == [(v.num, v.exp) for v in table._objs]
+        assert_runs_of(got, table.values)
