@@ -85,12 +85,12 @@ class StageComplementChunk:
         self.support = support
         self.gdelta = gdelta
         self.k = k
-        self._size = self._rest(support)  # λ of the whole chunk
+        self._size = self._rest(support.n, support.v)  # λ of the whole chunk
 
-    def _rest(self, t: BitString) -> tuple[int, int]:
-        """λ(N_t \\ stage(k)) as a pair."""
-        d = self.gdelta.measure_stage_in(self.k, t)
-        return _add_pair(1, t.n, -d.num, d.exp)
+    def _rest(self, n: int, v: int) -> tuple[int, int]:
+        """λ(N_(n,v) \\ stage(k)) as a pair."""
+        num, exp = self.gdelta.measure_stage_pair(self.k, n, v)
+        return _add_pair(1, n, -num, exp)
 
     def measure_pair_in(self, n: int, v: int) -> tuple[int, int]:
         # One shift decides it: N_(n,v) lies inside the support, holds it,
@@ -99,7 +99,7 @@ class StageComplementChunk:
         if n >= s.n:
             if v >> (n - s.n) != s.v:
                 return 0, 0
-            return self._rest(BitString.raw(n, v))
+            return self._rest(n, v)
         return self._size if s.v >> (s.n - n) == v else (0, 0)
 
     def contains_point(self, beta: Point) -> bool:

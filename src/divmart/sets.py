@@ -46,9 +46,13 @@ class GDeltaSet:
     def stage(self, n: int) -> ClopenSet:
         raise NotImplementedError
 
-    def measure_stage_in(self, n: int, t: BitString) -> Dyadic:
-        """λ(stage(n) ∩ N_t), exact."""
-        return self.stage(n).measure_in(t)
+    def measure_stage_pair(self, m: int, n: int, v: int) -> tuple[int, int]:
+        """λ(stage(m) ∩ N_(n,v)), exact, as an unreduced pair (num, exp)."""
+        return self.stage(m).measure_pair_in(n, v)
+
+    def measure_stage_in(self, m: int, t: BitString) -> Dyadic:
+        """λ(stage(m) ∩ N_t), exact: the pair as a Dyadic."""
+        return Dyadic(*self.measure_stage_pair(m, t.n, t.v))
 
     def stage_cylinder_containing(self, n: int, beta: Point) -> Optional[BitString]:
         """The canonical-antichain cylinder of stage(n) containing beta."""
@@ -128,7 +132,7 @@ class EvenZeros(GDeltaSet):
     final even position 2n-2 is the last constrained one; position 2n-1 is
     free, so length-2n descriptions merge).
 
-    Every stage query is closed form.  `measure_stage_in` tests t's bits
+    Every stage query is closed form.  `measure_stage_pair` tests t's bits
     against the even-position mask of their length, except when they are
     all zero: then no even position holds a 1, whatever the length, and no
     mask is built.  Every stage chain witness is all zeros (the 0-th
@@ -169,16 +173,16 @@ class EvenZeros(GDeltaSet):
             for w in range(min(count, 1 << (n - 1)))
         ]
 
-    def measure_stage_in(self, n: int, t: BitString) -> Dyadic:
-        bound = min(len(t), 2 * n)
-        v = t.v >> (len(t) - bound)
+    def measure_stage_pair(self, m: int, n: int, v: int) -> tuple[int, int]:
+        bound = min(n, 2 * m)
+        v >>= n - bound
         if v and v & _even_mask(bound):
-            return Dyadic.zero()
-        if len(t) >= 2 * n:
-            return Dyadic.pow2(-len(t))
-        # Of the first 2n positions, the n - len(t)//2 odd ones after t are
-        # free and all others are fixed: 2^-(2n - (n - len(t)//2)).
-        return Dyadic.pow2(-n - len(t) // 2)
+            return 0, 0
+        if n >= 2 * m:
+            return 1, n
+        # Of the first 2m positions, the m - n//2 odd ones after the n given
+        # bits are free and all others are fixed: 2^-(2m - (m - n//2)).
+        return 1, m + n // 2
 
     def stage_cylinder_containing(self, n: int, beta: Point) -> Optional[BitString]:
         if n == 0:
@@ -229,20 +233,16 @@ class Singleton(GDeltaSet):
     def stage(self, n: int) -> ClopenSet:
         return ClopenSet.cylinder(self.point.prefix(n))
 
-    def measure_stage_in(self, n: int, t: BitString) -> Dyadic:
-        # With a the common-prefix length of t and the point, the stage
-        # cylinder N_{point|n} holds N_t when n <= a, lies inside it when
-        # t is a prefix of the point (a = len(t)), and misses it otherwise.
-        a = self._agreement(t)
-        if n <= a:
-            return Dyadic.pow2(-len(t))
-        if a == len(t):
-            return Dyadic.pow2(-n)
-        return Dyadic.zero()
-
-    def _agreement(self, t: BitString) -> int:
-        """Length of the common prefix of t and the point."""
-        return t.n - (self._prefix(t.n).v ^ t.v).bit_length()
+    def measure_stage_pair(self, m: int, n: int, v: int) -> tuple[int, int]:
+        # With a the common-prefix length of t = (n, v) and the point, the
+        # stage cylinder N_{point|m} holds N_t when m <= a, lies inside it
+        # when t is a prefix of the point (a = n), and misses it otherwise.
+        a = n - (self._prefix(n).v ^ v).bit_length()
+        if m <= a:
+            return 1, n
+        if a == n:
+            return 1, m
+        return 0, 0
 
     def stage_count(self, n: int) -> int:
         return 1

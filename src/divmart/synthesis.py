@@ -9,10 +9,13 @@ of the region indicators is a step function whose cylinder means are exact
 dyadics; the synthesized martingale is f(s) = ⨍_{N_s} lim S_n dλ, evaluated
 by an even-index truncation ladder whose one-sided error is the relative
 measure of the next-next region — again exact, so every evaluation is a
-certified nested interval.
+certified nested interval.  Every part kind states its truncation M_k as a
+constant and a list of signed, shifted terms (a combination concatenates
+its parts'), and a table of M_k is one flat descent over them: at a live
+node each live term gives one integer measure pair, and the node one Dyadic.
 
-Two realizations of a region, answering the same measure, membership and
-cylinder queries:
+Two realizations of a region, answering the same measure (also as an
+integer pair), membership and cylinder queries:
   * StageRegion — a whole presentation stage, queried through the target's
     closed-form geometry (never materialized; deep stages are astronomically
     wide antichains),
@@ -31,7 +34,7 @@ with the failing budget, never a silent wrong answer.
 from __future__ import annotations
 
 from itertools import islice
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence, Union
 
 from .bits import EMPTY, BitString, Point
 from .clopen import ClopenSet
@@ -62,6 +65,9 @@ class StageRegion:
     def measure_in(self, t: BitString) -> Dyadic:
         return self.target.measure_stage_in(self.m, t)
 
+    def measure_pair_in(self, n: int, v: int) -> tuple[int, int]:
+        return self.target.measure_stage_pair(self.m, n, v)
+
     @property
     def measure(self) -> Dyadic:
         return self.measure_in(EMPTY)
@@ -90,29 +96,40 @@ Region = Union[StageRegion, ClopenSet]
 
 # ---------------------------------------------------------------------------
 # table descent
+#
+# A term (query, coef, shift, depth) of Part.terms is coef·2^-shift·r(s) at
+# node s, where query(len(s), s.v) = (num, exp) is a measure in N_s, a
+# region's or a step function's integral, and r(s) = num·2^(len(s) - exp)
+# is it relative to λ(N_s).  The term is settled at s, the same at every
+# node below s, when r(s) is 0 or 1 (a measure is monotone, and a step
+# lies in [0, 1]), or when len(s) ≥ depth, a depth that is not None.  A
+# descent state (num, exp, live) is the constant plus the terms settled at
+# or above a node, as num·2^-exp (not canonical), and the live terms.
 
-# The state a descent entry hands down to a node's children: the sum of the
-# terms that settled at or above the node, as an integer numerator and
-# exponent (num·2^-exp, not canonical), and each live term's index with the
-# state of its own descent.
-DescentState = tuple[int, int, tuple[tuple[int, Any], ...]]
+Term = tuple[Callable[[int, int], tuple[int, int]], int, int, Optional[int]]
+DescentState = tuple[int, int, list[Term]]
 
 
-def _descend_sum(
-    up: DescentState, term: Callable[[int, Any], tuple[int, int, bool, Any]]
-) -> tuple[Dyadic, bool, DescentState]:
+def _descend(s: BitString, up: DescentState) -> tuple[Dyadic, bool, DescentState]:
     """(Σ of the terms at s, settled, state for s's children), given `up`,
-    the state at s's parent.  term(i, sub) gives term i's value at s as
-    num·2^-exp, returned as (num, exp, settled, state): settled when the
-    term is the same at every node below s.  Both sums are integers over
-    one exponent, and the node's value is the one Dyadic built from them.
-    A settled term moves into the settled sum and is never asked again
-    below s; the node is settled when every term is."""
+    the state at s's parent (or at the root), as a MartingaleTable entry.
+    Both sums are integers over one exponent, and the node's value is the
+    one Dyadic built from them.  A settled term moves into the settled sum
+    and is never asked again below s; the node is settled when every term
+    is."""
+    l, v = s.n, s.v
     num, exp, live = up
     total = num
     still = []
-    for i, state in live:
-        a, e, settled, down = term(i, state)
+    for term in live:
+        query, coef, shift, depth = term
+        a, e = query(l, v)
+        if not a:  # r(s) = 0
+            continue
+        e -= l
+        settled = a == 1 << e or (depth is not None and l >= depth)
+        a *= coef
+        e += shift
         if e > exp:  # both sums move to the larger exponent
             total <<= e - exp
             num <<= e - exp
@@ -122,8 +139,8 @@ def _descend_sum(
         if settled:
             num += a
         else:
-            still.append((i, down))
-    return Dyadic(total, exp), not still, (num, exp, tuple(still))
+            still.append(term)
+    return Dyadic(total, exp), not still, (num, exp, still)
 
 
 # ---------------------------------------------------------------------------
@@ -374,16 +391,22 @@ def _check_mean_proximity(cert: StageCertificate, witnesses: Sequence[BitString]
 
 class Part:
     """A martingale the union combinator takes as a part.  Each kind answers
-    eval(s, precision) with a certified interval for f(s), and
-    descend(k, s, up) with the descent entry of its truncation M_k at s
-    (see _descend_sum); a kind without truncation gives the same M_k for
-    every k."""
+    eval(s, precision) with a certified interval for f(s), and terms(k)
+    with its truncation M_k as the descent's root state (see _descend):
+    k + 2 signed regions for a synthesized part, only the constant for a
+    constant part, and one step mean for an embedded one.  A kind without
+    truncation gives the same M_k for every k; a table and a single value
+    table_value(k, s) are the same descent."""
 
     def truncated_table(self, k: int, depth: int) -> MartingaleTable:
         """The table of M_k to the given depth, built by one descent that
         stops at settled nodes: M_k is constant on the whole subtree below
         a settled node (see MartingaleTable.from_entries)."""
-        return MartingaleTable.from_entries(depth, lambda s, up: self.descend(k, s, up))
+        return MartingaleTable.from_entries(depth, _descend, self.terms(k))
+
+    def table_value(self, k: int, s: BitString) -> Dyadic:
+        """M_k(s), the descent's sum of every term at s."""
+        return _descend(s, self.terms(k))[0]
 
 
 class SynthesizedMartingale(Part):
@@ -418,34 +441,12 @@ class SynthesizedMartingale(Part):
         """λ(G*_j ∩ N_s) / λ(N_s), exact."""
         return self.stage(j).gstar.measure_in(s).mul_pow2(len(s))
 
-    def table_value(self, k: int, s: BitString) -> Dyadic:
-        """M_k(s) = ⨍_{N_s} S_{k+1} dλ = Σ_{j≤k+1} (-1)^j · r_j(s), the
-        exact truncated table, for k ≥ -1."""
-        return self.descend(k, s, None)[0]
-
-    def descend(
-        self, k: int, s: BitString, up: Optional[DescentState]
-    ) -> tuple[Dyadic, bool, DescentState]:
-        """(M_k(s), settled, state) given the state at s's parent (None at
-        the root), as a descent entry (see _descend_sum).  The terms are
-        the signed relative measures (-1)^j · r_j(s), j ≤ k+1, whose sum
-        table_value reads.  Term j's state is its region G*_j, resolved
-        once at the root.  Each term reads λ(G*_j ∩ N_s) = m once and gives
-        r_j(s) = m·2^len(s) as (±m.num, m.exp - len(s)), or (0, 0) for m = 0.
-        Term j is settled when r_j(s) is 0 or 1, that is when its exponent
-        is 0: measure is monotone, so r_j(t) is then the same for every t
-        extending s, and region j is not asked again below s."""
-        l = len(s)
-
-        def term(j: int, region: Region) -> tuple[int, int, bool, Region]:
-            m = region.measure_in(s)
-            e = m.exp - l if m.num else 0
-            return (-m.num if j & 1 else m.num), e, not e, region
-
-        if up is None:
-            self.stage(k + 1)
-            up = 0, 0, tuple((j, self._stages[j].gstar) for j in range(k + 2))
-        return _descend_sum(up, term)
+    def terms(self, k: int) -> DescentState:
+        """M_k(s) = ⨍_{N_s} S_{k+1} dλ = Σ_{j≤k+1} (-1)^j · r_j(s), for
+        k ≥ -1: one term per region G*_j, its signed relative measure."""
+        self.stage(k + 1)
+        regions = [c.gstar for c in self._stages[: k + 2]]
+        return 0, 0, [(g.measure_pair_in, (-1) ** j, 0, None) for j, g in enumerate(regions)]
 
     def eval(self, s: BitString, precision: Dyadic) -> tuple[Dyadic, Dyadic]:
         """Certified interval for f(s), width ≤ precision (exact when the
@@ -487,8 +488,8 @@ class ConstantPart(Part):
     def eval(self, s: BitString, precision: Dyadic) -> tuple[Dyadic, Dyadic]:
         return self.c, self.c
 
-    def descend(self, k: int, s: BitString, up: None) -> tuple[Dyadic, bool, None]:
-        return self.c, True, None
+    def terms(self, k: int) -> DescentState:
+        return self.c.num, self.c.exp, []
 
 
 SCALE = Dyadic(3, 2)  # 3/4: brings Σ 4^(-n)·[0,1] = [0, 4/3] back into [0,1]
@@ -528,23 +529,15 @@ class CombinedMartingale(Part):
             hi = hi + (phi * SCALE).mul_pow2(-2 * n)
         return lo, hi
 
-    def descend(
-        self, k: int, s: BitString, up: Optional[DescentState]
-    ) -> tuple[Dyadic, bool, DescentState]:
-        """(M_k(s), settled, state): the scaled sum of the tail and of the
-        parts' values, settled when every part is (see _descend_sum).  A
-        part settled at an ancestor is never asked again, and a live part
-        gets back the state it gave at s's parent."""
-
-        def term(n: int, part_up: Any) -> tuple[int, int, bool, Any]:
-            value, settled, down = self.parts[n].descend(k, s, part_up)
-            # value·(3/4)·4^-n, as num·2^-exp
-            return 3 * value.num, value.exp + 2 + 2 * n, settled, down
-
-        if up is None:
-            tail = self._tail_value()
-            up = tail.num, tail.exp, tuple((n, None) for n in range(len(self.parts)))
-        return _descend_sum(up, term)
+    def terms(self, k: int) -> DescentState:
+        """The tail and the parts' constants and terms, part n's scaled by
+        (3/4)·4^-n: the factor 3 and the shift 2 + 2n."""
+        c, live = self._tail_value(), []
+        for n, part in enumerate(self.parts):
+            num, exp, terms = part.terms(k)
+            c += Dyadic(3 * num, exp + 2 + 2 * n)
+            live += [(q, 3 * a, shift + 2 + 2 * n, d) for q, a, shift, d in terms]
+        return c.num, c.exp, live
 
 
 def sigma3_pipeline(b: SigmaThreeSet) -> CombinedMartingale:
@@ -572,7 +565,12 @@ class EmbeddedMartingale(Part):
         v = self.value(s)
         return v, v
 
-    def descend(self, k: int, s: BitString, up: None) -> tuple[Dyadic, bool, None]:
-        """(φ(h)(s), settled, None): h is constant on N_s once len(s) ≥ its
-        depth."""
-        return self.value(s), len(s) >= self.depth, None
+    def terms(self, k: int) -> DescentState:
+        """One term, the mean of h, settled from h's depth on: h is constant
+        on N_s once len(s) ≥ its depth."""
+        return 0, 0, [(self._integral_pair, 1, 0, self.depth)]
+
+    def _integral_pair(self, n: int, v: int) -> tuple[int, int]:
+        """∫_{N_(n,v)} h dλ as a pair: the mean times 2^-n."""
+        m = self.value(BitString.raw(n, v))
+        return m.num, m.exp + n

@@ -58,13 +58,13 @@ class MartingaleTable:
 
     @staticmethod
     def from_entries(
-        depth: int, entry: Callable[[BitString, Any], tuple[Dyadic, bool, Any]]
+        depth: int, entry: Callable[[BitString, Any], tuple[Dyadic, bool, Any]], root: Any = None
     ) -> "MartingaleTable":
         """Build the table by one top-down descent over the live nodes.
 
         entry(s, up) gives the value at s, whether s is *settled* (every
         node below s carries the same value), and a state handed down as
-        `up` to both children of s; the root gets up = None.  The state
+        `up` to both children of s; the root gets up = root.  The state
         lets an entry skip work that an ancestor already settled.  A
         settled node's value object is kept as one run per deeper level,
         the node's subtree on that level, and entry is never asked below
@@ -91,7 +91,7 @@ class MartingaleTable:
         # run, from v up to the next item's position, and (v, False, up) for
         # a live node, which asks entry.  A settled run starts at 2v one
         # level down, and a live node's children are at 2v and 2v + 1.
-        row = [(0, False, None)]
+        row = [(0, False, root)]
         for l in range(depth + 1):
             base = (1 << l) - 1
             below = []

@@ -274,6 +274,53 @@ def test_singleton_measure_stage_in_cases():
 
 
 # ---------------------------------------------------------------------------
+# the stage-measure pair against the materialized stage
+
+
+def odd_bits(length: int, bits: int) -> int:
+    """bits on the odd positions of a length-bit string, zeros on the even
+    ones: a t whose N_t meets the even-zeros target."""
+    return int(format(bits, "b"), 4) << (length % 2) & ((1 << length) - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    target=st.one_of(st.just(K), short_points.map(Singleton)),
+    n=st.integers(min_value=0, max_value=8),
+    # t's length from 3 below the stage cylinders' length to 3 above it
+    offset=st.integers(min_value=-3, max_value=3),
+    bits=st.integers(min_value=0),
+    # 0: t meets the target; a low flip: t leaves it near its end; any flip
+    flip=st.one_of(st.just(0), st.integers(0, 3), st.integers(min_value=0)),
+)
+@example(target=K, n=8, offset=0, bits=0, flip=0)  # the all-zero witness
+@example(target=K, n=8, offset=3, bits=0, flip=0)
+@example(target=K, n=8, offset=-3, bits=0, flip=0)
+def test_stage_measure_pair_matches_the_materialized_stage(target, n, offset, bits, flip):
+    cyl = max(2 * n - 1, 0) if target is K else n  # the stage cylinders' length
+    length = max(cyl + offset, 0)
+    base = odd_bits(length, bits) if target is K else target.point.prefix(length).v
+    t = BitString.raw(length, (base ^ flip) & ((1 << length) - 1))
+    pair = target.measure_stage_pair(n, t.n, t.v)
+    assert Dyadic(*pair) == target.stage(n).measure_in(t) == target.measure_stage_in(n, t)
+
+
+def test_stage_measure_pair_of_an_explicit_target_reads_its_stages():
+    # The GDeltaSet fallback: the listed stage's kernel pair, and the last
+    # stage from its index on.
+    g = ExplicitGDelta([ClopenSet.from_strings(["0", "10"]), ClopenSet.from_strings(["00", "101"]),
+                        ClopenSet.from_strings(["000"]), ClopenSet.empty()], parse_rate("2^-(n-2)"))
+    for m in range(7):
+        stage = g.stages[min(m, len(g.stages) - 1)]
+        for t in all_bitstrings(5):
+            pair = g.measure_stage_pair(m, t.n, t.v)
+            assert pair == stage.measure_pair_in(t.n, t.v), (m, t)
+            assert Dyadic(*pair) == stage.measure_in(t) == g.measure_stage_in(m, t), (m, t)
+    assert g.measure_stage_pair(1, 0, 0) == (3, 2)  # unreduced: 1/2 + 1/4
+    assert g.measure_stage_pair(6, 2, 1) == (0, 0)
+
+
+# ---------------------------------------------------------------------------
 # the halving chain: m_(n+1) = m_n + n + 4 against the gallop
 
 

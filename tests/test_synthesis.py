@@ -598,8 +598,10 @@ def partial_mean(f: SynthesizedMartingale, n: int, s: BitString) -> Dyadic:
 
 
 def table_value(f, k: int, s: BitString) -> Dyadic:
-    """M_k(s) of any part or combination, computed node by node: the
-    reference the settled-subtree descent is checked against."""
+    """M_k(s) of any part or combination, computed node by node as a Dyadic
+    sum of relative_measure, the step mean, the constant and the tail: the
+    reference the flat term descent is checked against, independent of
+    Part.terms and of the descent's integer loop."""
     if isinstance(f, CombinedMartingale):
         total = f._tail_value()
         for n, part in enumerate(f.parts):
@@ -729,7 +731,8 @@ def all_nodes(depth):
 
 
 def reference_table(f, k, depth):
-    """The per-node fill the descent replaces: M_k queried at every node."""
+    """The per-node fill the descent replaces: the reference M_k (the Dyadic
+    sum of table_value above) at every node."""
     return [table_value(f, k, s) for s in all_nodes(depth)]
 
 
@@ -754,8 +757,9 @@ def test_descent_matches_the_per_node_table(singletons, explicit, tail, step, k,
     for part in parts:
         assert part.truncated_table(k, depth).values == reference_table(part, k, depth)
     # A settled node's value holds on its whole subtree.
+    root = f.terms(k)
     for s in all_nodes(depth):
-        value, settled, _ = f.descend(k, s, None)
+        value, settled, _ = synthesis._descend(s, root)
         if not settled:
             continue
         for below in range(depth - len(s) + 1):
@@ -764,16 +768,16 @@ def test_descent_matches_the_per_node_table(singletons, explicit, tail, step, k,
 
 
 class RecordingRegion:
-    """A region that reports each measure query as (node, settled): the
-    relative measure is 0 or 1 there."""
+    """A region that reports each measure-pair query as (node, settled):
+    the relative measure is 0 or 1 there."""
 
     def __init__(self, region, report) -> None:
         self.region = region
         self.report = report
 
-    def measure_in(self, t):
-        m = self.region.measure_in(t)
-        self.report(str(t), m.num == 0 or m == Dyadic.pow2(-len(t)))
+    def measure_pair_in(self, n, v):
+        m = self.region.measure_pair_in(n, v)
+        self.report(str(BitString.raw(n, v)), Dyadic(*m) in (Dyadic.zero(), Dyadic.pow2(-n)))
         return m
 
 
@@ -792,11 +796,12 @@ def test_masked_descent_never_asks_a_settled_term(singletons, explicit, step, k,
     if step is not None:
         parts.append(EmbeddedMartingale(step))
     f = CombinedMartingale(parts)
-    # The descent without the mask: every node starts from no state, so
-    # every part and region is asked at every live node.
-    unmasked = MartingaleTable.from_entries(depth, lambda s, up: f.descend(k, s, None))
-    # (term, node) asked, and those found settled: term n is part n, and
-    # term (n, j) is region j of part n.
+    # The descent without the mask: every node starts from the root state,
+    # so every term is asked at every live node.
+    root = f.terms(k)
+    unmasked = MartingaleTable.from_entries(depth, lambda s, up: synthesis._descend(s, root))
+    # (term, node) asked, and those found settled: term n is the step mean
+    # of part n, and term (n, j) is region j of part n.
     asked, settled_at = [], set()
 
     def record(term, name, settled):
@@ -805,15 +810,18 @@ def test_masked_descent_never_asks_a_settled_term(singletons, explicit, step, k,
             settled_at.add((term, name))
 
     for n, part in enumerate(parts):
-        def descend(k, s, up, part=part, n=n):
-            value, settled, down = type(part).descend(part, k, s, up)
-            record(n, str(s), settled)
-            return value, settled, down
+        if isinstance(part, EmbeddedMartingale):
+            # The step term settles from the step's depth on, or where its
+            # mean is 0 or 1 (a step's values lie in [0, 1]).
+            def value(s, part=part, n=n):
+                m = type(part).value(part, s)
+                record(n, str(s), len(s) >= part.depth or m in (Dyadic.zero(), Dyadic.one()))
+                return m
 
-        part.descend = descend
+            part.value = value
         if isinstance(part, SynthesizedMartingale):
-            # The descent resolves region j as stage j's gstar at the root;
-            # each term then asks its region once per node.
+            # The terms read region j as stage j's gstar when the table
+            # starts; each live term then asks its region once per node.
             for j in range(k + 2):
                 cert = part.stage(j)
                 cert.gstar = RecordingRegion(cert.gstar, lambda *a, t=(n, j): record(t, *a))
@@ -827,28 +835,34 @@ def test_masked_descent_query_counts():
         gdelta_martingale(Singleton(Point.parse(p))) for p in ("01(011)", "(1)")
     ]
     f = CombinedMartingale(parts)
-    spies = [patch.object(part, "descend", wraps=part.descend) for part in parts]
+    owner = {id(part.stage(j).gstar): n for n, part in enumerate(parts) for j in range(5)}
+
+    def counts(spy):
+        # The nodes at which each part was asked (some region of it was
+        # queried there), and the number of region queries.
+        asked = [set() for _ in parts]
+        for (region, *node), _ in spy.call_args_list:
+            asked[owner[id(region)]].add(tuple(node))
+        return [len(nodes) for nodes in asked] + [spy.call_count]
+
     with patch.object(
-        StageRegion, "measure_in", autospec=True, side_effect=StageRegion.measure_in
+        StageRegion, "measure_pair_in", autospec=True, side_effect=StageRegion.measure_pair_in
     ) as regions:
-        mocks = [spy.start() for spy in spies]
-        try:
-            table = f.truncated_table(3, 12)
-            masked = [m.call_count for m in mocks] + [regions.call_count]
-            for m in mocks + [regions]:
-                m.reset_mock()
-            unmasked = MartingaleTable.from_entries(12, lambda s, up: f.descend(3, s, None))
-            plain = [m.call_count for m in mocks] + [regions.call_count]
-        finally:
-            for spy in spies:
-                spy.stop()
+        table = f.truncated_table(3, 12)
+        masked = counts(regions)
+        regions.reset_mock()
+        root = f.terms(3)
+        unmasked = MartingaleTable.from_entries(12, lambda s, up: synthesis._descend(s, root))
+        plain = counts(regions)
     assert table.values == unmasked.values
     # Unmasked, each part is asked at each of the 289 live nodes, and each
     # asks its 5 regions (j ≤ k + 1): 4,335 region queries.  Masked, the
     # singletons settle near the root and are asked 25 times each, and a
-    # region that covers or misses a node is not asked below it.
+    # region that covers or misses a node is not asked below it: 963
+    # queries.  (The stages are built before the spy starts; building
+    # stages 1-4 of the three parts asks 12 covers queries more.)
     assert plain == [289, 289, 289, 4335]
-    assert masked == [253, 25, 25, 975]
+    assert masked == [253, 25, 25, 963]
 
 
 @settings(max_examples=25, deadline=None)
@@ -869,7 +883,7 @@ def test_table_value_and_witness_mean_error_match_the_dyadic_loop(targets):
 
 def test_constant_tail_and_empty_union_settle_at_the_root():
     for f in (CombinedMartingale([]), CombinedMartingale([ConstantPart(Dyadic(5, 3))], Dyadic(1, 1))):
-        assert f.descend(4, EMPTY, None)[1]
+        assert synthesis._descend(EMPTY, f.terms(4))[1]
         assert f.truncated_table(4, 6).values == reference_table(f, 4, 6)
 
 
@@ -877,7 +891,7 @@ def test_descent_queries_only_live_nodes():
     f = gdelta_martingale(EvenZeros())
     f.stage(4)
     with patch.object(
-        StageRegion, "measure_in", autospec=True, side_effect=StageRegion.measure_in
+        StageRegion, "measure_pair_in", autospec=True, side_effect=StageRegion.measure_pair_in
     ) as spy:
         table = f.truncated_table(3, 12)
     # The per-node fill made 5 queries at each of the 8,191 nodes (40,955).

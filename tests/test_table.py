@@ -760,8 +760,10 @@ def dyadic_descend_sum(up, term):
 
 
 def dyadic_descend(f, k: int, s: BitString, up):
-    """f.descend with Dyadic sums and terms: r_j(s) from relative_measure,
-    a part's value scaled by SCALE·4^-n."""
+    """A per-part nested descent entry with Dyadic sums and terms, the
+    reference for the flat integer descent of truncated_table: r_j(s) from
+    relative_measure, a part's value scaled by SCALE·4^-n, a constant
+    settled at the root and a step mean settled from the step's depth on."""
     if isinstance(f, SynthesizedMartingale):
         def term(j, _):
             r = f.relative_measure(j, s)
@@ -778,7 +780,9 @@ def dyadic_descend(f, k: int, s: BitString, up):
         if up is None:
             up = f._tail_value(), tuple((n, None) for n in range(len(f.parts)))
         return dyadic_descend_sum(up, term)
-    return f.descend(k, s, up)  # ConstantPart, EmbeddedMartingale: no sum
+    if isinstance(f, ConstantPart):
+        return f.c, True, None
+    return f.value(s), len(s) >= f.depth, None  # EmbeddedMartingale
 
 
 README_COMPONENTS = [
@@ -814,7 +818,7 @@ def test_run_kept_tables_match_the_flat_dyadic_descent(kinds, point, steps, cons
               ConstantPart(constant)]
     for f in parts + [CombinedMartingale(parts, tail_constant=tail)]:
         want = FlatTable.from_entries(depth, lambda s, up: dyadic_descend(f, k, s, up))
-        got = MartingaleTable.from_entries(depth, lambda s, up: f.descend(k, s, up))
+        got = f.truncated_table(k, depth)
         assert_same_table(got, want, spec=spec, truncation=k)
 
 
