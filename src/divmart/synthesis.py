@@ -26,7 +26,8 @@ On a halving target the stage choice is the same for every witness and
 needs no search, m_(n+1) = m_n + n + 4; any other target gallops per
 witness.  A stage's witnesses are read off its region on every query
 (WitnessFamily): the region's antichain cylinders that meet the target,
-with no second copy.  Budgets that cannot be met (a stage that stops
+with no second copy; so is a halving stage's verified witness, its
+region's first cylinder.  Budgets that cannot be met (a stage that stops
 shrinking, a rate too slow for the requested depth) raise HorizonExhausted
 with the failing budget, never a silent wrong answer.
 """
@@ -73,7 +74,11 @@ class StageRegion:
         return self.measure_in(EMPTY)
 
     def covers(self, t: BitString) -> bool:
-        return self.measure_in(t) == Dyadic.pow2(-len(t))
+        """Is N_t inside the region?  Its measure in N_t is at most 2^-|t|,
+        so exactly when it is at least that: num·2^|t| ≥ 2^exp, read off
+        the pair by bit length, so no power of two is built."""
+        num, exp = self.measure_pair_in(t.n, t.v)
+        return num > 0 and num.bit_length() + t.n > exp
 
     def cylinder_containing(self, beta: Point) -> Optional[BitString]:
         return self.target.stage_cylinder_containing(self.m, beta)
@@ -199,10 +204,14 @@ class StageCertificate:
 
     `verified` holds the witness cylinders at which the certificate was
     checked to lie inside every region G*_0, …, G*_n (see
-    _check_mean_proximity); empty until the check has run, which assigns
-    it."""
+    _check_mean_proximity); it is empty until the check has run.  The root
+    and a materialized stage keep the tuple their check was given.  A
+    halving step checks its region's first cylinder and keeps no copy of
+    it: `verified` reads that cylinder back off the region on each call,
+    since a deep witness runs to millions of bits and a chain has
+    thousands of stages."""
 
-    __slots__ = ("index", "gstar", "witnesses", "prev", "verified")
+    __slots__ = ("index", "gstar", "witnesses", "prev", "_verified")
 
     def __init__(
         self,
@@ -215,7 +224,14 @@ class StageCertificate:
         self.gstar = gstar
         self.witnesses = WitnessFamily(gstar, target)
         self.prev = prev
-        self.verified: tuple[BitString, ...] = ()
+        # the checked witnesses, or None for the region's first cylinder
+        self._verified: Optional[tuple[BitString, ...]] = ()
+
+    @property
+    def verified(self) -> tuple[BitString, ...]:
+        if self._verified is None:
+            return tuple(self.gstar.sample_cylinders(1))
+        return self._verified
 
     @property
     def stage_index(self) -> Optional[int]:
@@ -243,6 +259,11 @@ def _parity_value(n: int) -> Dyadic:
 _BUDGET_EXP_OFFSET = 3  # condition (5) threshold: 2^(-n-3)
 
 
+def _threshold(n: int) -> Dyadic:
+    """Condition (5)'s relative budget 2^(-n-3) at the witnesses of stage n."""
+    return Dyadic.pow2(-n - _BUDGET_EXP_OFFSET)
+
+
 def build_stage(prev: StageCertificate, target: GDeltaSet) -> StageCertificate:
     """Construct stage n+1 from stage n: choose for each witness s^n_j an
     open O_j = stage(m) ∩ N_{s^n_j} with λ(O_j) < 2^(-n-3)·λ(N_{s^n_j})
@@ -256,35 +277,38 @@ def build_stage(prev: StageCertificate, target: GDeltaSet) -> StageCertificate:
     and G*_{n+1} is stage(m): building n stages costs O(n) queries.  Past
     the search span from m_n + 1 the budget is HorizonExhausted, as the
     search would say; one query checks (5) at a witness, so a target that
-    is wrongly declared halving raises ValueError.  That witness is the
-    first of prev.verified, which prev's own check set to prev's first
-    witness (_check_mean_proximity), so stage n is not sampled again.  A
-    prev whose check never ran has none verified: (5) is then checked at
-    its first witness, and the new witness fails the prefix test.  A step
-    costs one witness sample and two region queries.  Any other target,
-    and a halving one whose witnesses have run out, searches a stage for
-    each witness (_find_stage_index)."""
+    is wrongly declared halving raises ValueError.  That witness is stage
+    n's verified one, its first cylinder, read back off its region.  The
+    query's pair (num, exp) meets the budget when
+    num·2^(n+3+|w|) < 2^exp, compared by bit length, so no power of two
+    the size of a stage is built.  A prev whose check never ran has none
+    verified: (5) is then checked at its first witness, and the new
+    witness fails the prefix test, which reads only prev's verified
+    witnesses.  A step samples two witnesses, stage n's verified one and
+    its own, asks the target twice, and keeps neither witness.  Any other
+    target, and a halving one whose witnesses have run out, searches a
+    stage for each witness (_find_stage_index)."""
     n = prev.index
-    threshold = Dyadic.pow2(-n - _BUDGET_EXP_OFFSET)
-
-    reps = (prev.verified[:1] or prev.witnesses.sample(1)) if target.halving else []
+    below = prev.verified
+    reps = (below[:1] or prev.witnesses.sample(1)) if target.halving else []
     if reps:
         rep = reps[0]
         start = prev.stage_index + 1
         m = start + n + _BUDGET_EXP_OFFSET
         if m - start >= _STAGE_SEARCH_SPAN:
-            raise _stage_budget_error(rep, threshold, start)
-        measure = target.measure_stage_in(m, rep)
-        if not measure < threshold.mul_pow2(-len(rep)):
+            raise _stage_budget_error(rep, _threshold(n), start)
+        num, exp = target.measure_stage_pair(m, rep.n, rep.v)
+        if num and num.bit_length() + n + _BUDGET_EXP_OFFSET + rep.n > exp:
             raise ValueError(
                 f"condition (5) fails at stage {m} of a target declared "
-                f"halving: λ(stage({m}) ∩ N_{_witness_text(rep)}) = {measure} "
-                f"is not below {threshold}·2^-{len(rep)}"
+                f"halving: λ(stage({m}) ∩ N_{_witness_text(rep)}) = "
+                f"{Dyadic(num, exp)} is not below {_threshold(n)}·2^-{len(rep)}"
             )
         cert = StageCertificate(n + 1, StageRegion(target, m), target, prev)
-        _check_mean_proximity(cert, cert.witnesses.sample(1))
+        _check_mean_proximity(cert, below=below)
         return cert
 
+    threshold = _threshold(n)
     pieces = ClopenSet.empty()
     for w in prev.witnesses.all():
         m = _find_stage_index(target, w, threshold, n + 1)
@@ -348,10 +372,14 @@ def _refuse_unreachable_stage(target: GDeltaSet, n: int) -> None:
     m = j * (j + 7) // 2
     ws = target.stage_sample(m, 1)
     if ws:  # else the witnesses run out first and no stage index is sought
-        raise _stage_budget_error(ws[0], Dyadic.pow2(-j - _BUDGET_EXP_OFFSET), m + 1)
+        raise _stage_budget_error(ws[0], _threshold(j), m + 1)
 
 
-def _check_mean_proximity(cert: StageCertificate, witnesses: Sequence[BitString]) -> None:
+def _check_mean_proximity(
+    cert: StageCertificate,
+    witnesses: Optional[Sequence[BitString]] = None,
+    below: Optional[Sequence[BitString]] = None,
+) -> None:
     """Condition (6) at the new witnesses: the mean of S_{n+1} over N_w must
     be strictly within 2^(-3) of the (parity) value S_{n+1} takes on the
     target.  Proved by induction on the chain instead of walking it.
@@ -367,16 +395,28 @@ def _check_mean_proximity(cert: StageCertificate, witnesses: Sequence[BitString]
     the error is 0 < 2^(-3).  The witnesses become `cert.verified`, which
     keeps the invariant for the next stage.  A witness failing either test
     raises ValueError.  The tests check the result against the O(n) chain
-    walk over the regions G*_0, …, G*_{n+1}.  The prefix test scans the verified
-    witnesses of stage n: one on the closed-form path, and on the
-    materialized path all of them, as the union of its pieces does."""
+    walk over the regions G*_0, …, G*_{n+1}.  The prefix test scans the
+    verified witnesses of stage n, `below` (prev.verified when not given):
+    one on the closed-form path, and on the materialized path all of them,
+    as the union of its pieces does.
+
+    Given witnesses are kept as a tuple, as the root's and a materialized
+    stage's are.  With none given, the check is at the region's first
+    cylinder, sampled after `below` is read (a singleton keeps only its
+    last prefix), and keeps no copy of it: `verified` reads it back off the
+    region (see StageCertificate)."""
     prev = cert.prev
     if prev is None and cert.index != 0:
         raise ValueError(f"certificate chain broken below index {cert.index}")
     if prev is not None and prev.index != cert.index - 1:
         raise ValueError(f"no certificate at index {cert.index - 1}")
+    if below is None and prev is not None:
+        below = prev.verified
+    first = witnesses is None
+    if first:
+        witnesses = cert.gstar.sample_cylinders(1)
     for w in witnesses:
-        if prev is not None and not prev.extends_verified(w):
+        if prev is not None and not any(v.is_prefix_of(w) for v in below):
             raise ValueError(
                 f"mean-proximity condition fails at witness {w!r}: "
                 f"it extends no verified witness of stage {cert.index - 1}"
@@ -386,7 +426,7 @@ def _check_mean_proximity(cert: StageCertificate, witnesses: Sequence[BitString]
                 f"mean-proximity condition fails at witness {w!r}: "
                 f"it is not inside G*_{cert.index}"
             )
-    cert.verified = tuple(witnesses)
+    cert._verified = None if first else tuple(witnesses)
 
 
 class Part:

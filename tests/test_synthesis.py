@@ -7,6 +7,7 @@ an independent oracle for the divergence-measure bound and the witness
 geometry, so any change to the budget arithmetic shows up here exactly.
 """
 
+import tracemalloc
 from itertools import accumulate
 from unittest.mock import patch
 
@@ -26,7 +27,7 @@ from divmart.clopen import ClopenSet
 from divmart.dyadic import Dyadic
 from divmart.errors import HorizonExhausted
 from divmart.fine import StepFunction
-from divmart import synthesis
+from divmart import bits, synthesis
 from divmart.sets import (
     EvenZeros,
     ExplicitGDelta,
@@ -82,6 +83,20 @@ def test_singleton_has_the_same_chain(single):
     # Witnesses of the singleton are its own prefixes, one per stage.
     got = [str(single.stage(n).witnesses.sample(1)[0]) for n in range(5)]
     assert got == ["1" * m for m in M_CHAIN[:5]]
+
+
+@pytest.mark.parametrize("target", [EvenZeros(), Singleton(Point.parse("01(011)"))],
+                         ids=["even-zeros", "singleton"])
+def test_a_stage_region_covers_exactly_the_cylinders_inside_its_stage(target):
+    # covers reads the measure pair by bit length; the materialized stage
+    # answers by its antichain, and the measure as a Dyadic.
+    for m in range(6):
+        region, stage = StageRegion(target, m), target.stage(m)
+        for l in range(9):
+            for v in range(1 << l):
+                t = BitString.raw(l, v)
+                assert region.covers(t) == stage.covers(t), (m, str(t))
+                assert region.covers(t) == (region.measure_in(t) == Dyadic.pow2(-l))
 
 
 def test_stage_zero_is_the_full_space(even):
@@ -248,10 +263,10 @@ def test_stage_search_on_the_real_chains():
     inside, finds = [], []
 
     def within(fn):
-        def wrapped(*args):
+        def wrapped(*args, **kwargs):
             inside.append(fn)
             try:
-                return fn(*args)
+                return fn(*args, **kwargs)
             finally:
                 inside.pop()
         return wrapped
@@ -262,19 +277,19 @@ def test_stage_search_on_the_real_chains():
 
     for target in (EvenZeros(), Singleton(Point.parse("01(011)"))):
         g = gdelta_martingale(target)
-        measure, checks = target.measure_stage_in, []
+        measure, checks = target.measure_stage_pair, []
 
-        def counted_measure(m, t):
+        def counted_measure(m, n, v):
             if not inside:
-                checks.append((m, t))
-            return measure(m, t)
+                checks.append((m, BitString.raw(n, v)))
+            return measure(m, n, v)
 
         # The halving chain reads its stage indices: no search, and outside
         # the mean-proximity proof one measure query per stage, the check of
         # condition (5) at the previous stage's first witness.
         with patch.object(synthesis, "_find_stage_index", within(counted_find)), \
                 patch.object(synthesis, "_check_mean_proximity", within(prove)), \
-                patch.object(target, "measure_stage_in", counted_measure):
+                patch.object(target, "measure_stage_pair", counted_measure):
             g.stage(40)
         assert finds == []
         assert checks == [
@@ -933,10 +948,10 @@ def test_stage_chain_costs_linear_region_queries(target):
     # one per stage.
     n = 200
     with patch.object(
-        StageRegion, "measure_in", autospec=True, side_effect=StageRegion.measure_in
+        StageRegion, "measure_pair_in", autospec=True, side_effect=StageRegion.measure_pair_in
     ) as regions, patch.object(
-        type(target), "measure_stage_in", autospec=True,
-        side_effect=type(target).measure_stage_in,
+        type(target), "measure_stage_pair", autospec=True,
+        side_effect=type(target).measure_stage_pair,
     ) as stage_queries:
         gdelta_martingale(target).stage(n)
     assert regions.call_count <= 2 * n
@@ -948,18 +963,19 @@ def test_stage_chain_costs_linear_region_queries(target):
                          ids=["even-zeros", "singleton"])
 def test_a_halving_step_samples_one_witness(target):
     # Condition (5) is checked at the witness stage n's check verified, so
-    # a step samples only its new witness, and asks the target twice: (5)
-    # there, and whether G*_(n+1) covers the new witness.  The root's check
-    # asks once more.
+    # a step samples its new witness and reads stage n's verified one back
+    # off its region (the root keeps its empty string), and asks the target
+    # twice: (5) there, and whether G*_(n+1) covers the new witness.  The
+    # root's check asks once more.
     n = 200
     kind = type(target)
     with patch.object(
         kind, "stage_sample", autospec=True, side_effect=kind.stage_sample
     ) as samples, patch.object(
-        kind, "measure_stage_in", autospec=True, side_effect=kind.measure_stage_in
+        kind, "measure_stage_pair", autospec=True, side_effect=kind.measure_stage_pair
     ) as queries:
         gdelta_martingale(target).stage(n)
-    assert samples.call_count == n
+    assert samples.call_count == 2 * n - 1
     assert queries.call_count == 2 * n + 1
 
 
@@ -973,6 +989,25 @@ def test_a_singleton_chain_builds_each_witness_once():
     lengths = [call.args[1] for call in prefixes.call_args_list]
     assert lengths[: len(M_CHAIN)] == M_CHAIN
     assert len(lengths) == len(set(lengths)) == n + 1
+
+
+def test_a_singleton_chain_keeps_one_witness_alive():
+    # A halving step keeps no witness: a stage's verified witness is read
+    # back off its region.  So the bits still held by what bits.py built,
+    # after a 300-stage chain, stay within a constant times the last
+    # witness (46,050 bits), where one kept witness per stage held
+    # Σ m_n, about 112 times that.
+    tracemalloc.start()
+    try:
+        g = gdelta_martingale(Singleton(Point.parse("01(011)")))
+        last = g.stage(300)
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    held = snapshot.filter_traces([tracemalloc.Filter(True, bits.__file__)])
+    held_bits = 8 * sum(stat.size for stat in held.statistics("filename"))
+    assert len(last.verified[0]) == 300 * 307 // 2
+    assert held_bits <= 4 * len(last.verified[0])
 
 
 def test_the_even_zeros_chain_builds_no_mask():
