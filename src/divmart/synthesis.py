@@ -23,11 +23,13 @@ integer pair), membership and cylinder queries:
     choices on a target that is not halving (explicitly-listed targets),
     and the empty region after the witnesses run out.
 On a halving target the stage choice is the same for every witness and
-needs no search, m_(n+1) = m_n + n + 4; any other target gallops per
-witness.  A stage's witnesses are read off its region on every query
-(WitnessFamily): the region's antichain cylinders that meet the target,
-with no second copy; so is a halving stage's verified witness, its
-region's first cylinder.  Budgets that cannot be met (a stage that stops
+needs no search, m_(n+1) = m_n + n + 4, and one loop (_halving_chain)
+extends the chain, carrying its newest verified witness from step to step;
+any other target gallops per witness.  A stage's witnesses are read off
+its region on every query (WitnessFamily): the region's antichain
+cylinders that meet the target, with no second copy; so is a halving
+stage's verified witness, its region's first cylinder, once the loop has
+moved past it.  Budgets that cannot be met (a stage that stops
 shrinking, a rate too slow for the requested depth) raise HorizonExhausted
 with the failing budget, never a silent wrong answer.
 """
@@ -206,8 +208,9 @@ class StageCertificate:
     checked to lie inside every region G*_0, …, G*_n (see
     _check_mean_proximity); it is empty until the check has run.  The root
     and a materialized stage keep the tuple their check was given.  A
-    halving step checks its region's first cylinder and keeps no copy of
-    it: `verified` reads that cylinder back off the region on each call,
+    halving step (_halving_chain) checks its region's first cylinder and
+    keeps no copy of it here: the loop carries it to the next step in a
+    local, and `verified` reads it back off the region on each call,
     since a deep witness runs to millions of bits and a chain has
     thousands of stages."""
 
@@ -272,52 +275,71 @@ def build_stage(prev: StageCertificate, target: GDeltaSet) -> StageCertificate:
     mean-proximity condition is certified by induction on the chain
     (_check_mean_proximity), with O(1) region queries each.
 
-    On a halving target every witness is a cylinder of stage m_n, which
-    stage(m) fills to 2^-(m - m_n), so one m = m_n + n + 4 serves them all
-    and G*_{n+1} is stage(m): building n stages costs O(n) queries.  Past
-    the search span from m_n + 1 the budget is HorizonExhausted, as the
-    search would say; one query checks (5) at a witness, so a target that
-    is wrongly declared halving raises ValueError.  That witness is stage
-    n's verified one, its first cylinder, read back off its region.  The
-    query's pair (num, exp) meets the budget when
-    num·2^(n+3+|w|) < 2^exp, compared by bit length, so no power of two
-    the size of a stage is built.  A prev whose check never ran has none
+    On a halving target this is one step of _halving_chain, the loop
+    SynthesizedMartingale.stage runs for a whole chain.  Any other target,
+    and a halving one whose witnesses have run out, searches a stage for
+    each witness (_find_stage_index)."""
+    if target.halving:
+        cert = next(_halving_chain(prev, target), None)
+        if cert is not None:
+            return cert
+    threshold = _threshold(prev.index)
+    pieces = ClopenSet.empty()
+    for w in prev.witnesses.all():
+        m = _find_stage_index(target, w, threshold, prev.index + 1)
+        piece = target.stage(m).intersect(ClopenSet.cylinder(w))
+        pieces = pieces.union(piece)
+    cert = StageCertificate(prev.index + 1, pieces, target, prev)
+    # Every witness, uncapped: the cap applies when the next stage asks all().
+    _check_mean_proximity(cert, cert.witnesses.sample(pieces.cylinder_count()))
+    return cert
+
+
+def _halving_chain(prev: StageCertificate, target: GDeltaSet) -> Iterator[StageCertificate]:
+    """The stages after prev on a halving target, each checked before it
+    is yielded, until the witnesses run out.
+
+    Every witness of stage n is a cylinder of stage m_n, which stage(m)
+    fills to 2^-(m - m_n), so one m = m_n + n + 4 serves them all and
+    G*_{n+1} is stage(m): n stages cost O(n) queries.  Past the search
+    span from m_n + 1 the budget is HorizonExhausted, as the search would
+    say.  A step runs three integer tests, in this order:
+      * condition (5) at stage n's verified witness w, one query: its pair
+        (num, exp) meets the budget when num·2^(n+3+|w|) < 2^exp, compared
+        by bit length, so no power of two the size of a stage is built; a
+        target wrongly declared halving raises ValueError;
+      * the two witness tests of condition (6) at stage n+1's first
+        cylinder (_check_witness): it extends w, and the region covers it.
+    The newest verified witness is kept in a local between steps, never on
+    a certificate, which reads it back off its region (see
+    StageCertificate): a deep witness runs to millions of bits and a
+    chain has thousands of stages.  A prev whose check never ran has none
     verified: (5) is then checked at its first witness, and the new
-    witness fails the prefix test, which reads only prev's verified
-    witnesses.  A step samples two witnesses, stage n's verified one and
-    its own, asks the target twice, and keeps neither witness.  Any other
-    target, and a halving one whose witnesses have run out, searches a
-    stage for each witness (_find_stage_index)."""
-    n = prev.index
+    witness fails the prefix test."""
+    n, m = prev.index, prev.stage_index
     below = prev.verified
-    reps = (below[:1] or prev.witnesses.sample(1)) if target.halving else []
-    if reps:
+    reps = below or prev.witnesses.sample(1)
+    measure, sample = target.measure_stage_pair, target.stage_sample
+    while reps:
         rep = reps[0]
-        start = prev.stage_index + 1
-        m = start + n + _BUDGET_EXP_OFFSET
-        if m - start >= _STAGE_SEARCH_SPAN:
-            raise _stage_budget_error(rep, _threshold(n), start)
-        num, exp = target.measure_stage_pair(m, rep.n, rep.v)
+        if n + _BUDGET_EXP_OFFSET >= _STAGE_SEARCH_SPAN:
+            raise _stage_budget_error(rep, _threshold(n), m + 1)
+        m += n + 1 + _BUDGET_EXP_OFFSET
+        num, exp = measure(m, rep.n, rep.v)
         if num and num.bit_length() + n + _BUDGET_EXP_OFFSET + rep.n > exp:
             raise ValueError(
                 f"condition (5) fails at stage {m} of a target declared "
                 f"halving: λ(stage({m}) ∩ N_{_witness_text(rep)}) = "
                 f"{Dyadic(num, exp)} is not below {_threshold(n)}·2^-{len(rep)}"
             )
-        cert = StageCertificate(n + 1, StageRegion(target, m), target, prev)
-        _check_mean_proximity(cert, below=below)
-        return cert
-
-    threshold = _threshold(n)
-    pieces = ClopenSet.empty()
-    for w in prev.witnesses.all():
-        m = _find_stage_index(target, w, threshold, n + 1)
-        piece = target.stage(m).intersect(ClopenSet.cylinder(w))
-        pieces = pieces.union(piece)
-    cert = StageCertificate(n + 1, pieces, target, prev)
-    # Every witness, uncapped: the cap applies when the next stage asks all().
-    _check_mean_proximity(cert, cert.witnesses.sample(pieces.cylinder_count()))
-    return cert
+        n += 1
+        cert = StageCertificate(n, StageRegion(target, m), target, prev)
+        reps = sample(m, 1)
+        for w in reps:
+            _check_witness(w, below, cert)
+        cert._verified = None
+        yield cert
+        prev, below = cert, reps
 
 
 def _witness_text(w: BitString) -> str:
@@ -361,7 +383,7 @@ def _refuse_unreachable_stage(target: GDeltaSet, n: int) -> None:
     """On a halving target, raise the stage budget's HorizonExhausted when
     stage n is out of the search span, before building any stage.
 
-    Stage j + 1 takes m_(j+1) = m_j + j + 4 (see build_stage), so
+    Stage j + 1 takes m_(j+1) = m_j + j + 4 (see _halving_chain), so
     m_j = j(j + 7)/2 from m_0 = 0, and stage j + 1 is past the span that
     starts at m_j + 1 once j + 3 ≥ _STAGE_SEARCH_SPAN.  The error, read from
     the formula with no search, is the one the build of the first such
@@ -375,58 +397,58 @@ def _refuse_unreachable_stage(target: GDeltaSet, n: int) -> None:
         raise _stage_budget_error(ws[0], _threshold(j), m + 1)
 
 
-def _check_mean_proximity(
-    cert: StageCertificate,
-    witnesses: Optional[Sequence[BitString]] = None,
-    below: Optional[Sequence[BitString]] = None,
-) -> None:
+def _check_mean_proximity(cert: StageCertificate, witnesses: Sequence[BitString]) -> None:
     """Condition (6) at the new witnesses: the mean of S_{n+1} over N_w must
     be strictly within 2^(-3) of the (parity) value S_{n+1} takes on the
     target.  Proved by induction on the chain instead of walking it.
 
     Invariant: every cylinder in `verified` lies inside every region of its
     certificate's chain.  G*_0 is verified at the empty string (it is the
-    full space).  A new witness w of G*_{n+1} passes two tests:
-      * prefix: w extends a verified witness v of stage n, so
-        N_w ⊆ N_v ⊆ G*_j for every j ≤ n;
-      * cover: N_w ⊆ G*_{n+1}, one region query.
-    Then r_j(w) = λ(G*_j ∩ N_w)/λ(N_w) = 1 for every j ≤ n+1, so
-    ⨍_{N_w} S_{n+1} dλ = Σ_{j≤n+1} (-1)^j is exactly the parity value and
-    the error is 0 < 2^(-3).  The witnesses become `cert.verified`, which
-    keeps the invariant for the next stage.  A witness failing either test
-    raises ValueError.  The tests check the result against the O(n) chain
-    walk over the regions G*_0, …, G*_{n+1}.  The prefix test scans the
-    verified witnesses of stage n, `below` (prev.verified when not given):
-    one on the closed-form path, and on the materialized path all of them,
-    as the union of its pieces does.
-
-    Given witnesses are kept as a tuple, as the root's and a materialized
-    stage's are.  With none given, the check is at the region's first
-    cylinder, sampled after `below` is read (a singleton keeps only its
-    last prefix), and keeps no copy of it: `verified` reads it back off the
-    region (see StageCertificate)."""
+    full space).  A new witness w of G*_{n+1} passes the two tests of
+    _check_witness.  Then r_j(w) = λ(G*_j ∩ N_w)/λ(N_w) = 1 for every
+    j ≤ n+1, so ⨍_{N_w} S_{n+1} dλ = Σ_{j≤n+1} (-1)^j is exactly the parity
+    value and the error is 0 < 2^(-3).  The witnesses are kept as
+    `cert.verified`, which keeps the invariant for the next stage; this is
+    the check of the root and of a materialized stage, whose prefix test
+    scans every verified witness of stage n, as the union of its pieces
+    does.  A halving step runs the same witness tests in _halving_chain.
+    The tests check the result against the O(n) chain walk over the
+    regions G*_0, …, G*_{n+1}."""
     prev = cert.prev
     if prev is None and cert.index != 0:
         raise ValueError(f"certificate chain broken below index {cert.index}")
     if prev is not None and prev.index != cert.index - 1:
         raise ValueError(f"no certificate at index {cert.index - 1}")
-    if below is None and prev is not None:
-        below = prev.verified
-    first = witnesses is None
-    if first:
-        witnesses = cert.gstar.sample_cylinders(1)
+    below = None if prev is None else prev.verified
     for w in witnesses:
-        if prev is not None and not any(v.is_prefix_of(w) for v in below):
+        _check_witness(w, below, cert)
+    cert._verified = tuple(witnesses)
+
+
+def _check_witness(
+    w: BitString, below: Optional[Sequence[BitString]], cert: StageCertificate
+) -> None:
+    """The two tests of condition (6) at a new witness w of cert's region
+    G*_{n+1}, given `below`, the verified witnesses of stage n (None at
+    the root, which has no stage below it):
+      * prefix: w extends some v in below, so N_w ⊆ N_v ⊆ G*_j for every
+        j ≤ n;
+      * cover: N_w ⊆ G*_{n+1}, one region query.
+    A witness failing either raises ValueError."""
+    if below is not None:
+        for v in below:
+            if v.is_prefix_of(w):
+                break
+        else:
             raise ValueError(
                 f"mean-proximity condition fails at witness {w!r}: "
                 f"it extends no verified witness of stage {cert.index - 1}"
             )
-        if not cert.gstar.covers(w):
-            raise ValueError(
-                f"mean-proximity condition fails at witness {w!r}: "
-                f"it is not inside G*_{cert.index}"
-            )
-    cert._verified = None if first else tuple(witnesses)
+    if not cert.gstar.covers(w):
+        raise ValueError(
+            f"mean-proximity condition fails at witness {w!r}: "
+            f"it is not inside G*_{cert.index}"
+        )
 
 
 class Part:
@@ -469,11 +491,19 @@ class SynthesizedMartingale(Part):
         self._stages: list[StageCertificate] = [root]
 
     def stage(self, n: int) -> StageCertificate:
-        if n >= len(self._stages) and self.target.halving:
+        """Stage n of the chain, built up to n on first request.  On a
+        halving target one _halving_chain loop extends the chain; a stage
+        it cannot build (the witnesses ran out) is left to build_stage."""
+        stages = self._stages
+        if n >= len(stages) and self.target.halving:
             _refuse_unreachable_stage(self.target, n)
-        while len(self._stages) <= n:
-            self._stages.append(build_stage(self._stages[-1], self.target))
-        return self._stages[n]
+            for cert in _halving_chain(stages[-1], self.target):
+                stages.append(cert)
+                if len(stages) > n:
+                    break
+        while len(stages) <= n:
+            stages.append(build_stage(stages[-1], self.target))
+        return stages[n]
 
     # -- exact means ---------------------------------------------------
 

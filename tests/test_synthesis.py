@@ -259,7 +259,7 @@ def test_stage_search_matches_linear_scan(steps, frozen, t, l, start, span):
 
 
 def test_stage_search_on_the_real_chains():
-    find, prove = synthesis._find_stage_index, synthesis._check_mean_proximity
+    find, covers = synthesis._find_stage_index, StageRegion.covers
     inside, finds = [], []
 
     def within(fn):
@@ -285,10 +285,11 @@ def test_stage_search_on_the_real_chains():
             return measure(m, n, v)
 
         # The halving chain reads its stage indices: no search, and outside
-        # the mean-proximity proof one measure query per stage, the check of
-        # condition (5) at the previous stage's first witness.
+        # the cover test of the mean-proximity proof one measure query per
+        # stage, the check of condition (5) at the previous stage's first
+        # witness.
         with patch.object(synthesis, "_find_stage_index", within(counted_find)), \
-                patch.object(synthesis, "_check_mean_proximity", within(prove)), \
+                patch.object(StageRegion, "covers", within(covers)), \
                 patch.object(target, "measure_stage_pair", counted_measure):
             g.stage(40)
         assert finds == []
@@ -954,7 +955,9 @@ def test_stage_chain_costs_linear_region_queries(target):
         side_effect=type(target).measure_stage_pair,
     ) as stage_queries:
         gdelta_martingale(target).stage(n)
-    assert regions.call_count <= 2 * n
+    # One cover test per stage asks its region: at least n queries, so a
+    # cover test that stops asking cannot pass here.
+    assert n <= regions.call_count <= 2 * n
     # Stage searches included, the target is queried O(log n) times a stage.
     assert stage_queries.call_count <= 20 * n
 
@@ -962,11 +965,11 @@ def test_stage_chain_costs_linear_region_queries(target):
 @pytest.mark.parametrize("target", [EvenZeros(), Singleton(Point.parse("01(011)"))],
                          ids=["even-zeros", "singleton"])
 def test_a_halving_step_samples_one_witness(target):
-    # Condition (5) is checked at the witness stage n's check verified, so
-    # a step samples its new witness and reads stage n's verified one back
-    # off its region (the root keeps its empty string), and asks the target
-    # twice: (5) there, and whether G*_(n+1) covers the new witness.  The
-    # root's check asks once more.
+    # Condition (5) is checked at the witness stage n's check verified,
+    # which the chain's loop still holds from the step before (the root
+    # keeps its empty string), so a step samples only its new witness.  It
+    # asks the target twice: (5) there, and whether G*_(n+1) covers the new
+    # witness.  The root's check asks once more.
     n = 200
     kind = type(target)
     with patch.object(
@@ -975,7 +978,7 @@ def test_a_halving_step_samples_one_witness(target):
         kind, "measure_stage_pair", autospec=True, side_effect=kind.measure_stage_pair
     ) as queries:
         gdelta_martingale(target).stage(n)
-    assert samples.call_count == 2 * n - 1
+    assert samples.call_count == n
     assert queries.call_count == 2 * n + 1
 
 
@@ -1125,6 +1128,62 @@ def test_build_stage_refuses_a_target_that_is_not_halving(lag, measure):
         f"λ(stage(9) ∩ N_0000) = {measure} is not below 1/2^4·2^-4"
     )
     assert len(g._stages) == 2
+
+
+def _chain_built(target, n, way):
+    """The chain up to stage n built one way, as (index, stage index,
+    verified witnesses) per stage, with the text of the ValueError that
+    stopped it (None when it reached stage n)."""
+    g = gdelta_martingale(target)
+    chain, error = [g.stage(0)], None
+    try:
+        if way == "one call":
+            g.stage(n)
+        elif way == "one index at a time":
+            for j in range(1, n + 1):
+                g.stage(j)
+        else:
+            while len(chain) <= n:
+                chain.append(synthesis.build_stage(chain[-1], target))
+    except ValueError as e:
+        error = str(e)
+    if way != "build_stage":
+        chain = g._stages
+    return [(c.index, c.stage_index, c.verified) for c in chain], error
+
+
+CHAIN_WAYS = ("one call", "one index at a time", "build_stage")
+
+
+@pytest.mark.parametrize("make", [
+    EvenZeros,
+    lambda: Singleton(Point.parse("01(011)")),
+    HalvingDeadAfterStageZero,  # hands the empty stage 2 to build_stage
+], ids=["even-zeros", "singleton", "runs-out"])
+def test_a_chain_is_the_same_built_in_one_call_per_index_or_per_step(make):
+    n = 60
+    built = [_chain_built(make(), n, way) for way in CHAIN_WAYS]
+    assert built[0] == built[1] == built[2]
+    chain, error = built[0]
+    assert error is None and [c[0] for c in chain] == list(range(n + 1))
+    if make is not HalvingDeadAfterStageZero:
+        assert [c[1] for c in chain[: len(M_CHAIN)]] == M_CHAIN
+        assert all(len(c[2]) == 1 and c[2][0].is_prefix_of(d[2][0])
+                   for c, d in zip(chain, chain[1:]))
+
+
+@pytest.mark.parametrize("make", [
+    Zigzag,
+    lambda: LaggingHalving(lambda m: m - 1),
+    lambda: LaggingHalving(lambda m: (m + 5) // 2),
+], ids=["zigzag", "lag-one", "lag-half"])
+def test_a_refused_chain_fails_the_same_way_in_one_call_per_index_or_per_step(make):
+    built = [_chain_built(make(), 60, way) for way in CHAIN_WAYS]
+    assert built[0] == built[1] == built[2]
+    chain, error = built[0]
+    # Stage 1 is built and checked; stage 2 raises, and is not kept.
+    assert [c[0] for c in chain] == [0, 1] and len(chain[1][2]) == 1
+    assert error.startswith(("mean-proximity condition fails", "condition (5) fails"))
 
 
 # ---------------------------------------------------------------------------
